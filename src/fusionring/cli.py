@@ -314,11 +314,12 @@ def cmd_balance(args) -> int:
 
 def cmd_qforms(args) -> int:
     factors = parse_group_spec(args.group)
+    # form_classes rejects a group above its size bound before enumerating
+    classes = premodular.form_classes(factors) if args.classes else None
     forms = premodular.quadratic_forms(factors)
     payload = {"factors": factors, "numForms": len(forms)}
     lines = [f"{len(forms)} quadratic forms on " + " x ".join(f"C{n}" for n in factors)]
     if args.classes:
-        classes = premodular.form_classes(factors)
         payload["numClasses"] = len(classes)
         lines.append(f"{len(classes)} classes under automorphisms")
     _emit(args, payload, lines)
@@ -472,7 +473,7 @@ def run(argv) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except InputProblem as exc:
+    except (InputProblem, premodular.GroupTooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except FusionRingError as exc:

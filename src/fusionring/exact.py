@@ -28,10 +28,6 @@ class RootOfUnity:
         object.__setattr__(self, "num", (self.num % self.den) // g)
         object.__setattr__(self, "den", self.den // g)
 
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(0, 1)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)

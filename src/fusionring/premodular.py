@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -179,20 +178,107 @@ def centralizer_profile(m: ModularDatum, tol: float = 1e-6):
 
 # ---------------------------------------------------------------------------
 # Quadratic forms on finite abelian groups
+#
+# G = C_{n_1} x ... x C_{n_k}; its elements are numbered in itertools.product
+# order. A form is an int array q over that numbering, read mod M: the entry
+# x stands for the root of unity exp(2 pi i x / M). RootOfUnity appears only
+# at the boundary (QuadraticForm.values, q, b and JSON I/O).
+
+# Largest number of (g, g', h) triples the additivity check compares at once.
+_SLAB = 1 << 16
+
+
+def _factors(factors) -> tuple:
+    out = tuple(int(f) for f in factors)
+    if any(f < 1 for f in out):
+        raise FusionRingError(f"cyclic factor orders must be positive: {list(out)}")
+    return out
+
+
+class _Group:
+    """Index tables of G: add[i, j] and neg[i] are element numbers, gens
+    holds the number of each factor's generator."""
+
+    def __init__(self, factors: tuple):
+        self.elements = list(itertools.product(*[range(f) for f in factors]))
+        n, k = len(self.elements), len(factors)
+        self.coords = np.array(self.elements, dtype=np.int64).reshape(n, k)
+        self.mods = np.array(factors, dtype=np.int64)
+        self.strides = np.array([math.prod(factors[i + 1:]) for i in range(k)],
+                                dtype=np.int64)
+        self.add = self.number(self.coords[:, None, :] + self.coords[None, :, :])
+        self.neg = self.number(-self.coords)
+        self.gens = self.number(np.eye(k, dtype=np.int64))
+
+    def number(self, coords: np.ndarray) -> np.ndarray:
+        """Element numbers of coordinate vectors (last axis), reduced mod G."""
+        return (coords % self.mods) @ self.strides
+
+
+def _bicharacter(grp: _Group, q: np.ndarray, m: int) -> np.ndarray:
+    """b[g, h] = q[g + h] - q[g] - q[h] mod m."""
+    return (q[grp.add] - q[:, None] - q[None, :]) % m
+
+
+def _check_form(grp: _Group, q: np.ndarray, m: int, exhaustive: bool) -> None:
+    """Raise FusionRingError unless q(0) = 0, q(-g) = q(g) for all g, and
+    b(g + g', h) = b(g, h) + b(g', h) for all g', h and every g in G
+    (exhaustive) or every generator g. The first failure in element order
+    is reported."""
+    if q[0] != 0:
+        raise FusionRingError("q(0) must be 1")
+    bad = np.flatnonzero(q != q[grp.neg])
+    if bad.size:
+        g = grp.elements[bad[0]]
+        raise FusionRingError(f"q({g}) != q(-{g})")
+    b = _bicharacter(grp, q, m)
+    firsts = np.arange(len(q)) if exhaustive else grp.gens
+    rows = max(1, _SLAB // b.size)
+    for start in range(0, len(firsts), rows):
+        f = firsts[start:start + rows]
+        bad = np.argwhere(b[grp.add[f]] != (b[f][:, None, :] + b[None]) % m)
+        if bad.size:
+            g, gp, h = (grp.elements[i] for i in (f[bad[0, 0]], bad[0, 1], bad[0, 2]))
+            raise FusionRingError(f"b is not additive at {g}, {gp}, {h}")
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
     """q : G -> roots of unity with q(g) = q(-g) and bilinear associated
     bicharacter. G is a product of cyclic groups given by factor orders;
-    elements are tuples."""
+    elements are tuples, and `values` maps every element to a RootOfUnity.
+
+    The form is held as an int array mod M in itertools.product element
+    order. M = 2 exp(G) for every quadratic form, since q(g) has order
+    dividing 2 ord(g); a value of larger order widens M, so that verify
+    sees the value exactly and rejects it.
+    """
 
     factors: tuple
     values: dict = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
-        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "factors", _factors(self.factors))
+        values = dict(self.values)
+        elements = list(self.elements())
+        known = set(elements)
+        extra = [g for g in values if g not in known]
+        if extra:
+            raise FusionRingError(f"form value at {extra[0]!r}, which is not an element of G")
+        if len(values) != len(elements):
+            missing = next(g for g in elements if g not in values)
+            raise FusionRingError(f"form has no value at {missing}")
+        if not all(isinstance(r, RootOfUnity) for r in values.values()):
+            raise FusionRingError("form values must be RootOfUnity values")
+        m = math.lcm(2 * math.lcm(*self.factors), *(r.den for r in values.values()))
+        if m >= 1 << 62:  # b and the additivity check add up to 2m in int64
+            raise FusionRingError("form value orders exceed the int64 range")
+        q = np.array([values[g].num * (m // values[g].den) for g in elements],
+                     dtype=np.int64)
+        q.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_m", m)
 
     def elements(self):
         return itertools.product(*[range(f) for f in self.factors])
@@ -203,44 +289,60 @@ class QuadraticForm:
     def add(self, g, h):
         return tuple((x + y) % f for x, y, f in zip(g, h, self.factors))
 
+    def _at(self, g) -> int:
+        i = 0
+        for x, f in zip(g, self.factors):
+            i = i * f + x % f
+        return int(self._q[i])
+
     def q(self, g) -> RootOfUnity:
         return self.values[tuple(x % f for x, f in zip(g, self.factors))]
 
     def b(self, g, h) -> RootOfUnity:
         """Associated bicharacter b(g,h) = q(g+h) q(g)^-1 q(h)^-1."""
-        return self.q(self.add(g, h)) * self.q(g).inverse() * self.q(h).inverse()
+        return RootOfUnity(self._at(self.add(g, h)) - self._at(g) - self._at(h), self._m)
 
     def verify(self, exhaustive: bool = True) -> None:
-        zero = tuple(0 for _ in self.factors)
-        if self.values[zero] != RootOfUnity.one():
-            raise FusionRingError("q(0) must be 1")
-        for g in self.elements():
-            if self.q(g) != self.q(self.neg(g)):
-                raise FusionRingError(f"q({g}) != q(-{g})")
-        elems = list(self.elements())
-        if exhaustive:
-            triples = itertools.product(elems, elems, elems)
-        else:
-            gens = [tuple(1 if i == j else 0 for j in range(len(self.factors)))
-                    for i in range(len(self.factors))]
-            triples = itertools.product(gens, elems, elems)
-        for g, gp, h in triples:
-            if self.b(self.add(g, gp), h) != self.b(g, h) * self.b(gp, h):
-                raise FusionRingError(f"b is not additive at {g}, {gp}, {h}")
+        """Check q(0) = 1, q(g) = q(-g) and b(g+g', h) = b(g,h) b(g',h) for all
+        g', h and all g (exhaustive) or the factor generators g; raise
+        FusionRingError at the first failure."""
+        _check_form(_Group(self.factors), self._q, self._m, exhaustive)
 
     def key(self):
-        return tuple(self.values[g] for g in sorted(self.elements()))
+        return tuple(self.values[g] for g in self.elements())
 
 
 def form_nondegenerate(form: QuadraticForm) -> bool:
-    """True iff g -> b(g, .) is injective."""
-    rows = {}
-    for g in form.elements():
-        row = tuple(form.b(g, h) for h in sorted(form.elements()))
-        if row in rows:
-            return False
-        rows[row] = g
-    return True
+    """True iff g -> b(g, .) is injective, i.e. the rows of b are distinct."""
+    b = _bicharacter(_Group(form.factors), form._q, form._m)
+    return len({row.tobytes() for row in b}) == len(b)
+
+
+def _form_table(factors: tuple):
+    """(group, M, Q): every quadratic form on G as one row of the int
+    matrix Q mod M = 2 exp(G), in quadratic_forms order, each verified."""
+    grp = _Group(factors)
+    m = 2 * math.lcm(*factors)
+    k, x = len(factors), grp.coords
+    pairs = list(itertools.combinations(range(k), 2))
+    # q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts
+    # steps of 1/n_i (n_i odd) or 1/(2 n_i) (n_i even) and c_ij steps of
+    # 1/gcd(n_i, n_j).
+    orders = ([n if n % 2 else 2 * n for n in factors]
+              + [math.gcd(factors[i], factors[j]) for i, j in pairs])
+    monomials = [x[:, i] * x[:, i] for i in range(k)] + [x[:, i] * x[:, j] for i, j in pairs]
+    basis = np.array([(m // d) * mono for d, mono in zip(orders, monomials)],
+                     dtype=np.int64).reshape(len(orders), len(x))
+    coeffs = np.array(list(itertools.product(*[range(d) for d in orders])), dtype=np.int64)
+    table = (coeffs @ basis) % m
+    for q in table:
+        _check_form(grp, q, m, exhaustive=len(q) <= 12)
+    return grp, m, table
+
+
+def _form(factors: tuple, grp: _Group, m: int, q: np.ndarray) -> QuadraticForm:
+    return QuadraticForm(factors, {g: RootOfUnity(x, m)
+                                   for g, x in zip(grp.elements, q.tolist())})
 
 
 def quadratic_forms(factors) -> list:
@@ -248,82 +350,52 @@ def quadratic_forms(factors) -> list:
     orders.
 
     On a generator of a factor of order n, q can take any n-th root value if
-    n is odd and any 2n-th root value with the right parity structure if n is
-    even; cross terms are bicharacter values of order dividing gcd of the two
-    factor orders. Every candidate is verified globally.
+    n is odd and any 2n-th root value if n is even; cross terms are
+    bicharacter values of order dividing the gcd of the two factor orders.
+    The forms come in that order: diagonal choices outermost, the last
+    cross term fastest. Every candidate is verified globally as an int
+    array mod 2 exp(G) (see QuadraticForm.verify): over all triples
+    (g, g', h) when |G| <= 12, and over generators g x G x G otherwise.
     """
-    factors = [int(f) for f in factors]
-    k = len(factors)
-    diag_choices = []
-    for n in factors:
-        if n % 2 == 1:
-            diag_choices.append([RootOfUnity(a, n) for a in range(n)])
-        else:
-            diag_choices.append([RootOfUnity(a, 2 * n) for a in range(2 * n)])
-    pair_idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    cross_choices = []
-    for i, j in pair_idx:
-        g = math.gcd(factors[i], factors[j])
-        cross_choices.append([RootOfUnity(c, g) for c in range(g)])
-    out = []
-    for diag in itertools.product(*diag_choices):
-        for cross in itertools.product(*cross_choices):
-            values = {}
-            for g in itertools.product(*[range(f) for f in factors]):
-                acc = Fraction(0)
-                for i, root in enumerate(diag):
-                    acc += root.fraction * (g[i] * g[i])
-                for (i, j), root in zip(pair_idx, cross):
-                    acc += root.fraction * (g[i] * g[j])
-                values[g] = RootOfUnity(acc.numerator, acc.denominator)
-            form = QuadraticForm(tuple(factors), values)
-            form.verify(exhaustive=len(values) <= 12)
-            out.append(form)
-    return out
+    factors = _factors(factors)
+    grp, m, table = _form_table(factors)
+    return [_form(factors, grp, m, q) for q in table]
 
 
-def _automorphisms(factors):
-    """Brute-force automorphisms of the abelian group, as maps on elements."""
-    factors = [int(f) for f in factors]
+def _automorphisms(factors) -> np.ndarray:
+    """Brute-force automorphisms of the abelian group, one row each: the
+    element number of phi(g) at g's number."""
+    factors = _factors(factors)
     order = math.prod(factors)
     if order > 64:
         raise GroupTooLarge(f"|G| = {order} exceeds the brute-force bound 64")
-    elements = list(itertools.product(*[range(f) for f in factors]))
-    k = len(factors)
-
-    def elt_order(g):
-        return math.lcm(*[f // math.gcd(x, f) for x, f in zip(g, factors)]) if any(g) else 1
-
-    autos = []
-    candidates = [[g for g in elements if elt_order(g) == f] for f in factors]
+    grp = _Group(factors)
+    orders = [math.lcm(*[f // math.gcd(x, f) for x, f in zip(g, factors)])
+              for g in grp.elements]
     # images of generators must have the right order; then check bijectivity
+    candidates = [[i for i, o in enumerate(orders) if o == f] for f in factors]
+    autos = []
     for images in itertools.product(*candidates):
-        image_map = {}
-        for x in elements:
-            acc = [0] * k
-            for i in range(k):
-                for c in range(k):
-                    acc[c] = (acc[c] + x[i] * images[i][c]) % factors[c]
-            image_map[x] = tuple(acc)
-        if len(set(image_map.values())) == len(elements):
-            autos.append(image_map)
-    return autos
+        perm = grp.number(grp.coords @ grp.coords[list(images)])
+        if np.bincount(perm, minlength=order).all():
+            autos.append(perm)
+    return np.array(autos, dtype=np.int64).reshape(len(autos), order)
 
 
 def form_classes(factors) -> list:
-    """Orbit representatives of quadraticForms under group automorphisms."""
-    forms = quadratic_forms(factors)
+    """Orbit representatives of quadratic_forms(factors) under group
+    automorphisms, each the first of its orbit in enumeration order.
+    Raises GroupTooLarge for |G| > 64 before any form is enumerated."""
+    factors = _factors(factors)
     autos = _automorphisms(factors)
+    grp, m, table = _form_table(factors)
     seen = set()
     reps = []
-    by_key = {f.key(): f for f in forms}
-    for form in forms:
-        if form.key() in seen:
+    for q in table:
+        if q.tobytes() in seen:
             continue
-        reps.append(form)
-        for phi in autos:
-            moved = {g: form.values[phi[g]] for g in form.values}
-            seen.add(QuadraticForm(form.factors, moved).key())
+        reps.append(_form(factors, grp, m, q))
+        seen.update(moved.tobytes() for moved in q[autos])
     return reps
 
 
@@ -373,15 +445,37 @@ def modular_datum_to_json(m: ModularDatum) -> dict:
 
 
 def form_from_json(data) -> QuadraticForm:
-    factors = tuple(int(f) for f in data["factors"])
+    """Inverse of form_to_json. Every element of G must appear exactly once,
+    keyed by its comma-joined coordinates, with an integer pair [num, den],
+    den > 0; the form is then verified. Raises FusionRingError otherwise."""
+    if not (isinstance(data, dict) and isinstance(data.get("factors"), list)
+            and isinstance(data.get("values"), dict)):
+        raise FusionRingError('a quadratic form is {"factors": [...], "values": {...}}')
+    if not all(map(_is_int, data["factors"])):
+        raise FusionRingError(f"factors must be integers: {data['factors']!r}")
+    factors = _factors(data["factors"])
     values = {}
     for key, val in data["values"].items():
-        g = tuple(int(x) for x in key.split(","))
-        num, den = val
-        values[g] = RootOfUnity(int(num), int(den))
+        try:
+            g = tuple(int(x) for x in key.split(",")) if key else ()
+        except ValueError:
+            raise FusionRingError(f"value key {key!r} is not a list of integers") from None
+        if len(g) != len(factors) or not all(0 <= x < f for x, f in zip(g, factors)):
+            raise FusionRingError(f"value key {key!r} is not an element of "
+                                  + " x ".join(f"C{f}" for f in factors))
+        if g in values:
+            raise FusionRingError(f"element {g} appears twice")
+        if not (isinstance(val, list) and len(val) == 2 and all(map(_is_int, val))
+                and val[1] > 0):
+            raise FusionRingError(f"value of {key!r} must be [num, den] with den > 0: {val!r}")
+        values[g] = RootOfUnity(*val)
     form = QuadraticForm(factors, values)
     form.verify(exhaustive=math.prod(factors) <= 12)
     return form
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def form_to_json(form: QuadraticForm) -> dict:

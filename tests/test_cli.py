@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, machine output."""
 
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,15 @@ def test_qforms_product_spec(capsys):
     code, out, _ = run(capsys, "--format", "json", "qforms", "C3xC3")
     assert code == 0
     assert json.loads(out)["numForms"] == 27
+
+
+def test_qforms_classes_group_too_large_is_input_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qforms", "C65", "--classes")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "64" in err
 
 
 def test_verify_ok_and_violation(tmp_path, capsys):

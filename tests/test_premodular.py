@@ -1,12 +1,18 @@
 """Verlinde fusion, balancing, Gauss sums, quadratic forms, braided cases."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
 from fusionring.exact import RootOfUnity
-from fusionring.premodular import (ModularDatum, balancing_check, braided_cases,
-                                   centralizer_profile, form_classes,
+from fusionring.core import FusionRingError
+from fusionring.premodular import (ModularDatum, QuadraticForm, balancing_check,
+                                   braided_cases, centralizer_profile, form_classes,
                                    form_from_json, form_nondegenerate,
                                    form_to_json, gauss_sums,
                                    modular_datum_from_json, modular_datum_to_json,
@@ -106,6 +112,116 @@ def test_form_json_round_trip():
     back = form_from_json(form_to_json(form))
     assert back.factors == form.factors
     assert back.key() == form.key()
+
+
+@pytest.mark.parametrize("data", [
+    {"factors": [2], "values": {"0": [0, 1]}},                          # element missing
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4], "5": [0, 1]}},  # out of range
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4], "01": [1, 4]}},  # element twice
+    {"factors": [2, 2], "values": {"0": [0, 1]}},                       # wrong key length
+    {"factors": [2], "values": {"0": [0, 1], "x": [1, 4]}},             # not an integer
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 0]}},             # den = 0
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, -4]}},            # den < 0
+    {"factors": [2], "values": {"0": [0, 1], "1": [1.5, 4]}},           # not integers
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4, 1]}},          # not a pair
+    {"factors": [2], "values": {"0": [0, 1], "1": "1/4"}},              # not a pair
+    {"factors": [0], "values": {}},                                     # bad factor
+    {"factors": [2], "values": [[0, 1], [1, 4]]},                       # not an object
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 3]}},             # not a form
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 10 ** 30]}},      # beyond int64
+])
+def test_form_from_json_rejects(data):
+    with pytest.raises(FusionRingError):
+        form_from_json(data)
+
+
+# Test-only reference: the triple loop over Fractions of a turn that the
+# integer-array verify replaced.
+
+def _oracle_is_form(factors, values, exhaustive=True) -> bool:
+    elems = list(itertools.product(*[range(f) for f in factors]))
+
+    def add(g, h):
+        return tuple((x + y) % f for x, y, f in zip(g, h, factors))
+
+    q = {g: values[g].fraction for g in elems}
+    if q[elems[0]] != 0:
+        return False
+    if any(q[g] != q[tuple(-x % f for x, f in zip(g, factors))] for g in elems):
+        return False
+    b = {(g, h): (q[add(g, h)] - q[g] - q[h]) % 1 for g in elems for h in elems}
+    gens = [tuple(int(i == j) % f for j, f in enumerate(factors)) for i in range(len(factors))]
+    return all(b[add(g, gp), h] == (b[g, h] + b[gp, h]) % 1
+               for g in (elems if exhaustive else gens) for gp in elems for h in elems)
+
+
+small_groups = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
+    lambda fs: math.prod(fs) <= 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups)
+def test_forms_pass_oracle_and_closed_count(factors):
+    forms = quadratic_forms(factors)
+    assert all(_oracle_is_form(factors, f.values) for f in forms)
+    count = math.prod(n if n % 2 else 2 * n for n in factors)
+    count *= math.prod(math.gcd(a, b) for a, b in itertools.combinations(factors, 2))
+    assert len(forms) == count
+    assert len({f.key() for f in forms}) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups, st.data())
+def test_perturbed_form_rejected(factors, data):
+    forms = quadratic_forms(factors)
+    form = forms[data.draw(st.integers(0, len(forms) - 1))]
+    elems = list(form.values)
+    g = elems[data.draw(st.integers(1, len(elems) - 1))]
+    den = data.draw(st.integers(2, 4 * math.lcm(*factors)))
+    delta = RootOfUnity(data.draw(st.integers(1, den - 1)), den)
+    values = dict(form.values)
+    for h in {g, form.neg(g)}:
+        values[h] = values[h] * delta
+    ok = _oracle_is_form(factors, values)
+    assert _oracle_is_form(factors, values, exhaustive=False) == ok
+    # delta on {g, -g} can give another form (on C2, or for g of order 3);
+    # only the perturbations the oracle rejects are a test of verify
+    assume(not ok)
+    perturbed = QuadraticForm(form.factors, values)
+    for exhaustive in (True, False):
+        with pytest.raises(FusionRingError):
+            perturbed.verify(exhaustive=exhaustive)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups, st.data())
+def test_form_times_nonreal_character_rejected(factors, data):
+    # a linear character has additive b, so only q(g) = q(-g) catches it
+    forms = quadratic_forms(factors)
+    form = forms[data.draw(st.integers(0, len(forms) - 1))]
+    a = [data.draw(st.integers(0, n - 1)) for n in factors]
+    assume(any(2 * x % n for x, n in zip(a, factors)))
+    values = {}
+    for g, r in form.values.items():
+        turn = sum((Fraction(x * y, n) for x, y, n in zip(a, g, factors)), Fraction(0))
+        values[g] = r * RootOfUnity(turn.numerator, turn.denominator)
+    assert not _oracle_is_form(factors, values)
+    perturbed = QuadraticForm(form.factors, values)
+    for exhaustive in (True, False):
+        with pytest.raises(FusionRingError, match="!= q"):
+            perturbed.verify(exhaustive=exhaustive)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_groups, st.randoms(use_true_random=False))
+def test_class_count_independent_of_factor_order(factors, rnd):
+    shuffled = list(factors)
+    rnd.shuffle(shuffled)
+    assert len(form_classes(shuffled)) == len(form_classes(factors))
+
+
+def test_class_counts_c4xc2_both_orders():
+    assert len(form_classes([4, 2])) == len(form_classes([2, 4])) == 30
 
 
 def test_braided_cases_8():
