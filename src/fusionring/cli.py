@@ -19,8 +19,7 @@ import numpy as np
 
 from . import catalog, nearintegral, premodular, spectral, structure
 from .core import (FusionRing, FusionRingError, character_table_to_fusion_ring,
-                   ring_from_json, ring_to_json, table_from_json, validate_tensor,
-                   _as_tensor)
+                   ring_from_json, ring_to_json, table_from_json, validate_tensor)
 from .premodular import modular_datum_from_json
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -113,17 +112,43 @@ def _json_kind(data) -> str:
         "'rows' (character table) or 'S' (modular datum)")
 
 
-def load_ring(spec: str, args) -> FusionRing:
-    kind, obj = _resolve(spec, args)
+def _check_ring_json(data) -> None:
+    """Reject ring JSON whose shape or types are malformed: 'tensor' must be
+    a nonempty n x n x n array of finite numbers inside the int64 range,
+    'labels' a list and 'dual' a list of integers when given. Negative or
+    non-integer numbers pass; the ring axioms report them."""
+    for key in ("labels", "dual"):
+        if data.get(key) is not None and not isinstance(data[key], list):
+            raise InputProblem(f"'{key}' must be a list")
+    if not all(type(d) is int for d in data.get("dual") or []):
+        raise InputProblem("'dual' must be a list of integers")
+    try:
+        tensor = np.asarray(data["tensor"])
+    except ValueError:  # ragged nesting
+        tensor = np.asarray(None)
+    if (tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.size == 0
+            or tensor.dtype.kind not in "iufO"):
+        raise InputProblem("'tensor' must be a nonempty n x n x n array of numbers")
+    if tensor.dtype == object or not (-2 ** 63 <= tensor.min() and tensor.max() < 2 ** 63):
+        raise InputProblem("'tensor' entries must be finite numbers inside the int64 range")
+
+
+def _build_ring(kind: str, obj) -> FusionRing:
+    """The fusion ring of a resolved input spec."""
     if kind == "entry":
         return catalog.entry_ring(obj.name)
     jk = _json_kind(obj)
     if jk == "ring":
+        _check_ring_json(obj)
         return ring_from_json(obj)
     if jk == "characterTable":
         return character_table_to_fusion_ring(table_from_json(obj))
     ring, _ = premodular.verlinde_fusion(modular_datum_from_json(obj))
     return ring
+
+
+def load_ring(spec: str, args) -> FusionRing:
+    return _build_ring(*_resolve(spec, args))
 
 
 def load_table(spec: str, args):
@@ -167,19 +192,13 @@ def parse_group_spec(text: str):
 
 def cmd_verify(args) -> int:
     kind, obj = _resolve(args.ring, args)
-    if kind == "entry":
-        ring = catalog.entry_ring(obj.name)
-        violations = []
+    if kind == "json" and _json_kind(obj) == "ring":
+        _check_ring_json(obj)
+        ring = ring_from_json(obj, validate=False)
+        violations = validate_tensor(ring.tensor, ring.dual)
     else:
-        jk = _json_kind(obj)
-        if jk != "ring":
-            ring = load_ring(args.ring, args)
-            violations = []
-        else:
-            tensor = _as_tensor(obj["tensor"])
-            probe = ring_from_json(obj, validate=False)
-            violations = validate_tensor(tensor, probe.dual)
-            ring = probe
+        ring = _build_ring(kind, obj)
+        violations = []
     payload = {
         "rank": ring.rank,
         "ok": not violations,
@@ -402,6 +421,16 @@ def cmd_catalog(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputProblemUsage(message)
@@ -455,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("table")
     sp.set_defaults(func=cmd_gagola)
     sp = sub.add_parser("cases", help="braided near-integral constraint cases")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_positive_int, required=True)
     sp.set_defaults(func=cmd_cases)
     sp = sub.add_parser("catalog", help="list, verify or show built-in data")
     sp.add_argument("action", choices=("list", "verify", "show"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import parse_scalar, snap_int
+from .exact import _scalar_to_json, parse_scalar, snap_int
 
 __all__ = [
     "FusionRingError",
@@ -402,12 +402,8 @@ def table_from_json(data, tol: float = 1e-6) -> CharacterTable:
 
 
 def table_to_json(table: CharacterTable) -> dict:
-    def enc(z: complex):
-        if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
-            return int(round(z.real))
-        return [z.real, z.imag]
     return {
         "order": table.order,
         "classSizes": list(table.class_sizes),
-        "rows": [[enc(z) for z in row] for row in table.rows],
+        "rows": [[_scalar_to_json(z) for z in row] for row in table.rows],
     }

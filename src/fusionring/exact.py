@@ -112,6 +112,14 @@ def parse_scalar(entry) -> complex:
     raise ValueError(f"unsupported scalar entry: {entry!r}")
 
 
+def _scalar_to_json(z: complex):
+    """JSON form of a matrix entry that parse_scalar reads back: an int when
+    z is one to 1e-12, else a [re, im] pair."""
+    if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
+        return int(round(z.real))
+    return [z.real, z.imag]
+
+
 def snap_int(x: float, tol: float = 1e-6):
     """Round to the nearest integer if within tol, else return None."""
     r = round(x)

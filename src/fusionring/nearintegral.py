@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CharacterTable, FusionRing, FusionRingError
+from .core import (CharacterTable, FusionRing, FusionRingError,
+                   character_table_to_fusion_ring)
 from .exact import snap_int
+from .structure import ClosureViolation, SubringHandle, _first_escape
 from . import spectral
 
 __all__ = [
@@ -94,18 +96,12 @@ def roots_dpm(kappa: float, big_n: float):
 def subring_on(ring: FusionRing, indices) -> FusionRing:
     """Restrict the ring to a fusion-closed subset of basis indices
     (validated)."""
-    idx = sorted(int(i) for i in indices)
-    if 0 not in idx:
-        raise FusionRingError("a subring must contain the unit")
+    handle = SubringHandle(indices)
+    handle.verify(ring)
+    idx = list(handle.indices)
     pos = {b: a for a, b in enumerate(idx)}
-    sub = ring.tensor[np.ix_(idx, idx, idx)]
-    # closure check: no products escaping the subset
-    esc = ring.tensor[np.ix_(idx, idx)][:, :, [k for k in range(ring.rank) if k not in pos]]
-    if esc.size and esc.any():
-        raise FusionRingError(f"indices {idx} are not fusion-closed")
-    if any(ring.dual[i] not in pos for i in idx):
-        raise FusionRingError(f"indices {idx} are not closed under duality")
-    return FusionRing.validated([ring.labels[i] for i in idx], sub,
+    return FusionRing.validated([ring.labels[i] for i in idx],
+                                ring.tensor[np.ix_(idx, idx, idx)],
                                 [pos[ring.dual[i]] for i in idx])
 
 
@@ -119,12 +115,12 @@ def detect(ring: FusionRing, tol: float = SNAP_TOL):
     """
     n = ring.rank
     dims = spectral.fpdims(ring)
+    support = ring.tensor != 0
     for rho in range(1, n):
         if ring.dual[rho] != rho:
             continue
         comp = [i for i in range(n) if i != rho]
-        # complement closed under fusion?
-        if ring.tensor[np.ix_(comp, comp)][:, :, rho].any():
+        if _first_escape(support, comp) is not None:
             continue
         sub_dims = []
         ok = True
@@ -169,12 +165,9 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     if kappa < 0:
         raise FusionRingError("kappa must be nonnegative")
     n = sub.rank
-    dims = []
-    for i in range(n):
-        d = snap_int(spectral.fpdim(sub, i), SNAP_TOL)
-        if d is None:
-            raise NotNearIntegral("the subring must have integer dimensions")
-        dims.append(d)
+    dims = [snap_int(d, SNAP_TOL) for d in spectral.fpdims(sub)]
+    if None in dims:
+        raise NotNearIntegral("the subring must have integer dimensions")
     rho = n
     t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     t[:n, :n, :n] = sub.tensor
@@ -273,11 +266,10 @@ def character_kernel(ring: FusionRing, values, tol: float = SNAP_TOL):
     kernel = tuple(i for i in range(ring.rank)
                    if abs(values[i] - dims[i]) <= tol * max(1.0, dims[i]))
     try:
-        subring_on(ring, kernel)
-        closed = True
-    except FusionRingError:
-        closed = False
-    return kernel, closed
+        SubringHandle(kernel).verify(ring)
+    except ClosureViolation:
+        return kernel, False
+    return kernel, True
 
 
 def dim_a_chi_minus(report: NearIntegralReport, tol: float = 1e-9) -> float:
@@ -315,7 +307,6 @@ def gagola_analyze(table: CharacterTable, tol: float = 1e-9):
         if kappa < 0:
             raise NotNearIntegral(f"kappa = {kappa} is negative for row {rho}")
         vanishing = int(sum(1 for v in rows[rho] if abs(v) <= tol))
-        from .core import character_table_to_fusion_ring
         ring = character_table_to_fusion_ring(table)
         if int(ring.tensor[rho, rho, rho]) != kappa:
             raise NotNearIntegral(

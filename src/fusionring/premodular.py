@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError
-from .exact import RootOfUnity, parse_scalar
-from .nearintegral import dim_a_chi_minus
+from .exact import RootOfUnity, _scalar_to_json, parse_scalar
 
 __all__ = [
     "NonIntegralFusion",
@@ -28,7 +27,6 @@ __all__ = [
     "form_classes",
     "form_nondegenerate",
     "braided_cases",
-    "dim_a_chi_minus",
     "modular_datum_from_json",
     "modular_datum_to_json",
     "form_from_json",
@@ -433,12 +431,8 @@ def modular_datum_from_json(data) -> ModularDatum:
 
 
 def modular_datum_to_json(m: ModularDatum) -> dict:
-    def enc(z: complex):
-        if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
-            return int(round(z.real))
-        return [z.real, z.imag]
     return {
-        "S": [[enc(z) for z in row] for row in m.s],
+        "S": [[_scalar_to_json(z) for z in row] for row in m.s],
         "T": [[r.num, r.den] for r in m.t],
         "dims": [float(x) for x in m.dims],
     }

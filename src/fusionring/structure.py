@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,36 +49,45 @@ class SubringHandle:
         return len(self.indices)
 
     def verify(self, ring: FusionRing) -> None:
-        idx = set(self.indices)
-        if 0 not in idx:
+        if 0 not in self.indices:
             raise ClosureViolation("handle must contain the unit")
-        for i in idx:
-            if ring.dual[i] not in idx:
+        for i in self.indices:
+            if ring.dual[i] not in self.indices:
                 raise ClosureViolation(f"dual of {i} escapes the handle")
-        for i in idx:
-            for j in idx:
-                for k in np.nonzero(ring.tensor[i, j])[0]:
-                    if int(k) not in idx:
-                        raise ClosureViolation(
-                            f"product {i}*{j} meets {int(k)} outside the handle")
+        escape = _first_escape(ring.tensor != 0, self.indices)
+        if escape is not None:
+            i, j, k = escape
+            raise ClosureViolation(f"product {i}*{j} meets {k} outside the handle")
+
+
+def _first_escape(support: np.ndarray, indices):
+    """The first product (i, j, k) in lexicographic order with i and j in
+    indices, k outside them and support[i, j, k] set; None when the index
+    set is fusion-closed. support is the boolean tensor ring.tensor != 0."""
+    inside = np.zeros(support.shape[0], dtype=bool)
+    inside[list(indices)] = True
+    idx = np.flatnonzero(inside)
+    escapes = support[np.ix_(idx, idx)] & ~inside
+    if not escapes.any():
+        return None
+    a, b, k = np.unravel_index(int(escapes.argmax()), escapes.shape)
+    return int(idx[a]), int(idx[b]), int(k)
 
 
 def closure(ring: FusionRing, seed) -> SubringHandle:
     """Smallest fusion-closed, dual-closed subset containing the unit and
     the seed indices."""
-    current = {0} | {int(i) for i in seed}
-    current |= {ring.dual[i] for i in current}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.product(sorted(current), repeat=2):
-            for k in np.nonzero(ring.tensor[i, j])[0]:
-                k = int(k)
-                if k not in current:
-                    current.add(k)
-                    current.add(ring.dual[k])
-                    changed = True
-    return SubringHandle(tuple(current))
+    support = ring.tensor != 0
+    dual = np.asarray(ring.dual)
+    current = np.zeros(ring.rank, dtype=bool)
+    current[[0, *seed]] = True
+    current |= current[dual]
+    while True:
+        grown = current | support[np.ix_(current, current)].any(axis=(0, 1))
+        grown |= grown[dual]
+        if (grown == current).all():
+            return SubringHandle(tuple(np.flatnonzero(current)))
+        current = grown
 
 
 def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
@@ -118,16 +126,13 @@ def pointed_subring(ring: FusionRing) -> SubringHandle:
 
 def adjoint_subring(ring: FusionRing) -> SubringHandle:
     """Fusion closure of the supports of all b_i b_{i*}."""
-    seed = set()
-    for i in range(ring.rank):
-        seed |= {int(k) for k in np.nonzero(ring.tensor[i, ring.dual[i]])[0]}
-    return closure(ring, seed)
+    seed = (ring.tensor[np.arange(ring.rank), list(ring.dual)] != 0).any(axis=0)
+    return closure(ring, np.flatnonzero(seed))
 
 
 def integral_subring(ring: FusionRing, tol: float = 1e-6) -> SubringHandle:
     """Maximal subring of basis elements with integer FPdim."""
-    idx = [i for i in range(ring.rank)
-           if snap_int(spectral.fpdim(ring, i), tol) is not None]
+    idx = [i for i, d in enumerate(spectral.fpdims(ring)) if snap_int(d, tol) is not None]
     handle = SubringHandle(tuple(idx))
     handle.verify(ring)  # closure is a theorem; treat failure as tolerance pathology
     return handle
@@ -154,48 +159,40 @@ class GradingReport:
 def universal_grading(ring: FusionRing) -> GradingReport:
     """Universal grading: basis elements i, j are in the same component when
     b_j appears in a b_i for some a in the adjoint subring; the group law is
-    induced by fusion."""
-    n = ring.rank
+    induced by fusion.
+
+    The adjoint subring is dual-closed, so by Frobenius reciprocity and
+    associativity that relation is an equivalence: row i of `linked` is the
+    whole component of i, labelled by its smallest member."""
+    support = ring.tensor != 0
     ad = adjoint_subring(ring)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for a in ad.indices:
-        for i in range(n):
-            for j in np.nonzero(ring.tensor[a, i])[0]:
-                union(i, int(j))
-    reps = sorted({find(i) for i in range(n)})
-    comp_index = {r: c for c, r in enumerate(reps)}
-    component_of = tuple(comp_index[find(i)] for i in range(n))
+    linked = support[list(ad.indices)].any(axis=0)
+    rep = linked.argmax(axis=1)
+    if not (linked == (rep[:, None] == rep)).all():
+        raise InternalInconsistency("adjoint action is not an equivalence relation")
+    reps, comp = np.unique(rep, return_inverse=True)
+    component_of = tuple(int(c) for c in comp)
     if component_of[0] != 0:
         raise InternalInconsistency("unit component is not component 0")
     if set(component_of[i] for i in ad.indices) != {0}:
         raise InternalInconsistency("adjoint subring is not the trivial component")
     g = len(reps)
+    # per product b_i b_j: smallest and largest component met (g and -1 when empty)
+    low = np.where(support, comp, g).min(axis=2)
+    high = np.where(support, comp, -1).max(axis=2)
+    nonempty = high >= 0
+    mixed = np.argwhere(nonempty & (low != high))
+    if len(mixed):
+        i, j = mixed[0]
+        raise InternalInconsistency(
+            f"product of components {component_of[i]}, {component_of[j]} "
+            f"is not homogeneous: {np.unique(comp[support[i, j]]).tolist()}")
+    i, j = np.nonzero(nonempty)
+    ci, cj, ck = comp[i], comp[j], low[i, j]
     table = -np.ones((g, g), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            targets = {component_of[int(k)] for k in np.nonzero(ring.tensor[i, j])[0]}
-            if not targets:
-                continue
-            if len(targets) != 1:
-                raise InternalInconsistency(
-                    f"product of components {component_of[i]}, {component_of[j]} "
-                    f"is not homogeneous: {sorted(targets)}")
-            ci, cj, ck = component_of[i], component_of[j], targets.pop()
-            if table[ci, cj] not in (-1, ck):
-                raise InternalInconsistency("component product is not well defined")
-            table[ci, cj] = ck
+    table[ci, cj] = ck
+    if (table[ci, cj] != ck).any():
+        raise InternalInconsistency("component product is not well defined")
     if (table < 0).any():
         raise InternalInconsistency("component product is not everywhere defined")
     # group axioms on the induced table
@@ -204,11 +201,9 @@ def universal_grading(ring: FusionRing) -> GradingReport:
             raise InternalInconsistency("grading identity fails")
         if 0 not in table[a]:
             raise InternalInconsistency(f"component {a} has no inverse")
-    for a, b, c in itertools.product(range(g), repeat=3):
-        if table[table[a, b], c] != table[a, table[b, c]]:
-            raise InternalInconsistency("grading group is not associative")
-    for i in range(n):
-        inv = int(np.nonzero(table[component_of[i]] == 0)[0][0])
-        if component_of[ring.dual[i]] != inv:
-            raise InternalInconsistency("dual does not invert the grading")
+    if (table[table] != table[np.arange(g)[:, None, None], table]).any():
+        raise InternalInconsistency("grading group is not associative")
+    inverse = (table == 0).argmax(axis=1)
+    if (comp[list(ring.dual)] != inverse[comp]).any():
+        raise InternalInconsistency("dual does not invert the grading")
     return GradingReport(table, component_of, ad)

@@ -1,12 +1,15 @@
 """Command line interface: exit codes, determinism, machine output."""
 
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusionring import cli
-from fusionring.core import group_ring, ring_to_json
+from fusionring import catalog, cli
+from fusionring.core import group_ring, ring_to_json, table_to_json
+from fusionring.premodular import modular_datum_to_json
 
 
 def run(capsys, *argv):
@@ -157,3 +160,61 @@ def test_data_dir_extension(tmp_path, capsys):
                        "fpdim", "catalog:myring")
     assert code == 0
     assert "FPdim(ring) = 5" in out
+
+
+@pytest.mark.parametrize("payload", [
+    table_to_json(catalog.load_entry("S3").payload),
+    modular_datum_to_json(catalog.load_entry("Z(Rep(S3))").payload),
+], ids=["S3-table", "Z(Rep(S3))-datum"])
+def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, err) == (0, "")
+    assert "all axioms hold" in out
+
+
+@pytest.mark.parametrize("argv, stdin, want", [
+    (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1]]]}', 3),
+    (["verify", "-"], '{"tensor": "x"}', 3),
+    (["verify", "-"], '{"tensor": null}', 3),
+    (["verify", "-"], '{"tensor": []}', 3),
+    (["fpdim", "-"], '{"tensor": [[["a"]]]}', 3),
+    (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [1e300, 0]]]}', 3),
+    (["verify", "-"], '{"tensor": [[[1]]], "labels": 5}', 3),
+    (["detect", "-"], '{"tensor": [[[1]]], "dual": 0}', 3),
+    (["cases", "--N", "0"], None, 2),
+    (["cases", "--N", "-4"], None, 2),
+    (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]}', 1),
+    (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [0.5, 0]]]}', 1),
+])
+def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, _, err = run(capsys, *argv)
+    assert code == want
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+json_scalars = (st.none() | st.booleans() | st.text(max_size=3)
+                | st.integers(-2 ** 70, 2 ** 70) | st.floats())
+small_ints = st.integers(-1, 3)
+cubic_tensors = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.lists(small_ints | json_scalars, min_size=n, max_size=n),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+nested = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+ring_json = st.fixed_dictionaries(
+    {"tensor": cubic_tensors | nested},
+    optional={"labels": nested, "dual": st.lists(small_ints | json_scalars, max_size=3) | nested})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_json, st.sampled_from(["verify", "fpdim"]))
+def test_random_ring_json_never_escapes(data, command):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        mp.setattr("sys.stdout", out)
+        mp.setattr("sys.stderr", err)
+        code = cli.run([command, "-"])
+    assert code in (0, 1, 3)
+    assert len(err.getvalue().splitlines()) <= 1
