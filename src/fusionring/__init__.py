@@ -1,7 +1,7 @@
 """Exact computation with fusion rings and (pre)modular data."""
 
 from .core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
-                   NonIntegralMultiplicity, character_table_to_fusion_ring,
+                   MalformedInput, NonIntegralMultiplicity, character_table_to_fusion_ring,
                    group_ring, product_ring, ring_from_json, ring_to_json,
                    table_from_json, table_to_json, validate_tensor)
 from .exact import RootOfUnity, parse_scalar, parse_zeta_expr, snap_int

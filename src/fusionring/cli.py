@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import catalog, nearintegral, premodular, spectral, structure
-from .core import (FusionRing, FusionRingError, character_table_to_fusion_ring,
-                   ring_from_json, ring_to_json, table_from_json, validate_tensor)
+from .core import (FusionRing, FusionRingError, MalformedInput,
+                   character_table_to_fusion_ring, ring_from_json, ring_to_json,
+                   table_from_json, validate_tensor)
 from .premodular import modular_datum_from_json
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -112,34 +113,12 @@ def _json_kind(data) -> str:
         "'rows' (character table) or 'S' (modular datum)")
 
 
-def _check_ring_json(data) -> None:
-    """Reject ring JSON whose shape or types are malformed: 'tensor' must be
-    a nonempty n x n x n array of finite numbers inside the int64 range,
-    'labels' a list and 'dual' a list of integers when given. Negative or
-    non-integer numbers pass; the ring axioms report them."""
-    for key in ("labels", "dual"):
-        if data.get(key) is not None and not isinstance(data[key], list):
-            raise InputProblem(f"'{key}' must be a list")
-    if not all(type(d) is int for d in data.get("dual") or []):
-        raise InputProblem("'dual' must be a list of integers")
-    try:
-        tensor = np.asarray(data["tensor"])
-    except ValueError:  # ragged nesting
-        tensor = np.asarray(None)
-    if (tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.size == 0
-            or tensor.dtype.kind not in "iufO"):
-        raise InputProblem("'tensor' must be a nonempty n x n x n array of numbers")
-    if tensor.dtype == object or not (-2 ** 63 <= tensor.min() and tensor.max() < 2 ** 63):
-        raise InputProblem("'tensor' entries must be finite numbers inside the int64 range")
-
-
 def _build_ring(kind: str, obj) -> FusionRing:
     """The fusion ring of a resolved input spec."""
     if kind == "entry":
         return catalog.entry_ring(obj.name)
     jk = _json_kind(obj)
     if jk == "ring":
-        _check_ring_json(obj)
         return ring_from_json(obj)
     if jk == "characterTable":
         return character_table_to_fusion_ring(table_from_json(obj))
@@ -193,7 +172,6 @@ def parse_group_spec(text: str):
 def cmd_verify(args) -> int:
     kind, obj = _resolve(args.ring, args)
     if kind == "json" and _json_kind(obj) == "ring":
-        _check_ring_json(obj)
         ring = ring_from_json(obj, validate=False)
         violations = validate_tensor(ring.tensor, ring.dual)
     else:
@@ -502,7 +480,7 @@ def run(argv) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (InputProblem, premodular.GroupTooLarge) as exc:
+    except (InputProblem, MalformedInput, premodular.GroupTooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except FusionRingError as exc:

@@ -20,6 +20,7 @@ __all__ = [
     "FusionRingError",
     "AxiomViolation",
     "NonIntegralMultiplicity",
+    "MalformedInput",
     "FusionRing",
     "validate_tensor",
     "product_ring",
@@ -56,6 +57,10 @@ class NonIntegralMultiplicity(FusionRingError):
     """Raised when data that should define integer multiplicities does not."""
 
 
+class MalformedInput(FusionRingError):
+    """Raised when ring JSON has the wrong shape or types to read at all."""
+
+
 def _as_tensor(tensor) -> np.ndarray:
     arr = np.asarray(tensor)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
@@ -67,15 +72,12 @@ def _as_tensor(tensor) -> np.ndarray:
         if any(v < 0 for v in flat):
             raise NonIntegralMultiplicity("structure constants must be nonnegative")
         return arr
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(np.real(arr))
-        if not np.allclose(np.real(arr), rounded, atol=1e-9) or (
-            np.iscomplexobj(arr) and not np.allclose(np.imag(arr), 0, atol=1e-9)
-        ):
-            raise NonIntegralMultiplicity("structure constants must be integers")
-        arr = rounded.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
+    # a float entry must be an exact integer inside the int64 range
+    exact = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and (arr == np.rint(arr)).all()
+                                       and (np.abs(arr) < 2.0 ** 63).all())
+    if not exact:
+        raise NonIntegralMultiplicity("structure constants must be integers")
+    arr = arr.astype(np.int64)
     if (arr < 0).any():
         raise NonIntegralMultiplicity("structure constants must be nonnegative")
     return arr
@@ -330,31 +332,29 @@ def character_table_to_fusion_ring(table: CharacterTable, tol: float = 1e-9) -> 
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
     computed by column-weighted inner products. Duality is complex conjugation
     of rows."""
-    r = table.num_classes
     rows = table.rows
     w = np.array(table.class_sizes, dtype=float) / table.order
-    tensor = np.zeros((r, r, r))
-    for i in range(r):
-        for j in range(r):
-            prod = rows[i] * rows[j]
-            for k in range(r):
-                val = np.sum(w * prod * rows[k].conj())
-                if abs(val.imag) > tol:
-                    raise NonIntegralMultiplicity(
-                        f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
-                m = snap_int(val.real, tol)
-                if m is None or m < 0:
-                    raise NonIntegralMultiplicity(
-                        f"<chi_{i} chi_{j}, chi_{k}> = {val.real} is not a nonnegative integer")
-                tensor[i, j, k] = m
-    dual = []
-    for i in range(r):
-        matches = [k for k in range(r) if np.allclose(rows[k], rows[i].conj(), atol=1e-8)]
-        if len(matches) != 1:
-            raise FusionRingError(f"conjugate of row {i} matches rows {matches}")
-        dual.append(matches[0])
+    vals = np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj())
+    tensor = np.rint(vals.real)
+    ok = (np.abs(vals.imag) <= tol) & (np.abs(vals.real - tensor) <= tol) & (tensor >= 0)
+    if not ok.all():
+        i, j, k = np.argwhere(~ok)[0]
+        val = vals[i, j, k]
+        if abs(val.imag) > tol:
+            raise NonIntegralMultiplicity(
+                f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
+        raise NonIntegralMultiplicity(
+            f"<chi_{i} chi_{j}, chi_{k}> = {val.real} is not a nonnegative integer")
+    # match[i, k]: row k is the complex conjugate of row i
+    match = np.isclose(rows[None], rows.conj()[:, None], atol=1e-8).all(axis=2)
+    bad = np.flatnonzero(match.sum(axis=1) != 1)
+    if bad.size:
+        i = bad[0]
+        raise FusionRingError(
+            f"conjugate of row {i} matches rows {np.flatnonzero(match[i]).tolist()}")
+    dual = match.argmax(axis=1)
     labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
-    return FusionRing.validated(labels, tensor, dual)
+    return FusionRing.validated(labels, tensor.astype(np.int64), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +370,37 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 
 def ring_from_json(data, validate: bool = True) -> FusionRing:
+    """Read a ring from its JSON object (or a string holding it).
+
+    Raises MalformedInput unless data is an object whose 'tensor' is a
+    nonempty n x n x n array of finite numbers inside the int64 range,
+    with 'labels' a list and 'dual' a list of integers when given.
+    Negative or non-integer numbers pass here; the ring checks report them.
+    """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"ring JSON does not parse: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedInput("ring JSON must be an object")
     labels = data.get("labels")
-    tensor = data["tensor"]
     dual = data.get("dual")
-    n = len(tensor)
+    for key, value in (("labels", labels), ("dual", dual)):
+        if value is not None and not isinstance(value, list):
+            raise MalformedInput(f"'{key}' must be a list")
+    if not all(type(d) is int for d in dual or []):
+        raise MalformedInput("'dual' must be a list of integers")
+    try:
+        tensor = np.asarray(data.get("tensor"))
+    except ValueError:  # ragged nesting
+        tensor = np.asarray(None)
+    if (tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.size == 0
+            or tensor.dtype.kind not in "iufO"):
+        raise MalformedInput("'tensor' must be a nonempty n x n x n array of numbers")
+    if tensor.dtype == object or not (-2 ** 63 <= tensor.min() and tensor.max() < 2 ** 63):
+        raise MalformedInput("'tensor' entries must be finite numbers inside the int64 range")
+    n = tensor.shape[0]
     if labels is None:
         labels = [f"X{i}" for i in range(n)]
     if dual is None:

@@ -103,32 +103,30 @@ def verlinde_fusion(m: ModularDatum, tol: float = DEFAULT_TOL, snap: float = 1e-
     d = m.global_dim
     s = m.s / math.sqrt(d)
     tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
-    max_err = 0.0
-    out = np.zeros((n, n, n), dtype=np.int64)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = tensor[i, j, k]
-        r = round(v.real)
-        err = abs(v - r)
-        max_err = max(max_err, err)
-        if err > snap:
-            raise NonIntegralFusion(
-                f"N[{i}][{j}][{k}] = {v} is not an integer (defect {err})")
-        if r < 0:
-            raise NegativeFusion(f"N[{i}][{j}][{k}] = {r} is negative")
-        out[i, j, k] = r
+    out = np.rint(tensor.real)
+    # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
+    # complex array may differ in the last bit, which maxSnapError would show
+    err = np.hypot(tensor.real - out, tensor.imag)
+    ok = (err <= snap) & (out >= 0)
+    if not ok.all():
+        i, j, k = np.argwhere(~ok)[0]
+        if not err[i, j, k] <= snap:
+            raise NonIntegralFusion(f"N[{i}][{j}][{k}] = {tensor[i, j, k]} is not an "
+                                    f"integer (defect {err[i, j, k]})")
+        raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
     c = (s @ s).real
-    dual = []
-    for i in range(n):
-        hits = [j for j in range(n) if abs(c[i, j] - 1) < 1e-6]
-        if len(hits) != 1 or not np.allclose(np.abs(m.s[i] - m.s[hits[0]].conj()), 0, atol=1e-6):
-            raise FusionRingError(f"charge conjugation row {i} does not snap to a permutation")
-        dual.append(hits[0])
+    hits = np.abs(c - 1) < 1e-6
+    dual = hits.argmax(axis=1)
+    bad = (hits.sum(axis=1) != 1) | ~(np.abs(m.s - m.s[dual].conj()) <= 1e-6).all(axis=1)
+    if bad.any():
+        raise FusionRingError(
+            f"charge conjugation row {np.argmax(bad)} does not snap to a permutation")
     labels = [f"X{i}" for i in range(n)]
-    ring = FusionRing.validated(labels, out, dual)
+    ring = FusionRing.validated(labels, out.astype(np.int64), dual)
     diagnostics = {
         "globalDim": d,
         "dims": [float(x) for x in m.dims],
-        "maxSnapError": float(max_err),
+        "maxSnapError": float(err.max()),
     }
     return ring, diagnostics
 
@@ -155,13 +153,9 @@ def balancing_check(ring: FusionRing, m: ModularDatum, tol: float = 1e-6) -> lis
     rhs = np.einsum("ijk,k->ij", ring.tensor.astype(float), d * theta)
     rhs = rhs / theta[:, None] / theta[None, :]
     scale = max(1.0, float(np.abs(m.s).max()))
-    out = []
-    for i in range(n):
-        for j in range(n):
-            err = abs(m.s[i, j] - rhs[i, j])
-            if err > tol * scale:
-                out.append((i, j, float(err)))
-    return out
+    diff = m.s - rhs
+    err = np.hypot(diff.real, diff.imag)  # as abs() of each complex scalar
+    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err > tol * scale)]
 
 
 def centralizer_profile(m: ModularDatum, tol: float = 1e-6):

@@ -218,9 +218,10 @@ class SpectralReport:
 
 def spectral_report(ring: FusionRing, tol: float = DEFAULT_TOL) -> SpectralReport:
     codegs = formal_codegrees(ring, tol)
-    total = ring_fpdim(ring)
+    dims = fpdims(ring)
+    total = float(np.sum(dims ** 2))
     return SpectralReport(
-        fpdims=fpdims(ring),
+        fpdims=dims,
         ring_fpdim=total,
         codegrees=tuple(codegs),
         codegree_dims=tuple(total / float(f) for f in codegs),

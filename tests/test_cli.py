@@ -186,13 +186,15 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["cases", "--N", "-4"], None, 2),
     (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]}', 1),
     (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [0.5, 0]]]}', 1),
+    (["fpdim", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [1, 1.000009]]]}', 1),
+    (["fpdim", "-"], '{"tensor": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]]}', 0),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, _, err = run(capsys, *argv)
     assert code == want
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == (want != 0) and "Traceback" not in err
 
 
 json_scalars = (st.none() | st.booleans() | st.text(max_size=3)

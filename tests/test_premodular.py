@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
 from fusionring.exact import RootOfUnity
-from fusionring.core import FusionRingError
-from fusionring.premodular import (ModularDatum, QuadraticForm, balancing_check,
+from fusionring.core import FusionRing, FusionRingError
+from fusionring.premodular import (ModularDatum, NegativeFusion, NonIntegralFusion,
+                                   QuadraticForm, balancing_check,
                                    braided_cases, centralizer_profile, form_classes,
                                    form_from_json, form_nondegenerate,
                                    form_to_json, gauss_sums,
@@ -48,6 +49,103 @@ def test_balancing_breaks_under_twist_perturbation(name):
         t[i] = t[i] * RootOfUnity(1, 5)  # multiply one twist by zeta_5
         broken = ModularDatum(m.s, tuple(t))
         assert len(balancing_check(ring, broken)) >= 1
+
+
+def loop_verlinde_fusion(m, tol=1e-9, snap=1e-6):
+    """Reference: the Verlinde ring snapped one cell at a time, with the
+    charge-conjugation dual found row by row."""
+    m.validate(tol)
+    n = m.rank
+    d = m.global_dim
+    s = m.s / math.sqrt(d)
+    tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
+    max_err = 0.0
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        v = tensor[i, j, k]
+        r = round(v.real)
+        err = abs(v - r)
+        max_err = max(max_err, err)
+        if err > snap:
+            raise NonIntegralFusion(
+                f"N[{i}][{j}][{k}] = {v} is not an integer (defect {err})")
+        if r < 0:
+            raise NegativeFusion(f"N[{i}][{j}][{k}] = {r} is negative")
+        out[i, j, k] = r
+    c = (s @ s).real
+    dual = []
+    for i in range(n):
+        hits = [j for j in range(n) if abs(c[i, j] - 1) < 1e-6]
+        if len(hits) != 1 or not np.allclose(np.abs(m.s[i] - m.s[hits[0]].conj()), 0, atol=1e-6):
+            raise FusionRingError(f"charge conjugation row {i} does not snap to a permutation")
+        dual.append(hits[0])
+    ring = FusionRing.validated([f"X{i}" for i in range(n)], out, dual)
+    return ring, {"maxSnapError": float(max_err)}
+
+
+def verlinde_outcome(build, m):
+    """(ring, maxSnapError), or the exception class and message."""
+    try:
+        ring, info = build(m)
+        return ring, info["maxSnapError"]
+    except FusionRingError as exc:
+        return type(exc), str(exc)
+
+
+def nudged(m, a, b, delta):
+    """m with S[a][b] and S[b][a] both moved by delta (S stays symmetric)."""
+    s = m.s.copy()
+    s[a, b] += delta
+    s[b, a] = s[a, b]
+    return ModularDatum(s, m.t)
+
+
+@pytest.mark.parametrize("m", [
+    *(fr.load_entry(name).payload for name in sorted(DOUBLES)),
+    # below the snap width: maxSnapError is a defect of about 3e-8 whose
+    # last bit depends on how |N - round(N)| is rounded
+    nudged(fr.load_entry("Z(Rep(A4))").payload, 1, 1, 3e-7),
+    ModularDatum([[1, 1], [1, -3]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1
+    ModularDatum([[1, 1], [1, -3.4]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1.2
+    ModularDatum([[1, 1], [1, 1]], (RootOfUnity(0, 1),) * 2),  # two charge conjugates
+], ids=[*sorted(DOUBLES), "sub-snap", "negative", "negative-non-integer", "two-conjugates"])
+def test_verlinde_matches_loop(m):
+    assert verlinde_outcome(verlinde_fusion, m) == verlinde_outcome(loop_verlinde_fusion, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DOUBLES)), st.data())
+def test_perturbed_verlinde_matches_loop(name, data):
+    """S[a][b] and S[b][a] moved by the same real or imaginary amount, or
+    their signs flipped."""
+    m = fr.load_entry(name).payload
+    a, b = (data.draw(st.integers(0, m.rank - 1)) for _ in range(2))
+    if data.draw(st.booleans()):
+        delta = -2 * m.s[a, b]
+    else:
+        delta = data.draw(st.floats(1e-6, 0.5)) * data.draw(st.sampled_from([1, -1, 1j, -1j]))
+    broken = nudged(m, a, b, delta)
+    want = verlinde_outcome(loop_verlinde_fusion, broken)
+    assert verlinde_outcome(verlinde_fusion, broken) == want
+
+
+def test_balancing_matches_loop():
+    m = fr.load_entry("Z(Rep(S3))").payload
+    ring, _ = verlinde_fusion(m)
+    t = list(m.t)
+    t[3] = t[3] * RootOfUnity(1, 5)
+    broken = ModularDatum(m.s, tuple(t))
+    d, theta = broken.dims, broken.twist_values()
+    rhs = np.einsum("ijk,k->ij", ring.tensor.astype(float), d * theta)
+    rhs = rhs / theta[:, None] / theta[None, :]
+    scale = max(1.0, float(np.abs(broken.s).max()))
+    want = []
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            err = abs(broken.s[i, j] - rhs[i, j])
+            if err > 1e-6 * scale:
+                want.append((i, j, float(err)))
+    assert want and balancing_check(ring, broken) == want
 
 
 @pytest.mark.parametrize("name,gdim", sorted(DOUBLES.items()))
