@@ -244,7 +244,7 @@ def _verify_entry(entry: CatalogEntry, tol: float) -> str:
         table.validate()
         ring = character_table_to_fusion_ring(table)
         order = table.order
-        for f in spectral.formal_codegrees(ring, tol):
+        for f in spectral.formal_codegrees(ring):
             fi = int(round(f))
             if abs(f - fi) > tol or order % fi != 0:
                 raise FusionRingError(

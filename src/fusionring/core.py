@@ -135,16 +135,11 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
 
 def _associativity_violations(tensor: np.ndarray) -> list:
     n = tensor.shape[0]
-    if tensor.dtype != object and int(tensor.max(initial=0)) ** 2 * n < 2 ** 62 // n:
-        left = np.einsum("ijt,tkm->ijkm", tensor, tensor)
-        right = np.einsum("jkt,itm->ijkm", tensor, tensor)
-        bad = np.nonzero(left != right)
-    else:
-        # big multiplicities: redo with exact Python integers
-        t = tensor if tensor.dtype == object else tensor.astype(object)
-        left = np.einsum("ijt,tkm->ijkm", t, t)
-        right = np.einsum("jkt,itm->ijkm", t, t)
-        bad = np.nonzero(left != right)
+    small = tensor.dtype != object and int(tensor.max(initial=0)) ** 2 * n < 2 ** 62 // n
+    t = tensor if small else tensor.astype(object, copy=False)  # exact Python ints
+    left = np.einsum("ijt,tkm->ijkm", t, t)
+    right = np.einsum("jkt,itm->ijkm", t, t)
+    bad = np.nonzero(left != right)
     out = []
     for i, j, k, m in zip(*bad):
         out.append(("associativity", (int(i), int(j), int(k), int(m)),
@@ -215,7 +210,10 @@ class FusionRing:
 def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """Deligne-style product: basis pairs, tensor the structure constants."""
     n, m = a.rank, b.rank
-    t = np.einsum("ijk,abc->iajbkc", a.tensor, b.tensor).reshape(n * m, n * m, n * m)
+    ta, tb = a.tensor, b.tensor
+    if int(ta.max()) * int(tb.max()) >= 2 ** 63:  # int64 products would wrap
+        ta, tb = ta.astype(object), tb.astype(object)
+    t = np.einsum("ijk,abc->iajbkc", ta, tb).reshape(n * m, n * m, n * m)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
     dual = [a.dual[i] * m + b.dual[j] for i in range(n) for j in range(m)]
     return FusionRing.validated(labels, t, dual)

@@ -122,23 +122,12 @@ def detect(ring: FusionRing, tol: float = SNAP_TOL):
         comp = [i for i in range(n) if i != rho]
         if _first_escape(support, comp) is not None:
             continue
-        sub_dims = []
-        ok = True
-        for i in comp:
-            d = snap_int(dims[i], tol)
-            if d is None:
-                ok = False
-                break
-            sub_dims.append(d)
-        if not ok:
+        sub_dims = [snap_int(dims[i], tol) for i in comp]
+        if None in sub_dims:
             continue
         # x * rho = FPdim(x) * rho for x in the subring
-        for pos, i in enumerate(comp):
-            row = ring.tensor[i, rho]
-            if row[rho] != sub_dims[pos] or any(row[j] != 0 for j in comp):
-                ok = False
-                break
-        if not ok:
+        rows = ring.tensor[comp, rho]
+        if (rows[:, rho] != sub_dims).any() or rows[:, comp].any():
             continue
         # rho^2 = kappa rho + sum FPdim(x) x
         sq = ring.tensor[rho, rho]
@@ -162,8 +151,9 @@ def detect(ring: FusionRing, tol: float = SNAP_TOL):
 
 def construct(sub: FusionRing, kappa: int) -> FusionRing:
     """Build R(S, kappa) from an integral fusion ring S and kappa >= 0."""
-    if kappa < 0:
-        raise FusionRingError("kappa must be nonnegative")
+    if not 0 <= kappa < 2 ** 63:
+        raise FusionRingError("kappa must be nonnegative" if kappa < 0
+                              else f"kappa = {kappa} does not fit in int64")
     n = sub.rank
     dims = [snap_int(d, SNAP_TOL) for d in spectral.fpdims(sub)]
     if None in dims:
@@ -230,13 +220,12 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     return v
 
 
-def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport,
-                            tol: float = 1e-9) -> list:
+def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> list:
     """Codegrees of R(S, kappa): those of S with one copy of FPdim(S)
     replaced by the pair N + d+^2 and N + d-^2. Cross-checked against the
     direct spectral computation when the ring is commutative."""
     sub = subring_on(ring, report.subring_indices)
-    sub_codegs = spectral.formal_codegrees(sub, tol)
+    sub_codegs = spectral.formal_codegrees(sub)
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))
     if abs(float(sub_codegs[best]) - target) > SNAP_TOL * max(1, target):
@@ -249,7 +238,7 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport,
         out.append(i if i is not None else extra)
     out = sorted(out, key=float, reverse=True)
     if ring.is_commutative():
-        direct = spectral.formal_codegrees(ring, tol)
+        direct = spectral.formal_codegrees(ring)
         if len(direct) != len(out) or any(
                 abs(float(a) - float(b)) > 1e-6 * max(1.0, abs(float(a)))
                 for a, b in zip(direct, out)):

@@ -394,18 +394,20 @@ def form_classes(factors) -> list:
 def braided_cases(big_n: int) -> list:
     """Constraint table for a braided categorification containing a
     near-integral ring with FPdim(S) = N: list of
-    (kappa, dim, twist constraint, tag). Complete by scanning all kappa up
-    to sqrt(4N/3) + 1."""
+    (kappa, dim, twist constraint, tag). Besides kappa = 0, case-2 holds
+    iff N = 2 kappa^2 and case-3 iff 4N = 3 kappa^2; no N has both, since
+    8/3 is not the square of a rational."""
     if big_n < 1:
         raise ValueError("N must be positive")
     out = [(0, 2 * big_n, "theta_rho in {zeta(4,1), zeta(4,3)} or theta_rho**16 = 1",
             "kappa-zero")]
-    for kappa in range(1, int(math.isqrt(4 * big_n // 3)) + 2):
-        if 2 * kappa * kappa == big_n:
-            out.append((kappa, 6 * kappa * kappa, "theta_rho in {zeta(3,1), zeta(3,2)}",
-                        "case-2"))
-        if 3 * kappa * kappa == 4 * big_n:
-            out.append((kappa, 3 * kappa * kappa, "theta_rho = -1", "case-3"))
+    kappa = math.isqrt(big_n // 2)
+    if 2 * kappa * kappa == big_n:
+        out.append((kappa, 6 * kappa * kappa, "theta_rho in {zeta(3,1), zeta(3,2)}",
+                    "case-2"))
+    kappa = math.isqrt(4 * big_n // 3)
+    if 3 * kappa * kappa == 4 * big_n:
+        out.append((kappa, 3 * kappa * kappa, "theta_rho = -1", "case-3"))
     return out
 
 

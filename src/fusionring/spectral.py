@@ -2,7 +2,7 @@
 
 Characters of a commutative fusion ring are found by simultaneously
 diagonalizing the (commuting) fusion matrices via a random linear
-combination; codegrees and the induction-unit profile follow directly.
+combination; formal codegrees come from the Casimir matrix without them.
 """
 
 from __future__ import annotations
@@ -172,30 +172,39 @@ def _package_characters(ring, chars, dims, tol):
     return [fp] + out
 
 
-def formal_codegrees(ring: FusionRing, tol: float = DEFAULT_TOL, snap: float = SNAP_TOL) -> list:
-    """Multiset of formal codegrees, sorted decreasing, integer-snapped when
-    within snap tolerance."""
+def formal_codegrees(ring: FusionRing) -> list:
+    """Formal codegrees, sorted decreasing, integer-snapped within SNAP_TOL:
+    the eigenvalues of the Casimir element sum_i b_i b_{i*} acting by
+    multiplication (Ostrik 2009), L = sum_j p_j N_j with p the induction-unit
+    profile. L is symmetric (N_{j*} = N_j^T, p_{j*} = p_j) and positive
+    definite, and is built in float64 (int64 overflows near multiplicity
+    2^32). Its eigenvalues are the squared singular values of its Cholesky
+    factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
+    this keeps a small codegree accurate next to a large one, as in
+    R(S, kappa) for a large kappa."""
+    if not ring.is_commutative():
+        raise NotCommutative("formal codegrees require a commutative fusion ring")
+    profile = induction_unit_profile(ring).astype(float)
+    casimir = np.tensordot(profile, ring.tensor.astype(float), axes=1)
+    order = np.argsort(-np.diag(casimir), kind="stable")
+    factor = np.linalg.cholesky(casimir[np.ix_(order, order)])
     out = []
-    for c in characters(ring, tol):
-        i = snap_int(c.codegree, snap)
-        out.append(i if i is not None else c.codegree)
+    for f in np.linalg.svd(factor, compute_uv=False) ** 2:
+        i = snap_int(float(f), SNAP_TOL)
+        out.append(i if i is not None else float(f))
     return sorted(out, key=float, reverse=True)
 
 
-def codegree_object_dims(ring: FusionRing, tol: float = DEFAULT_TOL) -> list:
+def codegree_object_dims(ring: FusionRing) -> list:
     """FPdim(ring) / f for each formal codegree f, in codegree order."""
     total = ring_fpdim(ring)
-    return [total / float(f) for f in formal_codegrees(ring, tol)]
+    return [total / float(f) for f in formal_codegrees(ring)]
 
 
 def induction_unit_profile(ring: FusionRing) -> np.ndarray:
     """Coefficient vector of sum_i b_i b_{i*}, i.e. entry j is
     sum_i c_{i,i*}^j. Satisfies sum_j profile_j FPdim_j = FPdim(ring)."""
-    n = ring.rank
-    profile = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        profile += ring.tensor[i, ring.dual[i]]
-    return profile
+    return ring.tensor[np.arange(ring.rank), list(ring.dual)].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -216,8 +225,8 @@ class SpectralReport:
         }
 
 
-def spectral_report(ring: FusionRing, tol: float = DEFAULT_TOL) -> SpectralReport:
-    codegs = formal_codegrees(ring, tol)
+def spectral_report(ring: FusionRing) -> SpectralReport:
+    codegs = formal_codegrees(ring)
     dims = fpdims(ring)
     total = float(np.sum(dims ** 2))
     return SpectralReport(

@@ -188,6 +188,7 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verify", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [0.5, 0]]]}', 1),
     (["fpdim", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [1, 1.000009]]]}', 1),
     (["fpdim", "-"], '{"tensor": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]]}', 0),
+    (["construct", "--subring", "catalog:C2", "--kappa", "99999999999999999999"], None, 1),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     if stdin is not None:

@@ -99,6 +99,30 @@ def test_product_ring():
     assert fr.ring_fpdim(ab) == pytest.approx(fr.ring_fpdim(a) * fr.ring_fpdim(b))
 
 
+def test_associativity_exact_beyond_int64():
+    # x x = 1, x y = y x = K y and y y = K + x: (x x) y = y but
+    # x (x y) = K^2 y. Every associator is a multiple of K^2 - 1, which is 0
+    # mod 2^64 for K = 2^63 - 1, so int64 arithmetic would find none
+    k = 2 ** 63 - 1
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 1, 0] = t[2, 2, 1] = 1
+    t[1, 2, 2] = t[2, 1, 2] = t[2, 2, 0] = k
+    assert any(name == "associativity" for name, _, _ in validate_tensor(t, [0, 1, 2]))
+
+
+def test_product_ring_beyond_int64():
+    # R(C1, 2^32) has rho^2 = 1 + 2^32 rho, so its square has the
+    # multiplicity 2^64, which wraps to 0 in int64
+    big = fr.construct(group_ring([1]), 2 ** 32)
+    ab = product_ring(big, big)
+    assert int(ab.tensor.max()) == 2 ** 64
+    assert not validate_tensor(ab.tensor, ab.dual)
+    codegrees = fr.formal_codegrees(ab)
+    assert len(codegrees) == 4
+    assert sum(1 / float(f) for f in codegrees) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_fuse_and_basis_vector():
     ring = ising_ring()
     out = ring.fuse(ring.basis_vector(2), ring.basis_vector(2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring.core import group_ring
+from fusionring.core import FusionRing, FusionRingError, group_ring
 from fusionring.nearintegral import (ExtensionObstructed, character_kernel,
                                      construct, detect, dim_a_chi_minus,
                                      distinguished_characters, extend_character,
@@ -66,6 +66,28 @@ def test_detect_character_rings():
 def test_detect_none_on_group_ring():
     # ZC3 has no rank-2 subring at all, so no near-integral structure
     assert detect(group_ring([3])) is None
+
+
+@pytest.mark.parametrize("g_rho", [[0, 1, 1], [0, 0, 0]])
+def test_detect_rejects_wrong_x_times_rho(g_rho):
+    # R(C2, 1) with g * rho changed from rho to g + rho or to 0: the
+    # complement {1, g} is still closed with integer dimensions and rho^2 is
+    # still kappa rho + 1 + g, so only the x * rho = FPdim(x) rho test
+    # rejects this (unvalidated) tensor
+    tensor = construct(group_ring([2]), 1).tensor.copy()
+    tensor[1, 2] = g_rho
+    assert detect(FusionRing(["1", "g", "rho"], tensor, [0, 1, 2])) is None
+
+
+def test_construct_kappa_bounds():
+    # 2^63 - 1 still fits in int64, and associativity is then checked in
+    # Python integers since kappa^2 overflows int64
+    ring = construct(group_ring([1]), 2 ** 63 - 1)
+    assert ring.tensor[1, 1, 1] == 2 ** 63 - 1
+    with pytest.raises(FusionRingError, match="does not fit in int64"):
+        construct(group_ring([1]), 2 ** 63)
+    with pytest.raises(FusionRingError, match="must be nonnegative"):
+        construct(group_ring([1]), -1)
 
 
 def test_round_trip_small_kappas():

@@ -343,3 +343,29 @@ def test_braided_cases_5_only_kappa_zero():
     rows = braided_cases(5)
     assert [r[0] for r in rows] == [0]
     assert rows[0][1] == 10
+
+
+def _braided_cases_by_scan(big_n):
+    """Test-only oracle: the scan over every kappa up to sqrt(4N/3) + 1
+    that braided_cases used before its closed forms."""
+    out = [(0, 2 * big_n, "theta_rho in {zeta(4,1), zeta(4,3)} or theta_rho**16 = 1",
+            "kappa-zero")]
+    for kappa in range(1, int(math.isqrt(4 * big_n // 3)) + 2):
+        if 2 * kappa * kappa == big_n:
+            out.append((kappa, 6 * kappa * kappa, "theta_rho in {zeta(3,1), zeta(3,2)}",
+                        "case-2"))
+        if 3 * kappa * kappa == 4 * big_n:
+            out.append((kappa, 3 * kappa * kappa, "theta_rho = -1", "case-3"))
+    return out
+
+
+def test_braided_cases_match_scan():
+    for big_n in range(1, 5001):
+        assert braided_cases(big_n) == _braided_cases_by_scan(big_n), big_n
+
+
+def test_braided_cases_huge_n_is_immediate():
+    kappa = 10 ** 20
+    rows = braided_cases(2 * 10 ** 40)
+    assert [r[3] for r in rows] == ["kappa-zero", "case-2"]
+    assert rows[1][:2] == (kappa, 6 * kappa * kappa)

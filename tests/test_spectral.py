@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring.core import FusionRing, group_ring
+from fusionring.core import FusionRing, group_ring, product_ring
+from fusionring.exact import snap_int
+from fusionring.nearintegral import construct
 from fusionring.spectral import (NotCommutative, characters, codegree_object_dims,
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
-                                 spectral_report)
+                                 spectral_report, SNAP_TOL)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -48,11 +50,9 @@ def test_ring_fpdim():
     assert ring_fpdim(fib_ring()) == pytest.approx(1 + GOLDEN ** 2)
 
 
-def test_characters_noncommutative_raises():
-    # quaternion-like noncommutative example: the free construction is not
-    # available, so use a group ring of a nonabelian multiplication table (S3)
-    table = [[(i * 6 + j) % 6 for j in range(6)] for i in range(6)]
-    # build S3 multiplication table: elements e,r,r2,s,sr,sr2
+def s3_group_ring():
+    """Group ring of the nonabelian S3 from its multiplication table on
+    e, r, r2, s, sr, sr2."""
     def mul(a, b):
         ra, sa = a % 3, a // 3
         rb, sb = b % 3, b // 3
@@ -61,11 +61,19 @@ def test_characters_noncommutative_raises():
         else:
             r, s = (ra - rb) % 3, 1 - sb
         return s * 3 + r
-    table = [[mul(a, b) for b in range(6)] for a in range(6)]
-    ring = group_ring(table)
+    return group_ring([[mul(a, b) for b in range(6)] for a in range(6)])
+
+
+def test_characters_noncommutative_raises():
+    ring = s3_group_ring()
     assert not ring.is_commutative()
     with pytest.raises(NotCommutative):
         characters(ring)
+
+
+def test_codegrees_noncommutative_raises():
+    with pytest.raises(NotCommutative):
+        formal_codegrees(s3_group_ring())
 
 
 def test_characters_first_is_fpdim():
@@ -138,3 +146,92 @@ def test_spectral_report_json_keys():
     assert set(data) == {"fpdims", "ringFPdim", "codegrees", "codegreeDims",
                         "inductionUnitProfile"}
     assert data["codegrees"] == [6, 3, 2]
+
+
+def codegree_rings():
+    """Commutative rings on which the two codegree methods are compared."""
+    rings = {name: fr.entry_ring(name) for name in fr.list_catalog()
+             if fr.load_entry(name).kind in ("characterTable", "modularDatum")}
+    for factors in ([2], [3], [4], [2, 2], [6], [16]):
+        rings["Z[" + "x".join(f"C{n}" for n in factors) + "]"] = group_ring(factors)
+    for name in fr.list_catalog():
+        if fr.load_entry(name).kind != "characterTable":
+            continue
+        for kappa in range(4):
+            rings[f"R({name},{kappa})"] = construct(fr.entry_ring(name), kappa)
+    ty = construct(group_ring([2, 2]), 0)
+    rings["TY(C2xC2)"] = ty
+    rings["R(TY,7)"] = construct(ty, 7)
+    rings["Fib"] = fib_ring()
+    rings["FibxFib"] = product_ring(fib_ring(), fib_ring())
+    return rings
+
+
+CODEGREE_RINGS = codegree_rings()
+
+
+def assert_same_codegrees(got, want):
+    """Integers equal, other values within 1e-9 relative, in the same order."""
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        snapped = snap_int(float(g), SNAP_TOL)
+        if snapped is not None:
+            assert isinstance(f, int) and f == snapped
+        else:
+            assert f == pytest.approx(float(g), rel=1e-9)
+
+
+def test_induction_unit_profile_matches_loop():
+    # the loop over basis elements that the fancy index replaced
+    for ring in CODEGREE_RINGS.values():
+        want = np.zeros(ring.rank, dtype=np.int64)
+        for i in range(ring.rank):
+            want += ring.tensor[i, ring.dual[i]]
+        assert induction_unit_profile(ring).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", list(CODEGREE_RINGS))
+def test_codegrees_match_characters(name):
+    # Casimir eigenvalues against sum_i |chi(b_i)|^2 over the characters
+    ring = CODEGREE_RINGS[name]
+    want = sorted((c.codegree for c in characters(ring)), reverse=True)
+    assert_same_codegrees(formal_codegrees(ring), want)
+
+
+def test_codegrees_huge_kappa():
+    # R(C1, k): codegrees 1 + d+-^2 with d+- the roots of t^2 - k t - 1
+    kappa = 2 ** 32
+    got = formal_codegrees(construct(group_ring([1]), kappa))
+    assert [float(f) for f in got] == pytest.approx([kappa * kappa + 2.0, 1.0], rel=1e-12)
+
+
+def test_codegrees_small_next_to_huge_kappa():
+    # R(C3, 10^6): the three codegrees 3 of C3 stay integers next to one
+    # of about 10^12
+    got = formal_codegrees(construct(group_ring([3]), 10 ** 6))
+    assert got[1:] == [3, 3, 3]
+    assert sum(1 / float(f) for f in got) == pytest.approx(1.0, rel=1e-12)
+
+
+def permuted(ring, perm):
+    """The same ring on the basis reordered by perm, which fixes the unit."""
+    n = ring.rank
+    tensor = np.empty_like(ring.tensor)
+    tensor[np.ix_(perm, perm, perm)] = ring.tensor
+    labels, dual = [""] * n, [0] * n
+    for i in range(n):
+        labels[perm[i]] = ring.labels[i]
+        dual[perm[i]] = int(perm[ring.dual[i]])
+    return FusionRing.validated(labels, tensor, dual)
+
+
+@pytest.mark.parametrize("name", ["A4", "PSU(3,2)", "R(S3,2)", "R(TY,7)", "FibxFib"])
+def test_codegrees_basis_permutation(name):
+    ring = CODEGREE_RINGS[name]
+    want = formal_codegrees(ring)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        perm = np.concatenate(([0], 1 + rng.permutation(ring.rank - 1)))
+        got = formal_codegrees(permuted(ring, perm))
+        assert [type(f) for f in got] == [type(f) for f in want]
+        assert [float(f) for f in got] == pytest.approx([float(f) for f in want], rel=1e-12)
