@@ -205,7 +205,7 @@ def cmd_fpdim(args) -> int:
 
 def cmd_chars(args) -> int:
     ring = load_ring(args.ring, args)
-    chars = spectral.characters(ring, tol=args.tolerance, seed=args.seed)
+    chars = spectral.characters(ring)
     payload = {
         "labels": list(ring.labels),
         "characters": [{"values": [[z.real, z.imag] for z in c.values],
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="fusionring", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tolerance", type=float, default=default_tol)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data-dir", default=None,
                    help="directory of extra <name>.json entries for catalog: refs")
     sub = p.add_subparsers(dest="command", required=True)

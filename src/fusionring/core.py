@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,8 @@ class NonIntegralMultiplicity(FusionRingError):
 
 
 class MalformedInput(FusionRingError):
-    """Raised when ring JSON has the wrong shape or types to read at all."""
+    """Raised when ring, table or datum JSON has the wrong shape or types to
+    read at all."""
 
 
 def _as_tensor(tensor) -> np.ndarray:
@@ -290,10 +292,11 @@ class CharacterTable:
             sizes = []
             for x in range(r):
                 norm = float(np.sum(np.abs(rows[:, x]) ** 2))
-                size = snap_int(order / norm, tol)
+                ratio = order / norm if norm else math.inf
+                size = snap_int(ratio, tol)
                 if size is None or size < 1:
                     raise NonIntegralMultiplicity(
-                        f"column {x}: |G|/sum|chi(x)|^2 = {order / norm} is not a positive integer")
+                        f"column {x}: |G|/sum|chi(x)|^2 = {ratio} is not a positive integer")
                 sizes.append(size)
             class_sizes = sizes
         table = cls(order, rows, class_sizes)
@@ -375,13 +378,7 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
     with 'labels' a list and 'dual' a list of integers when given.
     Negative or non-integer numbers pass here; the ring checks report them.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"ring JSON does not parse: {exc}") from None
-    if not isinstance(data, dict):
-        raise MalformedInput("ring JSON must be an object")
+    data = _json_object(data, "ring")
     labels = data.get("labels")
     dual = data.get("dual")
     for key, value in (("labels", labels), ("dual", dual)):
@@ -417,11 +414,55 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
 
 
 def table_from_json(data, tol: float = 1e-6) -> CharacterTable:
+    """Read a character table from its JSON object (or a string holding it).
+
+    Raises MalformedInput unless data is an object with an integer 'order'
+    in [1, 2^63), 'rows' a square matrix of scalars (see _scalar_matrix) and,
+    when given, 'classSizes' one positive integer per class. A table that
+    reads but is not a character table fails the table checks instead.
+    """
+    data = _json_object(data, "character-table")
+    rows = _scalar_matrix(data, "rows")
+    order, sizes = data.get("order"), data.get("classSizes")
+    if not (_is_int(order) and 1 <= order < 2 ** 63):
+        raise MalformedInput("'order' must be a positive integer below 2^63")
+    if sizes is not None and not (isinstance(sizes, list) and len(sizes) == len(rows)
+                                  and all(_is_int(x) and x > 0 for x in sizes)):
+        raise MalformedInput("'classSizes' must list one positive integer per class")
+    return CharacterTable.from_rows(order, rows, sizes, tol)
+
+
+def _json_object(data, kind: str) -> dict:
+    """data, or the JSON text data parsed, as a dict; else MalformedInput."""
     if isinstance(data, str):
-        data = json.loads(data)
-    rows = [[parse_scalar(e) for e in row] for row in data["rows"]]
-    return CharacterTable.from_rows(int(data["order"]), rows,
-                                    data.get("classSizes"), tol)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{kind} JSON does not parse: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{kind} JSON must be an object")
+    return data
+
+
+def _scalar_matrix(data: dict, key: str) -> np.ndarray:
+    """data[key], a nonempty square list of lists of scalars read by
+    parse_scalar, as a complex array; MalformedInput unless every entry
+    parses to a value of modulus below 2^63 (so no product overflows)."""
+    rows = data.get(key)
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows) for row in rows)):
+        raise MalformedInput(f"'{key}' must be a nonempty square matrix")
+    try:
+        matrix = np.array([[parse_scalar(e) for e in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"'{key}' has an unreadable entry: {exc}") from None
+    if not (np.abs(matrix) < 2 ** 63).all():
+        raise MalformedInput(f"'{key}' entries must have modulus below 2^63")
+    return matrix
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def table_to_json(table: CharacterTable) -> dict:

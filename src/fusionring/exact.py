@@ -121,7 +121,10 @@ def _scalar_to_json(z: complex):
 
 
 def snap_int(x: float, tol: float = 1e-6):
-    """Round to the nearest integer if within tol, else return None."""
+    """Round to the nearest integer if within tol, else return None (always
+    for inf and nan)."""
+    if not math.isfinite(x):
+        return None
     r = round(x)
     if abs(x - r) <= tol:
         return int(r)

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError
-from .exact import RootOfUnity, _scalar_to_json, parse_scalar
+from .core import FusionRing, FusionRingError, MalformedInput, _is_int, _scalar_matrix
+from .exact import RootOfUnity, _scalar_to_json
 
 __all__ = [
     "NonIntegralFusion",
@@ -416,13 +416,27 @@ def braided_cases(big_n: int) -> list:
 
 
 def modular_datum_from_json(data) -> ModularDatum:
-    s = [[parse_scalar(e) for e in row] for row in data["S"]]
-    t = [RootOfUnity(int(num), int(den)) for num, den in data["T"]]
-    m = ModularDatum(np.array(s, dtype=complex), tuple(t))
-    if "dims" in data and data["dims"] is not None:
-        given = np.asarray([float(x) for x in data["dims"]])
-        if not np.allclose(given, m.dims, atol=1e-6):
-            raise FusionRingError("explicit dims disagree with row 0 of S")
+    """Read a modular datum from its JSON object.
+
+    Raises MalformedInput unless data is an object with 'S' a square matrix
+    of scalars (see core._scalar_matrix), 'T' one [num, den] integer pair
+    with den > 0 per row of S and, when given, 'dims' one number of size
+    below 2^63 per row of S.
+    """
+    if not isinstance(data, dict):
+        raise MalformedInput("modular-datum JSON must be an object")
+    s = _scalar_matrix(data, "S")
+    t, dims = data.get("T"), data.get("dims")
+    if not (isinstance(t, list) and len(t) == len(s) and all(
+            isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) and x[1] > 0
+            for x in t)):
+        raise MalformedInput("'T' must list one [num, den] integer pair, den > 0, per row of S")
+    if dims is not None and not (isinstance(dims, list) and len(dims) == len(s) and all(
+            isinstance(x, (int, float)) and abs(x) < 2 ** 63 for x in dims)):
+        raise MalformedInput("'dims' must list one number below 2^63 per row of S")
+    m = ModularDatum(s, tuple(RootOfUnity(num, den) for num, den in t))
+    if dims is not None and not np.allclose(dims, m.dims, atol=1e-6):
+        raise FusionRingError("explicit dims disagree with row 0 of S")
     return m
 
 
@@ -462,10 +476,6 @@ def form_from_json(data) -> QuadraticForm:
     form = QuadraticForm(factors, values)
     form.verify(exhaustive=math.prod(factors) <= 12)
     return form
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def form_to_json(form: QuadraticForm) -> dict:

@@ -1,13 +1,13 @@
 """Frobenius-Perron dimensions, characters and formal codegrees.
 
-Characters of a commutative fusion ring are found by simultaneously
-diagonalizing the (commuting) fusion matrices via a random linear
-combination; formal codegrees come from the Casimir matrix without them.
+Both characters and formal codegrees start from the Casimir matrix L, whose
+eigenspaces are the codegree classes: formal codegrees are its eigenvalues,
+and characters are the joint eigenvectors found by refining its eigenspaces
+with the Hermitian parts of the fusion matrices. Both are deterministic.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "spectral_report",
 ]
 
-DEFAULT_TOL = 1e-9
 SNAP_TOL = 1e-6
 
 
@@ -40,7 +39,8 @@ class NotCommutative(FusionRingError):
 
 
 class DegenerateSpectrum(FusionRingError):
-    """Raised when no random combination separated the joint eigenvalues."""
+    """Raised when the fusion matrices leave a joint eigenspace of dimension
+    > 1, which exact arithmetic rules out on a commutative fusion ring."""
 
 
 @dataclass(frozen=True)
@@ -98,94 +98,80 @@ def ring_fpdim(ring: FusionRing) -> float:
     return float(np.sum(fpdims(ring) ** 2))
 
 
-def _ring_seed(ring: FusionRing) -> int:
-    return zlib.crc32(ring.tensor.tobytes()) & 0x7FFFFFFF
+def _casimir(ring: FusionRing) -> np.ndarray:
+    """The Casimir matrix L = sum_j p_j N_j in float64 (int64 overflows near
+    multiplicity 2^32), p the induction-unit profile: multiplication by
+    sum_i b_i b_{i*}. It is symmetric (N_{j*} = N_j^T, p_{j*} = p_j) and
+    positive definite, and acts on the vector of a character by its codegree."""
+    profile = induction_unit_profile(ring).astype(float)
+    return np.tensordot(profile, ring.tensor.astype(float), axes=1)
 
 
-def characters(ring: FusionRing, tol: float = DEFAULT_TOL, seed=None) -> list:
+def characters(ring: FusionRing) -> list:
     """All characters of a commutative fusion ring, Frobenius-Perron first,
-    then by decreasing codegree (ties broken lexicographically).
+    then by decreasing codegree to 9 significant digits, ties broken
+    lexicographically by the values.
 
-    Raises NotCommutative for noncommutative input and DegenerateSpectrum if
-    eight random combinations all fail to separate the joint spectrum.
+    The normalized character vectors are the joint eigenbasis of
+    _hermitian_sequence. Starting from the identity, each block of dimension
+    > 1 is split by eigh of the next matrix restricted to it, cut where
+    eigenvalues differ by more than 1e-8 times the matrix's norm (a later
+    matrix refines a cut too coarse). chi(b_i) is the Rayleigh quotient
+    v^H N_i v (unlike v_i / v_0, accurate when the codegree 1/|v_0|^2 is
+    large), real when every imaginary part is below 1e-9. The FPdim character
+    maximizes sum_i Re chi(b_i), as |chi(b_i)| <= FPdim(b_i). Raises
+    NotCommutative for noncommutative input, DegenerateSpectrum if a block is
+    never split.
     """
     if not ring.is_commutative():
         raise NotCommutative("characters require a commutative fusion ring")
-    n = ring.rank
-    dims = fpdims(ring)
-    rng = np.random.default_rng(_ring_seed(ring) if seed is None else seed)
-    mats = [fusion_matrix(ring, i) for i in range(n)]
-    last_gap = None
-    for _ in range(8):
-        r = rng.standard_normal(n)
-        m = sum(r[i] * mats[i] for i in range(n))
-        w, v = np.linalg.eig(m)
-        diff = np.abs(w[:, None] - w[None, :])
-        diff[np.eye(n, dtype=bool)] = np.inf
-        gap = float(diff.min()) if n > 1 else np.inf
-        last_gap = gap
-        if gap < 1e-8:
-            continue
-        try:
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            continue
-        chars = np.empty((n, n), dtype=complex)  # chars[j] = character j
-        ok = True
-        for i in range(n):
-            d = vinv @ mats[i] @ v
-            off = d - np.diag(np.diag(d))
-            if np.abs(off).max() > 1e-6:
-                ok = False
-                break
-            chars[:, i] = np.diag(d)
-        if not ok:
-            continue
-        # each character sends the unit to 1 already (N_0 = I); verify
-        if np.abs(chars[:, 0] - 1).max() > 1e-6:
-            continue
-        return _package_characters(ring, chars, dims, tol)
-    raise DegenerateSpectrum(
-        f"could not separate the joint spectrum after 8 tries (last gap {last_gap})")
+    tensor = ring.tensor.astype(float)
+    todo, done = [np.eye(ring.rank)], []
+    for h in _hermitian_sequence(ring, tensor):
+        if not todo:
+            break
+        cut = 1e-8 * np.linalg.norm(h, np.inf)
+        pieces = []
+        for block in todo:
+            w, u = np.linalg.eigh(block.conj().T @ h @ block)
+            pieces += np.split(block @ u, np.flatnonzero(np.diff(w) > cut) + 1, axis=1)
+        done += [b for b in pieces if b.shape[1] == 1]
+        todo = [b for b in pieces if b.shape[1] > 1]
+    if todo:
+        raise DegenerateSpectrum(f"joint eigenspace of dimension {todo[0].shape[1]} never split")
+    vecs = np.hstack(done)
+    values = np.einsum("jk,ijk->ki", vecs.conj(), np.tensordot(tensor, vecs, axes=1))
+    values = np.where(np.abs(values.imag).max(axis=1, keepdims=True) < 1e-9, values.real, values)
+    codegrees = np.sum(np.abs(values) ** 2, axis=1)
+    fp = int(np.argmax(values.real.sum(axis=1)))
+    rest = sorted((k for k in range(ring.rank) if k != fp),
+                  key=lambda k: (-float(f"{codegrees[k]:.9g}"),
+                                 tuple(np.round(values[k].real, 6)),
+                                 tuple(np.round(values[k].imag, 6))))
+    return [Character(values[k], float(codegrees[k]), k == fp) for k in [fp, *rest]]
 
 
-def _package_characters(ring, chars, dims, tol):
-    n = ring.rank
-    out = []
-    fp_idx = None
-    for j in range(n):
-        vals = chars[j]
-        # clean tiny imaginary noise on characters that are actually real
-        if np.abs(vals.imag).max() < 1e-9:
-            vals = vals.real.astype(complex)
-        codeg = float(np.sum(np.abs(vals) ** 2))
-        is_fp = bool(np.allclose(vals, dims, atol=max(tol, 1e-7) * max(1, dims.max())))
-        if is_fp:
-            fp_idx = j
-        out.append(Character(vals, codeg, is_fp))
-    if fp_idx is None:
-        raise DegenerateSpectrum("no character matched the Frobenius-Perron dimensions")
-    fp = out.pop(fp_idx)
-    out.sort(key=lambda c: (-c.codegree,
-                            tuple(np.round(c.values.real, 6)),
-                            tuple(np.round(c.values.imag, 6))))
-    return [fp] + out
+def _hermitian_sequence(ring: FusionRing, tensor: np.ndarray):
+    """L, then N_i + N_i^T and, when i != i*, i(N_i - N_i^T): commuting
+    Hermitian matrices (N_i is normal, N_{i*} = N_i^T) that together separate
+    the characters."""
+    yield _casimir(ring)
+    for i in range(1, ring.rank):
+        yield tensor[i] + tensor[i].T
+        if ring.dual[i] != i:
+            yield 1j * (tensor[i] - tensor[i].T)
 
 
 def formal_codegrees(ring: FusionRing) -> list:
     """Formal codegrees, sorted decreasing, integer-snapped within SNAP_TOL:
-    the eigenvalues of the Casimir element sum_i b_i b_{i*} acting by
-    multiplication (Ostrik 2009), L = sum_j p_j N_j with p the induction-unit
-    profile. L is symmetric (N_{j*} = N_j^T, p_{j*} = p_j) and positive
-    definite, and is built in float64 (int64 overflows near multiplicity
-    2^32). Its eigenvalues are the squared singular values of its Cholesky
-    factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
-    this keeps a small codegree accurate next to a large one, as in
-    R(S, kappa) for a large kappa."""
+    the eigenvalues of the Casimir matrix L (Ostrik 2009). They are the
+    squared singular values of its Cholesky factor on the basis in
+    decreasing-diagonal order: unlike eigvalsh(L), this keeps a small
+    codegree accurate next to a large one, as in R(S, kappa) for a large
+    kappa."""
     if not ring.is_commutative():
         raise NotCommutative("formal codegrees require a commutative fusion ring")
-    profile = induction_unit_profile(ring).astype(float)
-    casimir = np.tensordot(profile, ring.tensor.astype(float), axes=1)
+    casimir = _casimir(ring)
     order = np.argsort(-np.diag(casimir), kind="stable")
     factor = np.linalg.cholesky(casimir[np.ix_(order, order)])
     out = []

@@ -5,7 +5,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusionring import catalog, cli
 from fusionring.core import group_ring, ring_to_json, table_to_json
@@ -189,6 +189,12 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["fpdim", "-"], '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [1, 1.000009]]]}', 1),
     (["fpdim", "-"], '{"tensor": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]]}', 0),
     (["construct", "--subring", "catalog:C2", "--kappa", "99999999999999999999"], None, 1),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1]]}', 3),
+    (["verify", "-"], '{"order": "x", "rows": [[1, 1], [1, -1]]}', 3),
+    (["verify", "-"], '{"S": [[1]], "T": [[0]]}', 3),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, "zeta(0,1)"]]}', 3),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, "zeta(2,1"]]}', 3),
+    (["--seed", "3", "chars", "catalog:S3"], None, 2),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     if stdin is not None:
@@ -208,10 +214,24 @@ nested = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), m
 ring_json = st.fixed_dictionaries(
     {"tensor": cubic_tensors | nested},
     optional={"labels": nested, "dual": st.lists(small_ints | json_scalars, max_size=3) | nested})
+# matrix entries as parse_scalar reads them: numbers, [re, im] pairs, zeta strings
+scalars = (small_ints | json_scalars | st.lists(small_ints | st.floats(), min_size=2, max_size=2)
+           | st.sampled_from(["-1", "zeta(3,1)", "2*zeta(4,1)", "zeta(0,1)", "zeta(2,1"]))
+square_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+int_lists = st.lists(small_ints | json_scalars, max_size=3) | nested
+table_json = st.fixed_dictionaries(
+    {"order": st.integers(-1, 8) | json_scalars, "rows": square_matrices | nested},
+    optional={"classSizes": int_lists})
+datum_json = st.fixed_dictionaries(
+    {"S": square_matrices | nested, "T": st.lists(int_lists, max_size=3) | nested},
+    optional={"dims": int_lists})
 
 
-@settings(max_examples=150, deadline=None)
-@given(ring_json, st.sampled_from(["verify", "fpdim"]))
+@settings(max_examples=300, deadline=None)
+@given(ring_json | table_json | datum_json, st.sampled_from(["verify", "fpdim"]))
+@example({"order": 1, "rows": [[0]]}, "verify")  # a zero column
+@example({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}, "verify")
 def test_random_ring_json_never_escapes(data, command):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:

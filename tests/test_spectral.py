@@ -91,6 +91,55 @@ def test_characters_deterministic():
         assert np.allclose(x.values, y.values, atol=1e-12)
 
 
+def order_key(values, codegree):
+    """The documented order after the FPdim character: decreasing codegree
+    to 9 significant digits, then the values lexicographically."""
+    values = np.asarray(values)
+    return (-float(f"{codegree:.9g}"), tuple(np.round(values.real, 6)),
+            tuple(np.round(values.imag, 6)))
+
+
+COMMUTATIVE_CATALOG = [name for name in fr.list_catalog()
+                       if fr.load_entry(name).kind in ("characterTable", "modularDatum")]
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_CATALOG)
+def test_characters_order_ignores_float_noise(name):
+    chars = characters(fr.entry_ring(name))
+    keys = [order_key(c.values, c.codegree) for c in chars[1:]]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", [n for n in COMMUTATIVE_CATALOG
+                                  if fr.load_entry(n).kind == "characterTable"])
+def test_characters_are_table_columns(name):
+    # an independent method: on the character ring of G, chi_i -> chi_i(x)
+    # is a character for every class x, and these are all of them
+    table = fr.load_entry(name).payload
+    cols = [(table.rows[:, x], table.order / table.class_sizes[x])
+            for x in range(table.num_classes)]
+    want = [cols[0]] + sorted(cols[1:], key=lambda c: order_key(*c))
+    got = characters(fr.character_table_to_fusion_ring(table))
+    assert got[0].is_fpdim and not any(c.is_fpdim for c in got[1:])
+    assert np.abs(np.array([c.values for c in got]) - [v for v, _ in want]).max() < 1e-12
+    assert [c.codegree for c in got] == pytest.approx([f for _, f in want], rel=1e-12)
+
+
+@pytest.mark.parametrize("group, log_kappa", [(1, 20), (1, 26), (1, 32), (2, 20)])
+def test_characters_deligne_square(group, log_kappa):
+    # R(C_g, 2^k) squared: multiplicities up to 2^(2k) and codegrees from 1
+    # to about 2^(4k) in one ring
+    r = construct(group_ring([group]), 2 ** log_kappa)
+    ring = product_ring(r, r)
+    chars = characters(ring)
+    assert len(chars) == ring.rank
+    assert chars[0].is_fpdim and not any(c.is_fpdim for c in chars[1:])
+    assert np.allclose(chars[0].values.real, fpdims(ring), rtol=1e-9)
+    got = sorted((c.codegree for c in chars), reverse=True)
+    assert got == pytest.approx([float(f) for f in formal_codegrees(ring)], rel=1e-9)
+    assert sum(1 / c.codegree for c in chars) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_codegrees_rep_s3():
     assert formal_codegrees(fr.entry_ring("S3")) == [6, 3, 2]
 
