@@ -120,7 +120,7 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
                            f"c[{i}][{j}][0] = {int(tensor[i, j, 0])}"))
 
     # Frobenius reciprocity: c_{ij}^k = c_{i* k}^j = c_{k j*}^i
-    t_star_left = tensor[dual][:, :, :].transpose(0, 2, 1)  # c_{i* k}^j at [i,j,k]
+    t_star_left = tensor[dual].transpose(0, 2, 1)  # c_{i* k}^j at [i,j,k]
     for i, j, k in zip(*np.nonzero(tensor != t_star_left)):
         violations.append(("frobenius", (int(i), int(j), int(k)),
                            f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
@@ -136,17 +136,30 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
 
 
 def _associativity_violations(tensor: np.ndarray) -> list:
+    """Every (i, j, k, m) with sum_t c_ij^t c_tk^m != sum_t c_jk^t c_it^m,
+    in C order, each with both sides in its message.
+
+    One basis index i at a time: two n x n^2 matrix products give the slabs
+    [j, k, m] of both sides, so memory stays O(n^3). Every partial sum is
+    an integer of modulus at most max|c|^2 * n, so the products are exact in
+    float32 below 2^24 and in float64 below 2^53; above that bound they run
+    on Python ints.
+    """
     n = tensor.shape[0]
-    small = tensor.dtype != object and int(tensor.max(initial=0)) ** 2 * n < 2 ** 62 // n
-    t = tensor if small else tensor.astype(object, copy=False)  # exact Python ints
-    left = np.einsum("ijt,tkm->ijkm", t, t)
-    right = np.einsum("jkt,itm->ijkm", t, t)
-    bad = np.nonzero(left != right)
+    bound = max(int(tensor.max(initial=0)), -int(tensor.min(initial=0))) ** 2 * n
+    t = tensor.astype(np.float32 if bound < 2 ** 24 else np.float64 if bound < 2 ** 53 else object)
+    by_row = t.reshape(n, n * n)  # [t, (k, m)] = c_tk^m
+    by_pair = t.reshape(n * n, n)  # [(j, k), t] = c_jk^t
     out = []
-    for i, j, k, m in zip(*bad):
-        out.append(("associativity", (int(i), int(j), int(k), int(m)),
-                    f"sum_t c[{i}][{j}][t] c[t][{k}][{m}] = {int(left[i, j, k, m])} "
-                    f"!= {int(right[i, j, k, m])}"))
+    for i in range(n):
+        left = (t[i] @ by_row).reshape(n, n, n)
+        right = (by_pair @ t[i]).reshape(n, n, n)
+        if np.array_equal(left, right):
+            continue
+        for j, k, m in zip(*np.nonzero(left != right)):
+            out.append(("associativity", (i, int(j), int(k), int(m)),
+                        f"sum_t c[{i}][{j}][t] c[t][{k}][{m}] = {int(left[j, k, m])} "
+                        f"!= {int(right[j, k, m])}"))
     return out
 
 
@@ -400,14 +413,13 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
         labels = [f"X{i}" for i in range(n)]
     if dual is None:
         # recover duality from the pairing column
-        arr = _as_tensor(tensor)
-        dual = []
-        for i in range(n):
-            hits = [j for j in range(n) if arr[i, j, 0] == 1]
-            if len(hits) != 1:
-                raise AxiomViolation([("dual-pairing", (i,),
-                                       f"row {i} pairs with {hits}")])
-            dual.append(hits[0])
+        pairs = _as_tensor(tensor)[:, :, 0] == 1
+        bad = np.flatnonzero(pairs.sum(axis=1) != 1)
+        if bad.size:
+            i = int(bad[0])
+            hits = np.flatnonzero(pairs[i]).tolist()
+            raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {hits}")])
+        dual = np.nonzero(pairs)[1].tolist()
     if validate:
         return FusionRing.validated(labels, tensor, dual)
     return FusionRing(labels, tensor, dual)

@@ -102,11 +102,14 @@ def verlinde_fusion(m: ModularDatum, tol: float = DEFAULT_TOL, snap: float = 1e-
     n = m.rank
     d = m.global_dim
     s = m.s / math.sqrt(d)
-    tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
-    out = np.rint(tensor.real)
-    # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
-    # complex array may differ in the last bit, which maxSnapError would show
-    err = np.hypot(tensor.real - out, tensor.imag)
+    # a tiny s[0] gives inf or nan entries: the snap check below reports
+    # them, so numpy's warnings would only add stray stderr lines
+    with np.errstate(all="ignore"):
+        tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
+        out = np.rint(tensor.real)
+        # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
+        # complex array may differ in the last bit, which maxSnapError would show
+        err = np.hypot(tensor.real - out, tensor.imag)
     ok = (err <= snap) & (out >= 0)
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -202,6 +206,19 @@ def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == want
     assert len(err.splitlines()) == (want != 0) and "Traceback" not in err
+
+
+def test_datum_overflow_prints_one_stderr_line():
+    # a subprocess, because pytest records numpy's RuntimeWarnings instead
+    # of letting them reach stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    datum = '{"S": [[1, 1e-320], [1e-320, 1]], "T": [[0, 1], [0, 1]]}'
+    proc = subprocess.run([sys.executable, "-m", "fusionring.cli", "verify", "-"],
+                          input=datum, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 json_scalars = (st.none() | st.booleans() | st.text(max_size=3)

@@ -1,7 +1,9 @@
 """Fusion ring axioms, group rings, character rings and JSON round trips."""
 
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 import fusionring as fr
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity,
-                             character_table_to_fusion_ring, group_ring,
-                             product_ring, ring_from_json, ring_to_json,
+                             _associativity_violations, character_table_to_fusion_ring,
+                             group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
 from fusionring.exact import snap_int
 
@@ -123,6 +125,63 @@ def test_product_ring_beyond_int64():
     assert sum(1 / float(f) for f in codegrees) == pytest.approx(1.0, rel=1e-12)
 
 
+def einsum_associativity_violations(tensor):
+    """Reference: both sides as full n^4 tensors of Python ints."""
+    t = np.asarray(tensor).astype(object)
+    left = np.einsum("ijt,tkm->ijkm", t, t)
+    right = np.einsum("jkt,itm->ijkm", t, t)
+    return [("associativity", (int(i), int(j), int(k), int(m)),
+             f"sum_t c[{i}][{j}][t] c[t][{k}][{m}] = {left[i, j, k, m]} "
+             f"!= {right[i, j, k, m]}")
+            for i, j, k, m in zip(*np.nonzero(left != right))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([3, 24, 53, 2 ** 26, 2 ** 40]),
+       st.floats(0.05, 1.0), st.sampled_from([np.int64, object]), st.integers(0, 2 ** 32 - 1))
+def test_associativity_matches_einsum_reference(n, ceiling, density, dtype, seed):
+    # 24 and 53: the largest entries with max^2 * n below 2^24 or 2^53, the
+    # edges of the float32 and float64 paths
+    hi = math.isqrt((2 ** ceiling - 1) // n) if ceiling in (24, 53) else ceiling
+    rng = np.random.default_rng(seed)
+    t = np.where(rng.random((n, n, n)) < density, rng.integers(0, hi, (n, n, n), endpoint=True), 0)
+    t = t.astype(dtype)
+    assert _associativity_violations(t) == einsum_associativity_violations(t)
+
+
+@pytest.mark.parametrize("bits, float_type", [(24, np.float32), (53, np.float64)])
+def test_associativity_exact_at_float_limits(bits, float_type):
+    # c[1][1] = K x + y, c[1][2] = K x, c[2][2] = x: at (1, 1, 2, 1) the two
+    # sides are K^2 + 1 and K^2, which the float type rounds to the same value
+    k = 2 ** ((bits + 1) // 2)
+    assert float_type(k * k + 1) == float_type(k * k)
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 1, 1], t[1, 1, 2], t[1, 2, 1], t[2, 2, 1] = k, 1, k, 1
+    violations = _associativity_violations(t)
+    assert ("associativity", (1, 1, 2, 1),
+            f"sum_t c[1][1][t] c[t][2][1] = {k * k + 1} != {k * k}") in violations
+    assert violations == einsum_associativity_violations(t)
+    # x^2 = 1 + kappa x is associative; 2 kappa^2 is just below 2^bits
+    kappa = math.isqrt((2 ** bits - 1) // 2)
+    assert 2 * kappa ** 2 < 2 ** bits <= 2 * (kappa + 1) ** 2
+    for c in (kappa, kappa + 1):
+        near_group = np.array([[[1, 0], [0, 1]], [[0, 1], [1, c]]])
+        assert _associativity_violations(near_group) == []
+
+
+def test_validate_tensor_memory_is_cubic():
+    # the full n^4 associativity tensors would take over 250 MB at rank 64
+    ring = group_ring([8, 8])
+    tracemalloc.start()
+    try:
+        assert not validate_tensor(ring.tensor, ring.dual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 def test_fuse_and_basis_vector():
     ring = ising_ring()
     out = ring.fuse(ring.basis_vector(2), ring.basis_vector(2))
@@ -142,6 +201,10 @@ def test_ring_json_dual_recovery():
     del data["dual"]
     back = ring_from_json(data)
     assert list(back.dual) == list(ring.dual)
+    data["tensor"][2][1][0] = 1  # row 2 now pairs with both 1 and 3
+    with pytest.raises(AxiomViolation) as err:
+        ring_from_json(data)
+    assert err.value.violations == [("dual-pairing", (2,), "row 2 pairs with [1, 3]")]
 
 
 @pytest.mark.parametrize("data", [
