@@ -25,6 +25,7 @@ from importlib import resources
 
 from .core import (CharacterTable, FusionRing, FusionRingError,
                    character_table_to_fusion_ring, table_from_json)
+from .exact import EXACT_TOL, SNAP_TOL, snap_int
 from .premodular import (ModularDatum, balancing_check, gauss_sums,
                          modular_datum_from_json, verlinde_fusion)
 from . import spectral
@@ -99,13 +100,13 @@ def _eval_node(node) -> complex:
     raise ValueError(f"unsupported expression node {ast.dump(node)}")
 
 
-def eval_dimension_expr(text: str, tol: float = 1e-9) -> float:
+def eval_dimension_expr(text: str) -> float:
     """Evaluate a dimension expression to a real number.
 
     Intermediate values may be complex (zeta terms); the result must be real
-    within tol."""
+    within EXACT_TOL (relative)."""
     value = _eval_node(ast.parse(str(text), mode="eval"))
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > EXACT_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"expression {text!r} evaluates to non-real {value}")
     return value.real
 
@@ -136,9 +137,9 @@ class ClassificationRow:
     def consistency_error(self) -> float:
         return abs(sum(d * d for d in self.fpdims()) - self.fpdim_total())
 
-    def verify(self, tol: float = 1e-6) -> None:
+    def verify(self) -> None:
         err = self.consistency_error()
-        if err > tol:
+        if err > SNAP_TOL:
             raise FusionRingError(
                 f"row {self.family}/{self.name}: sum of squared dims misses "
                 f"the stated FPdim by {err:.3g}")
@@ -236,7 +237,7 @@ def entry_ring(name: str) -> FusionRing:
     raise FusionRingError(f"entry {name!r} of kind {entry.kind} is not ring-valued")
 
 
-def _verify_entry(entry: CatalogEntry, tol: float) -> str:
+def _verify_entry(entry: CatalogEntry) -> str:
     """Full validation for one entry; returns a short success note, raises
     on failure."""
     if entry.kind == "characterTable":
@@ -245,8 +246,8 @@ def _verify_entry(entry: CatalogEntry, tol: float) -> str:
         ring = character_table_to_fusion_ring(table)
         order = table.order
         for f in spectral.formal_codegrees(ring):
-            fi = int(round(f))
-            if abs(f - fi) > tol or order % fi != 0:
+            fi = snap_int(f)
+            if fi is None or order % fi != 0:
                 raise FusionRingError(
                     f"codegree {f} of {entry.name} does not divide |G| = {order}")
         return f"rank {ring.rank} character ring, codegrees divide {order}"
@@ -254,20 +255,20 @@ def _verify_entry(entry: CatalogEntry, tol: float) -> str:
         m: ModularDatum = entry.payload
         m.validate()
         ring, info = verlinde_fusion(m)
-        bad = balancing_check(ring, m, tol)
+        bad = balancing_check(ring, m)
         if bad:
             raise FusionRingError(f"{entry.name}: {len(bad)} balancing violations")
         plus, minus = gauss_sums(m.dims, m.twist_values())
-        if abs(plus * minus - m.global_dim) > tol * m.global_dim:
+        if abs(plus * minus - m.global_dim) > SNAP_TOL * m.global_dim:
             raise FusionRingError(f"{entry.name}: Gauss sum product misses global dim")
         dims = spectral.fpdims(ring)
-        if max(abs(dims - m.dims)) > 1e-6:
+        if max(abs(dims - m.dims)) > SNAP_TOL:
             raise FusionRingError(f"{entry.name}: FPdims disagree with S-matrix row 0")
         return (f"rank {ring.rank} Verlinde ring, global dim "
                 f"{info['globalDim']:.6g}, balancing clean")
     if entry.kind == "classificationRow":
         row: ClassificationRow = entry.payload
-        row.verify(tol)
+        row.verify()
         return f"dims consistent within {row.consistency_error():.2e}"
     if entry.kind == "groupList":
         for g in entry.payload:
@@ -277,14 +278,14 @@ def _verify_entry(entry: CatalogEntry, tol: float) -> str:
     raise FusionRingError(f"unknown entry kind {entry.kind}")
 
 
-def verify_catalog(tol: float = 1e-6) -> list:
+def verify_catalog() -> list:
     """Validate every entry. Returns a deterministic list of
     (name, ok, detail) triples; failures are reported, not raised."""
     out = []
     for name in list_catalog():
         entry = load_entry(name)
         try:
-            detail = _verify_entry(entry, tol)
+            detail = _verify_entry(entry)
             out.append((name, True, detail))
         except Exception as exc:  # report content, not control flow
             out.append((name, False, f"{type(exc).__name__}: {exc}"))

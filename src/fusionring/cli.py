@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog, nearintegral, premodular, spectral, structure
 from .core import (FusionRing, FusionRingError, MalformedInput,
                    character_table_to_fusion_ring, ring_from_json, ring_to_json,
-                   table_from_json, validate_tensor)
+                   table_from_json, table_to_json, validate_tensor)
 from .premodular import modular_datum_from_json
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -239,7 +239,7 @@ def cmd_codegrees(args) -> int:
 
 def cmd_detect(args) -> int:
     ring = load_ring(args.ring, args)
-    report = nearintegral.detect(ring, tol=args.tolerance)
+    report = nearintegral.detect(ring)
     if report is None:
         _emit(args, {"nearIntegral": False},
               ["no near-integral structure found"])
@@ -292,7 +292,7 @@ def cmd_verlinde(args) -> int:
 def cmd_balance(args) -> int:
     ring = load_ring(args.ring, args)
     m = load_datum(args.datum, args)
-    bad = premodular.balancing_check(ring, m, tol=args.tolerance)
+    bad = premodular.balancing_check(ring, m)
     plus, minus = premodular.gauss_sums(m.dims, m.twist_values())
     payload = {
         "violations": [{"i": i, "j": j, "error": e} for i, j, e in bad],
@@ -326,7 +326,7 @@ def cmd_qforms(args) -> int:
 def cmd_gagola(args) -> int:
     table = load_table(args.table, args)
     try:
-        report = nearintegral.gagola_analyze(table, tol=args.tolerance)
+        report = nearintegral.gagola_analyze(table)
     except FusionRingError as exc:
         _emit(args, {"found": False, "reason": str(exc)}, [f"no Gagola character: {exc}"])
         return VIOLATION
@@ -365,7 +365,7 @@ def cmd_catalog(args) -> int:
         _emit(args, payload, lines)
         return OK
     if args.action == "verify":
-        results = catalog.verify_catalog(tol=args.tolerance)
+        results = catalog.verify_catalog()
         bad = [r for r in results if not r[1]]
         payload = {"entries": [{"name": n, "ok": ok, "detail": d}
                                for n, ok, d in results],
@@ -379,7 +379,6 @@ def cmd_catalog(args) -> int:
         raise InputProblem("catalog show needs an entry name")
     entry = catalog.load_entry(args.name)
     if entry.kind == "characterTable":
-        from .core import table_to_json
         body = table_to_json(entry.payload)
     elif entry.kind == "modularDatum":
         body = premodular.modular_datum_to_json(entry.payload)
@@ -419,10 +418,8 @@ class InputProblemUsage(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_tol = float(os.environ.get("FUSIONRING_TOL", "1e-6"))
     p = _Parser(prog="fusionring", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tolerance", type=float, default=default_tol)
     p.add_argument("--data-dir", default=None,
                    help="directory of extra <name>.json entries for catalog: refs")
     sub = p.add_subparsers(dest="command", required=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import _scalar_to_json, parse_scalar, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, _scalar_to_json, parse_scalar, snap_int
 
 __all__ = [
     "FusionRingError",
@@ -298,7 +298,7 @@ class CharacterTable:
         object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
 
     @classmethod
-    def from_rows(cls, order: int, rows, class_sizes=None, tol: float = 1e-6) -> "CharacterTable":
+    def from_rows(cls, order: int, rows, class_sizes=None) -> "CharacterTable":
         rows = np.asarray(rows, dtype=complex)
         r = rows.shape[0]
         if class_sizes is None:
@@ -306,14 +306,14 @@ class CharacterTable:
             for x in range(r):
                 norm = float(np.sum(np.abs(rows[:, x]) ** 2))
                 ratio = order / norm if norm else math.inf
-                size = snap_int(ratio, tol)
+                size = snap_int(ratio)
                 if size is None or size < 1:
                     raise NonIntegralMultiplicity(
                         f"column {x}: |G|/sum|chi(x)|^2 = {ratio} is not a positive integer")
                 sizes.append(size)
             class_sizes = sizes
         table = cls(order, rows, class_sizes)
-        table.validate(tol)
+        table.validate()
         return table
 
     @property
@@ -324,11 +324,11 @@ class CharacterTable:
     def degrees(self) -> np.ndarray:
         return self.rows[:, 0].real
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         r = self.num_classes
         degs = self.rows[:, 0]
-        if np.abs(degs.imag).max() > tol or any(
-                snap_int(d, tol) is None or snap_int(d, tol) < 1 for d in degs.real):
+        if np.abs(degs.imag).max() > SNAP_TOL or any(
+                snap_int(d) is None or snap_int(d) < 1 for d in degs.real):
             raise FusionRingError("column 0 must hold positive integer degrees")
         if sum(int(round(d)) for d in degs.real ** 2) != self.order:
             raise FusionRingError("sum of squared degrees must equal the group order")
@@ -337,11 +337,11 @@ class CharacterTable:
         # column orthogonality
         gram = self.rows.conj().T @ self.rows
         expected = np.diag([self.order / s for s in self.class_sizes])
-        if not np.allclose(gram, expected, atol=tol * self.order):
+        if not np.allclose(gram, expected, atol=SNAP_TOL * self.order):
             raise FusionRingError("column orthogonality fails")
 
 
-def character_table_to_fusion_ring(table: CharacterTable, tol: float = 1e-9) -> FusionRing:
+def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     """Character ring of the group: basis = irreducible characters,
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
     computed by column-weighted inner products. Duality is complex conjugation
@@ -350,11 +350,12 @@ def character_table_to_fusion_ring(table: CharacterTable, tol: float = 1e-9) -> 
     w = np.array(table.class_sizes, dtype=float) / table.order
     vals = np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj())
     tensor = np.rint(vals.real)
-    ok = (np.abs(vals.imag) <= tol) & (np.abs(vals.real - tensor) <= tol) & (tensor >= 0)
+    ok = ((np.abs(vals.imag) <= EXACT_TOL) & (np.abs(vals.real - tensor) <= EXACT_TOL)
+          & (tensor >= 0))
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]
         val = vals[i, j, k]
-        if abs(val.imag) > tol:
+        if abs(val.imag) > EXACT_TOL:
             raise NonIntegralMultiplicity(
                 f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
         raise NonIntegralMultiplicity(
@@ -425,7 +426,7 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
     return FusionRing(labels, tensor, dual)
 
 
-def table_from_json(data, tol: float = 1e-6) -> CharacterTable:
+def table_from_json(data) -> CharacterTable:
     """Read a character table from its JSON object (or a string holding it).
 
     Raises MalformedInput unless data is an object with an integer 'order'
@@ -441,7 +442,7 @@ def table_from_json(data, tol: float = 1e-6) -> CharacterTable:
     if sizes is not None and not (isinstance(sizes, list) and len(sizes) == len(rows)
                                   and all(_is_int(x) and x > 0 for x in sizes)):
         raise MalformedInput("'classSizes' must list one positive integer per class")
-    return CharacterTable.from_rows(order, rows, sizes, tol)
+    return CharacterTable.from_rows(order, rows, sizes)
 
 
 def _json_object(data, kind: str) -> dict:

@@ -120,7 +120,13 @@ def _scalar_to_json(z: complex):
     return [z.real, z.imag]
 
 
-def snap_int(x: float, tol: float = 1e-6):
+# The library's one tolerance policy. No caller sets it: what the library
+# decides is exact (multiplicities, kappa, N, roots of unity); floats only compute it.
+SNAP_TOL = 1e-6  # a float this close to an integer, or to the value it must equal, is that
+EXACT_TOL = 1e-9  # how far floats computed from exact input may disagree
+
+
+def snap_int(x: float, tol: float = SNAP_TOL):
     """Round to the nearest integer if within tol, else return None (always
     for inf and nan)."""
     if not math.isfinite(x):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (CharacterTable, FusionRing, FusionRingError,
                    character_table_to_fusion_ring)
-from .exact import snap_int
+from .exact import EXACT_TOL, SNAP_TOL, snap_int
 from .structure import ClosureViolation, SubringHandle, _first_escape
 from . import spectral
 
@@ -37,8 +37,6 @@ __all__ = [
     "gagola_analyze",
     "extraspecial_kappa",
 ]
-
-SNAP_TOL = 1e-6
 
 
 class NotNearIntegral(FusionRingError):
@@ -105,13 +103,14 @@ def subring_on(ring: FusionRing, indices) -> FusionRing:
                                 [pos[ring.dual[i]] for i in idx])
 
 
-def detect(ring: FusionRing, tol: float = SNAP_TOL):
+def detect(ring: FusionRing):
     """Find the near-integral structure of a ring, or return None.
 
     Scans self-dual non-unit candidates rho in index order; for each, checks
     that the complement is fusion-closed with integer dimensions, that
     x * rho = FPdim(x) rho on the complement, and that
-    rho^2 = kappa rho + sum FPdim(x) x.
+    rho^2 = kappa rho + sum FPdim(x) x. d+ is integral iff kappa^2 + 4N
+    is a perfect square, which is decided in integers.
     """
     n = ring.rank
     dims = spectral.fpdims(ring)
@@ -122,7 +121,7 @@ def detect(ring: FusionRing, tol: float = SNAP_TOL):
         comp = [i for i in range(n) if i != rho]
         if _first_escape(support, comp) is not None:
             continue
-        sub_dims = [snap_int(dims[i], tol) for i in comp]
+        sub_dims = [snap_int(dims[i]) for i in comp]
         if None in sub_dims:
             continue
         # x * rho = FPdim(x) * rho for x in the subring
@@ -136,13 +135,14 @@ def detect(ring: FusionRing, tol: float = SNAP_TOL):
         kappa = int(sq[rho])
         big_n = int(sum(d * d for d in sub_dims))
         d_plus, d_minus = roots_dpm(kappa, big_n)
-        exact = snap_int(d_plus, tol) is not None
+        disc = kappa * kappa + 4 * big_n
+        exact = math.isqrt(disc) ** 2 == disc
         flags = []
         if not exact and kappa % big_n != 0:
             flags.append("categorification-screen: d+ irrational and N does not divide kappa")
         if exact and kappa >= big_n:
             flags.append(f"kappa = {kappa} >= N = {big_n} with d+ integral")
-        if abs(dims[rho] - d_plus) > 1e-6 * max(1.0, d_plus):
+        if abs(dims[rho] - d_plus) > SNAP_TOL * max(1.0, d_plus):
             flags.append(f"FPdim(rho) = {dims[rho]} differs from d+ = {d_plus}")
         return NearIntegralReport(tuple(comp), rho, kappa, big_n,
                                   d_plus, d_minus, exact, tuple(flags))
@@ -155,17 +155,13 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
         raise FusionRingError("kappa must be nonnegative" if kappa < 0
                               else f"kappa = {kappa} does not fit in int64")
     n = sub.rank
-    dims = [snap_int(d, SNAP_TOL) for d in spectral.fpdims(sub)]
+    dims = [snap_int(d) for d in spectral.fpdims(sub)]
     if None in dims:
         raise NotNearIntegral("the subring must have integer dimensions")
     rho = n
     t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     t[:n, :n, :n] = sub.tensor
-    for i in range(n):
-        t[i, rho, rho] = dims[i]
-        t[rho, i, rho] = dims[i]
-    for i in range(n):
-        t[rho, rho, i] = dims[i]
+    t[:n, rho, rho] = t[rho, :n, rho] = t[rho, rho, :n] = dims
     t[rho, rho, rho] = kappa
     rho_label = "rho"
     k = 2
@@ -177,7 +173,7 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     return FusionRing.validated(labels, t, dual)
 
 
-def distinguished_characters(ring: FusionRing, report: NearIntegralReport, tol: float = 1e-9):
+def distinguished_characters(ring: FusionRing, report: NearIntegralReport):
     """The two characters chi+- that restrict to FPdim on S and send rho to
     d+-. Returned as (chi_plus, chi_minus) value vectors on the full basis.
     Verifies multiplicativity on all basis pairs."""
@@ -188,7 +184,7 @@ def distinguished_characters(ring: FusionRing, report: NearIntegralReport, tol: 
         v = np.array([dims[i] if i != report.rho_index else d_rho for i in range(n)],
                      dtype=complex)
         err = _hom_defect(ring, v)
-        if err > tol * max(1.0, float(np.abs(v).max()) ** 2):
+        if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
             raise NotNearIntegral(f"chi({d_rho}) fails multiplicativity by {err}")
         out.append(v)
     return out[0], out[1]
@@ -200,7 +196,7 @@ def _hom_defect(ring: FusionRing, values: np.ndarray) -> float:
 
 
 def extend_character(ring: FusionRing, report: NearIntegralReport,
-                     sub_values, tol: float = 1e-9) -> np.ndarray:
+                     sub_values) -> np.ndarray:
     """Extend a non-FPdim character of S to R(S, kappa) by zero at rho.
 
     sub_values: character values on the subring basis in the order of
@@ -213,7 +209,7 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
         v[i] = sub_values[pos]
     v[report.rho_index] = 0.0
     err = _hom_defect(ring, v)
-    if err > tol * max(1.0, float(np.abs(v).max()) ** 2):
+    if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
         raise ExtensionObstructed(
             f"zero extension fails multiplicativity by {err}; "
             "this is the FPdim character of S or the input is not a character")
@@ -234,26 +230,26 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
     out = sub_codegs[:best] + sub_codegs[best + 1:]
     d_p, d_m = report.d_plus, report.d_minus
     for extra in (target + d_p * d_p, target + d_m * d_m):
-        i = snap_int(extra, SNAP_TOL)
+        i = snap_int(extra)
         out.append(i if i is not None else extra)
     out = sorted(out, key=float, reverse=True)
     if ring.is_commutative():
         direct = spectral.formal_codegrees(ring)
         if len(direct) != len(out) or any(
-                abs(float(a) - float(b)) > 1e-6 * max(1.0, abs(float(a)))
+                abs(float(a) - float(b)) > SNAP_TOL * max(1.0, abs(float(a)))
                 for a, b in zip(direct, out)):
             raise NotNearIntegral(
                 f"codegree bookkeeping {out} disagrees with spectral values {direct}")
     return out
 
 
-def character_kernel(ring: FusionRing, values, tol: float = SNAP_TOL):
+def character_kernel(ring: FusionRing, values):
     """Indices where a character equals FPdim, plus whether that set is a
     fusion subring. Returns (indices, is_subring)."""
     dims = spectral.fpdims(ring)
     values = np.asarray(values, dtype=complex)
     kernel = tuple(i for i in range(ring.rank)
-                   if abs(values[i] - dims[i]) <= tol * max(1.0, dims[i]))
+                   if abs(values[i] - dims[i]) <= SNAP_TOL * max(1.0, dims[i]))
     try:
         SubringHandle(kernel).verify(ring)
     except ClosureViolation:
@@ -261,7 +257,7 @@ def character_kernel(ring: FusionRing, values, tol: float = SNAP_TOL):
     return kernel, True
 
 
-def dim_a_chi_minus(report: NearIntegralReport, tol: float = 1e-9) -> float:
+def dim_a_chi_minus(report: NearIntegralReport) -> float:
     """1 + (kappa/N) d+, cross-checked against -d+/d- and
     (2N + kappa d+) / (2N + kappa d-)."""
     k, n = report.kappa, report.big_n
@@ -269,12 +265,13 @@ def dim_a_chi_minus(report: NearIntegralReport, tol: float = 1e-9) -> float:
     val = 1.0 + (k / n) * dp
     alt1 = -dp / dm
     alt2 = (2 * n + k * dp) / (2 * n + k * dm)
-    if abs(val - alt1) > tol * max(1.0, val) or abs(val - alt2) > tol * max(1.0, val):
+    bound = EXACT_TOL * max(1.0, val)
+    if abs(val - alt1) > bound or abs(val - alt2) > bound:
         raise NotNearIntegral(f"dim(A_chi-) forms disagree: {val}, {alt1}, {alt2}")
     return val
 
 
-def gagola_analyze(table: CharacterTable, tol: float = 1e-9):
+def gagola_analyze(table: CharacterTable):
     """Look for a Gagola character: a class x != identity and a unique row
     rho with rho(x) != rho(1), all other rows agreeing with their degree on
     x. Returns a GagolaReport or None.
@@ -285,7 +282,7 @@ def gagola_analyze(table: CharacterTable, tol: float = 1e-9):
     rows = table.rows
     r = table.num_classes
     for x in range(1, r):
-        differs = [i for i in range(r) if abs(rows[i, x] - rows[i, 0]) > tol]
+        differs = [i for i in range(r) if abs(rows[i, x] - rows[i, 0]) > EXACT_TOL]
         if len(differs) != 1:
             continue
         rho = differs[0]
@@ -295,7 +292,7 @@ def gagola_analyze(table: CharacterTable, tol: float = 1e-9):
         kappa = 2 * deg - table.order // deg
         if kappa < 0:
             raise NotNearIntegral(f"kappa = {kappa} is negative for row {rho}")
-        vanishing = int(sum(1 for v in rows[rho] if abs(v) <= tol))
+        vanishing = int(sum(1 for v in rows[rho] if abs(v) <= EXACT_TOL))
         ring = character_table_to_fusion_ring(table)
         if int(ring.tensor[rho, rho, rho]) != kappa:
             raise NotNearIntegral(

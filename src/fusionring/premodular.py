@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError, MalformedInput, _is_int, _scalar_matrix
-from .exact import RootOfUnity, _scalar_to_json
+from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 
 __all__ = [
     "NonIntegralFusion",
@@ -32,8 +32,6 @@ __all__ = [
     "form_from_json",
     "form_to_json",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 class NonIntegralFusion(FusionRingError):
@@ -79,26 +77,26 @@ class ModularDatum:
     def global_dim(self) -> float:
         return float(np.sum(self.dims ** 2))
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        if abs(self.s[0, 0] - 1) > tol:
+    def validate(self) -> None:
+        if abs(self.s[0, 0] - 1) > EXACT_TOL:
             raise FusionRingError("S[0][0] must be 1 (unnormalized convention)")
-        if np.abs(self.s[0].imag).max() > tol or (self.dims <= 0).any():
+        if np.abs(self.s[0].imag).max() > EXACT_TOL or (self.dims <= 0).any():
             raise FusionRingError("row 0 of S must be positive dims")
         asym = np.abs(self.s - self.s.T).max()
-        if asym > tol * max(1.0, float(np.abs(self.s).max())):
+        if asym > EXACT_TOL * max(1.0, float(np.abs(self.s).max())):
             raise FusionRingError(f"S is not symmetric (max defect {asym})")
 
     def twist_values(self) -> np.ndarray:
         return np.array([r.value() for r in self.t])
 
 
-def verlinde_fusion(m: ModularDatum, tol: float = DEFAULT_TOL, snap: float = 1e-6):
+def verlinde_fusion(m: ModularDatum):
     """Fusion ring from an S-matrix by the Verlinde formula.
 
     Returns (ring, diagnostics). Duality comes from charge conjugation
     (normalized S squared), snapped to a permutation.
     """
-    m.validate(tol)
+    m.validate()
     n = m.rank
     d = m.global_dim
     s = m.s / math.sqrt(d)
@@ -110,17 +108,17 @@ def verlinde_fusion(m: ModularDatum, tol: float = DEFAULT_TOL, snap: float = 1e-
         # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
         # complex array may differ in the last bit, which maxSnapError would show
         err = np.hypot(tensor.real - out, tensor.imag)
-    ok = (err <= snap) & (out >= 0)
+    ok = (err <= SNAP_TOL) & (out >= 0)
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]
-        if not err[i, j, k] <= snap:
+        if not err[i, j, k] <= SNAP_TOL:
             raise NonIntegralFusion(f"N[{i}][{j}][{k}] = {tensor[i, j, k]} is not an "
                                     f"integer (defect {err[i, j, k]})")
         raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
     c = (s @ s).real
-    hits = np.abs(c - 1) < 1e-6
+    hits = np.abs(c - 1) < SNAP_TOL
     dual = hits.argmax(axis=1)
-    bad = (hits.sum(axis=1) != 1) | ~(np.abs(m.s - m.s[dual].conj()) <= 1e-6).all(axis=1)
+    bad = (hits.sum(axis=1) != 1) | ~(np.abs(m.s - m.s[dual].conj()) <= SNAP_TOL).all(axis=1)
     if bad.any():
         raise FusionRingError(
             f"charge conjugation row {np.argmax(bad)} does not snap to a permutation")
@@ -146,7 +144,7 @@ def gauss_sums(dims, twists):
     return tau_plus, tau_minus
 
 
-def balancing_check(ring: FusionRing, m: ModularDatum, tol: float = 1e-6) -> list:
+def balancing_check(ring: FusionRing, m: ModularDatum) -> list:
     """All (i, j) where S[i][j] != theta_i^-1 theta_j^-1 sum_k c_{ij}^k d_k theta_k."""
     n = ring.rank
     if m.rank != n:
@@ -158,15 +156,15 @@ def balancing_check(ring: FusionRing, m: ModularDatum, tol: float = 1e-6) -> lis
     scale = max(1.0, float(np.abs(m.s).max()))
     diff = m.s - rhs
     err = np.hypot(diff.real, diff.imag)  # as abs() of each complex scalar
-    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err > tol * scale)]
+    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err > SNAP_TOL * scale)]
 
 
-def centralizer_profile(m: ModularDatum, tol: float = 1e-6):
-    """Boolean matrix of |S[i][j] - d_i d_j| < tol (scaled), plus the rows
+def centralizer_profile(m: ModularDatum):
+    """Boolean matrix of |S[i][j] - d_i d_j| < SNAP_TOL (scaled), plus the rows
     that centralize everything (symmetric-center candidates)."""
     d = m.dims
     target = np.outer(d, d)
-    mask = np.abs(m.s - target) < tol * np.maximum(1.0, target)
+    mask = np.abs(m.s - target) < SNAP_TOL * np.maximum(1.0, target)
     candidates = tuple(int(i) for i in range(m.rank) if mask[i].all())
     return mask, candidates
 
@@ -438,7 +436,7 @@ def modular_datum_from_json(data) -> ModularDatum:
             isinstance(x, (int, float)) and abs(x) < 2 ** 63 for x in dims)):
         raise MalformedInput("'dims' must list one number below 2^63 per row of S")
     m = ModularDatum(s, tuple(RootOfUnity(num, den) for num, den in t))
-    if dims is not None and not np.allclose(dims, m.dims, atol=1e-6):
+    if dims is not None and not np.allclose(dims, m.dims, atol=SNAP_TOL):
         raise FusionRingError("explicit dims disagree with row 0 of S")
     return m
 

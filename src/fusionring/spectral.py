@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError
-from .exact import snap_int
+from .exact import EXACT_TOL, SNAP_TOL, snap_int
 
 __all__ = [
     "NotCommutative",
@@ -30,8 +30,6 @@ __all__ = [
     "induction_unit_profile",
     "spectral_report",
 ]
-
-SNAP_TOL = 1e-6
 
 
 class NotCommutative(FusionRingError):
@@ -66,11 +64,11 @@ def fusion_matrix(ring: FusionRing, i: int) -> np.ndarray:
     return ring.tensor[i].astype(float)
 
 
-def fpdim(ring: FusionRing, i: int, tol: float = 1e-12) -> float:
+def fpdim(ring: FusionRing, i: int) -> float:
     """Perron eigenvalue of N_i.
 
     Power iteration on N_i + I (the shift keeps bipartite fusion graphs from
-    oscillating); falls back to a dense eigendecomposition if it stalls.
+    oscillating) to a 1e-12 relative step; dense eigvals if it stalls.
     """
     m = fusion_matrix(ring, i) + np.eye(ring.rank)
     x = np.full(ring.rank, 1.0 / np.sqrt(ring.rank))
@@ -82,7 +80,7 @@ def fpdim(ring: FusionRing, i: int, tol: float = 1e-12) -> float:
         if y_norm == 0:
             break
         x = y / y_norm
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
+        if abs(new - lam) <= 1e-12 * max(1.0, abs(new)):
             return new - 1.0
         lam = new
     ev = np.linalg.eigvals(fusion_matrix(ring, i))
@@ -118,10 +116,10 @@ def characters(ring: FusionRing) -> list:
     eigenvalues differ by more than 1e-8 times the matrix's norm (a later
     matrix refines a cut too coarse). chi(b_i) is the Rayleigh quotient
     v^H N_i v (unlike v_i / v_0, accurate when the codegree 1/|v_0|^2 is
-    large), real when every imaginary part is below 1e-9. The FPdim character
-    maximizes sum_i Re chi(b_i), as |chi(b_i)| <= FPdim(b_i). Raises
-    NotCommutative for noncommutative input, DegenerateSpectrum if a block is
-    never split.
+    large), real when every imaginary part is below EXACT_TOL (see exact). The
+    FPdim character maximizes sum_i Re chi(b_i), as |chi(b_i)| <= FPdim(b_i).
+    Raises NotCommutative for noncommutative input, DegenerateSpectrum if a
+    block is never split.
     """
     if not ring.is_commutative():
         raise NotCommutative("characters require a commutative fusion ring")
@@ -141,7 +139,8 @@ def characters(ring: FusionRing) -> list:
         raise DegenerateSpectrum(f"joint eigenspace of dimension {todo[0].shape[1]} never split")
     vecs = np.hstack(done)
     values = np.einsum("jk,ijk->ki", vecs.conj(), np.tensordot(tensor, vecs, axes=1))
-    values = np.where(np.abs(values.imag).max(axis=1, keepdims=True) < 1e-9, values.real, values)
+    values = np.where(np.abs(values.imag).max(axis=1, keepdims=True) < EXACT_TOL,
+                      values.real, values)
     codegrees = np.sum(np.abs(values) ** 2, axis=1)
     fp = int(np.argmax(values.real.sum(axis=1)))
     rest = sorted((k for k in range(ring.rank) if k != fp),
@@ -163,12 +162,12 @@ def _hermitian_sequence(ring: FusionRing, tensor: np.ndarray):
 
 
 def formal_codegrees(ring: FusionRing) -> list:
-    """Formal codegrees, sorted decreasing, integer-snapped within SNAP_TOL:
-    the eigenvalues of the Casimir matrix L (Ostrik 2009). They are the
-    squared singular values of its Cholesky factor on the basis in
-    decreasing-diagonal order: unlike eigvalsh(L), this keeps a small
-    codegree accurate next to a large one, as in R(S, kappa) for a large
-    kappa."""
+    """Formal codegrees, sorted decreasing, integer-snapped within the
+    library's SNAP_TOL (see exact): the eigenvalues of the Casimir matrix L
+    (Ostrik 2009). They are the squared singular values of its Cholesky
+    factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
+    this keeps a small codegree accurate next to a large one, as in
+    R(S, kappa) for a large kappa."""
     if not ring.is_commutative():
         raise NotCommutative("formal codegrees require a commutative fusion ring")
     casimir = _casimir(ring)

@@ -130,9 +130,9 @@ def adjoint_subring(ring: FusionRing) -> SubringHandle:
     return closure(ring, np.flatnonzero(seed))
 
 
-def integral_subring(ring: FusionRing, tol: float = 1e-6) -> SubringHandle:
+def integral_subring(ring: FusionRing) -> SubringHandle:
     """Maximal subring of basis elements with integer FPdim."""
-    idx = [i for i, d in enumerate(spectral.fpdims(ring)) if snap_int(d, tol) is not None]
+    idx = [i for i, d in enumerate(spectral.fpdims(ring)) if snap_int(d) is not None]
     handle = SubringHandle(tuple(idx))
     handle.verify(ring)  # closure is a theorem; treat failure as tolerance pathology
     return handle

@@ -86,7 +86,7 @@ def test_rows_consistent():
     for name in list_catalog():
         entry = load_entry(name)
         if entry.kind == "classificationRow":
-            entry.payload.verify(1e-6)
+            entry.payload.verify()
 
 
 def test_rank4_a19_row():
@@ -116,7 +116,7 @@ def test_fault_injection_detected():
                                row.dim_exprs[:-1] + ("qint(3,7)",),
                                row.center, row.count)
     with pytest.raises(fr.FusionRingError):
-        broken.verify(1e-6)
+        broken.verify()
 
 
 def test_entry_ring_kinds():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fusionring import catalog, cli
-from fusionring.core import group_ring, ring_to_json, table_to_json
+from fusionring.core import FusionRingError, group_ring, ring_to_json, table_to_json
+from fusionring.nearintegral import gagola_analyze
 from fusionring.premodular import modular_datum_to_json
 
 
@@ -128,6 +129,22 @@ def test_gagola_command(capsys):
     assert json.loads(out)["kappa"] == 3
 
 
+@pytest.mark.parametrize("name", [n for n in catalog.list_catalog()
+                                  if catalog.load_entry(n).kind == "characterTable"])
+def test_gagola_command_matches_library(name, capsys):
+    code, out, _ = run(capsys, "--format", "json", "gagola", f"catalog:{name}")
+    data = json.loads(out)
+    try:
+        report = gagola_analyze(catalog.load_entry(name).payload)
+    except FusionRingError:
+        report = None
+    if report is None:
+        assert (code, data["found"]) == (1, False)
+    else:
+        assert (code, data["found"]) == (0, True)
+        assert {k: data[k] for k in ("kappa", "rhoRow", "vanishingClasses")} == report.to_json()
+
+
 def test_catalog_verify_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "catalog", "verify")
     assert code == 0
@@ -199,6 +216,7 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, "zeta(0,1)"]]}', 3),
     (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, "zeta(2,1"]]}', 3),
     (["--seed", "3", "chars", "catalog:S3"], None, 2),
+    (["--tolerance", "1e-3", "detect", "catalog:S3"], None, 2),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     if stdin is not None:
@@ -208,17 +226,30 @@ def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
     assert len(err.splitlines()) == (want != 0) and "Traceback" not in err
 
 
+def run_subprocess(*argv, stdin=None, **env):
+    """python -m fusionring.cli in a fresh process, with env added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run([sys.executable, "-m", "fusionring.cli", *argv],
+                          input=stdin, capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_datum_overflow_prints_one_stderr_line():
     # a subprocess, because pytest records numpy's RuntimeWarnings instead
     # of letting them reach stderr
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     datum = '{"S": [[1, 1e-320], [1e-320, 1]], "T": [[0, 1], [0, 1]]}'
-    proc = subprocess.run([sys.executable, "-m", "fusionring.cli", "verify", "-"],
-                          input=datum, capture_output=True, text=True, env=env, timeout=60)
+    proc = run_subprocess("verify", "-", stdin=datum)
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_fusionring_tol_environment_is_ignored():
+    argv = ("--format", "json", "fpdim", "catalog:S3")
+    plain = run_subprocess(*argv)
+    with_env = run_subprocess(*argv, FUSIONRING_TOL="abc")
+    assert (with_env.returncode, with_env.stderr) == (0, "")
+    assert with_env.stdout == plain.stdout
 
 
 json_scalars = (st.none() | st.booleans() | st.text(max_size=3)

@@ -1,10 +1,14 @@
-"""Exact root-of-unity scalars and the zeta expression parser."""
+"""Exact root-of-unity scalars, the zeta expression parser and the tolerance policy."""
 
+import argparse
 import cmath
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fusionring
+from fusionring import catalog, cli, core, exact, nearintegral, premodular, spectral, structure
 from fusionring.exact import RootOfUnity, parse_scalar, parse_zeta_expr, snap_int
 
 
@@ -70,3 +74,52 @@ def test_snap_int():
     assert snap_int(2.0000001, 1e-5) == 2
     assert snap_int(2.1) is None
     assert snap_int(-3 + 1e-9) == -3
+
+
+def _public_callables():
+    """{qualified name: callable} for the package's public names, each module's
+    __all__ and the public methods of every class among them."""
+    seen = {}
+    names = [(fusionring, n) for n in vars(fusionring)
+             if not n.startswith("_") and not inspect.ismodule(getattr(fusionring, n))]
+    for module in (core, exact, spectral, nearintegral, structure, premodular, catalog, cli):
+        public = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        names += [(module, n) for n in public]
+    for module, name in names:
+        obj = getattr(module, name)
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj, inspect.isroutine):
+                if ((attr == "__init__" or not attr.startswith("_"))
+                        and getattr(member, "__module__", "").startswith("fusionring")):
+                    seen[f"{obj.__module__}.{name}.{attr}"] = member
+        elif inspect.isroutine(obj) and obj.__module__.startswith("fusionring"):
+            seen[f"{obj.__module__}.{name}"] = obj
+    return seen
+
+
+def test_no_tolerance_knobs():
+    # the tolerance policy is exact.SNAP_TOL and exact.EXACT_TOL; only the
+    # snapping helper itself takes a threshold
+    knobs = {"tol", "snap", "tolerance"}
+    callables = _public_callables()
+    assert "fusionring.exact.snap_int" in callables
+    assert "fusionring.core.CharacterTable.from_rows" in callables
+    offending = [name for name, f in callables.items() if f is not snap_int
+                 and knobs & set(inspect.signature(f).parameters)]
+    assert offending == []
+
+    def options(parser):
+        for action in parser._actions:
+            yield from action.option_strings
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from options(sub)
+
+    assert "--format" in set(options(cli.build_parser()))
+    assert "--tolerance" not in set(options(cli.build_parser()))
+
+
+def test_tolerance_constants_live_in_exact():
+    assert (exact.SNAP_TOL, exact.EXACT_TOL) == (1e-6, 1e-9)
+    assert spectral.SNAP_TOL is exact.SNAP_TOL
+    assert not hasattr(premodular, "DEFAULT_TOL")

@@ -163,6 +163,23 @@ def test_extraspecial_identity():
             assert d_plus == p ** n * (p - 1)
 
 
+def test_detect_d_plus_integrality_is_exact():
+    # d+ = 10^8 + 1e-8 lies within a float snap of an integer, but
+    # kappa^2 + 4N = 10^16 + 4 is no square, so d+ is irrational
+    report = detect(construct(group_ring([1]), 10 ** 8))
+    assert not report.d_plus_exact_integer
+    assert not any("d+ integral" in f for f in report.flags)
+
+
+# (18, 3, 6) is extraspecial_kappa(3, 1): kappa = 3, N = 18, d+ = 6
+@pytest.mark.parametrize("big_n, kappa, d_plus", [(2, 1, 2), (18, 3, 6)],
+                         ids=["R(C2,1)", "extraspecial(3,1)"])
+def test_detect_d_plus_integral(big_n, kappa, d_plus):
+    report = detect(construct(group_ring([big_n]), kappa))
+    assert (report.kappa, report.big_n) == (kappa, big_n)
+    assert report.d_plus_exact_integer and report.d_plus == d_plus
+
+
 def test_extraspecial_rejects_bad_p():
     with pytest.raises(ValueError):
         extraspecial_kappa(4, 1)

@@ -51,10 +51,10 @@ def test_balancing_breaks_under_twist_perturbation(name):
         assert len(balancing_check(ring, broken)) >= 1
 
 
-def loop_verlinde_fusion(m, tol=1e-9, snap=1e-6):
+def loop_verlinde_fusion(m, snap=1e-6):
     """Reference: the Verlinde ring snapped one cell at a time, with the
     charge-conjugation dual found row by row."""
-    m.validate(tol)
+    m.validate()
     n = m.rank
     d = m.global_dim
     s = m.s / math.sqrt(d)
