@@ -39,6 +39,7 @@ __all__ = [
     "list_catalog",
     "load_entry",
     "entry_ring",
+    "payload_ring",
     "verify_catalog",
 ]
 
@@ -226,15 +227,21 @@ def load_entry(name: str) -> CatalogEntry:
 
 
 def entry_ring(name: str) -> FusionRing:
-    """Load a catalog entry as a fusion ring: character tables convert to
-    their character rings, modular data through the Verlinde formula."""
+    """Load a catalog entry as a fusion ring (see payload_ring)."""
     entry = load_entry(name)
-    if entry.kind == "characterTable":
-        return character_table_to_fusion_ring(entry.payload)
-    if entry.kind == "modularDatum":
-        ring, _ = verlinde_fusion(entry.payload)
+    return payload_ring(entry.kind, entry.payload, name)
+
+
+def payload_ring(kind: str, payload, name: str) -> FusionRing:
+    """The fusion ring of a payload of the given entry kind: character
+    tables convert to their character rings, modular data through the
+    Verlinde formula; name is for the error on other kinds."""
+    if kind == "characterTable":
+        return character_table_to_fusion_ring(payload)
+    if kind == "modularDatum":
+        ring, _ = verlinde_fusion(payload)
         return ring
-    raise FusionRingError(f"entry {name!r} of kind {entry.kind} is not ring-valued")
+    raise FusionRingError(f"entry {name!r} of kind {kind} is not ring-valued")
 
 
 def _verify_entry(entry: CatalogEntry) -> str:
@@ -253,7 +260,6 @@ def _verify_entry(entry: CatalogEntry) -> str:
         return f"rank {ring.rank} character ring, codegrees divide {order}"
     if entry.kind == "modularDatum":
         m: ModularDatum = entry.payload
-        m.validate()
         ring, info = verlinde_fusion(m)
         bad = balancing_check(ring, m)
         if bad:

@@ -17,11 +17,9 @@ import sys
 
 import numpy as np
 
-from . import catalog, nearintegral, premodular, spectral, structure
-from .core import (FusionRing, FusionRingError, MalformedInput,
-                   character_table_to_fusion_ring, ring_from_json, ring_to_json,
-                   table_from_json, table_to_json, validate_tensor)
-from .premodular import modular_datum_from_json
+from . import catalog, nearintegral, premodular, spectral
+from .core import (FusionRing, FusionRingError, MalformedInput, ring_from_json,
+                   ring_to_json, table_from_json, table_to_json, validate_tensor)
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
 
@@ -70,93 +68,74 @@ def _emit(args, payload: dict, text_lines) -> None:
 # input plumbing
 
 
-def _read_json_source(spec: str, args):
-    if spec == "-":
-        try:
-            return json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise InputProblem(f"stdin is not valid JSON: {exc}")
-    try:
-        with open(spec) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputProblem(f"cannot read {spec}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputProblem(f"{spec} is not valid JSON: {exc}")
+# each JSON input kind, by the key that tells it apart: its kind name and
+# its reader (a ring is read unvalidated, so that verify can list violations)
+_JSON_KINDS = {
+    "tensor": ("ring", lambda data: ring_from_json(data, validate=False)),
+    "rows": ("characterTable", table_from_json),
+    "S": ("modularDatum", premodular.modular_datum_from_json),
+}
+# a kind a command can want: its name, and the JSON that has it
+_WANTED = {"characterTable": ("character table", "character-table JSON with a 'rows' key"),
+           "modularDatum": ("modular datum", "modular-datum JSON with an 'S' key")}
 
 
-def _resolve(spec: str, args):
-    """Resolve an input spec to ("entry", CatalogEntry) or ("json", data)."""
+def load(spec: str, args, want=None):
+    """(kind, object) for an input spec; InputProblem if want is given and
+    the kind is another.
+
+    catalog:NAME gives the entry's kind and payload, falling back to
+    NAME.json in --data-dir. A path or "-" (stdin) gives the JSON's kind,
+    told by its key before the JSON is read, and an unvalidated FusionRing,
+    a CharacterTable or a ModularDatum.
+    """
+    entry = None
     if spec.startswith("catalog:"):
         name = spec[len("catalog:"):]
         try:
-            return "entry", catalog.load_entry(name)
+            entry = catalog.load_entry(name)
         except catalog.UnknownEntry:
-            if args.data_dir:
-                path = os.path.join(args.data_dir, name + ".json")
-                if os.path.exists(path):
-                    return "json", _read_json_source(path, args)
-            raise InputProblem(f"unknown catalog entry {name!r}")
-    return "json", _read_json_source(spec, args)
-
-
-def _json_kind(data) -> str:
-    if isinstance(data, dict):
-        if "tensor" in data:
-            return "ring"
-        if "rows" in data:
-            return "characterTable"
-        if "S" in data:
-            return "modularDatum"
-    raise InputProblem(
-        "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
-        "'rows' (character table) or 'S' (modular datum)")
-
-
-def _build_ring(kind: str, obj) -> FusionRing:
-    """The fusion ring of a resolved input spec."""
-    if kind == "entry":
-        return catalog.entry_ring(obj.name)
-    jk = _json_kind(obj)
-    if jk == "ring":
-        return ring_from_json(obj)
-    if jk == "characterTable":
-        return character_table_to_fusion_ring(table_from_json(obj))
-    ring, _ = premodular.verlinde_fusion(modular_datum_from_json(obj))
-    return ring
+            spec = os.path.join(args.data_dir or "", name + ".json")
+            if not (args.data_dir and os.path.exists(spec)):
+                raise InputProblem(f"unknown catalog entry {name!r}") from None
+    if entry is None:
+        try:
+            if spec == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(spec) as fh:
+                    data = json.load(fh)
+        except OSError as exc:
+            raise InputProblem(f"cannot read {spec}: {exc}")
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise InputProblem(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
+        key = next((k for k in _JSON_KINDS if isinstance(data, dict) and k in data), None)
+        if key is None:
+            raise InputProblem(
+                "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
+                "'rows' (character table) or 'S' (modular datum)")
+        kind, read = _JSON_KINDS[key]
+    else:
+        kind = entry.kind
+    if want not in (None, kind):
+        what, json_form = _WANTED[want]
+        raise InputProblem(f"{entry.name} is a {kind}, not a {what}" if entry
+                           else f"expected {json_form}")
+    return kind, entry.payload if entry else read(data)
 
 
 def load_ring(spec: str, args) -> FusionRing:
-    return _build_ring(*_resolve(spec, args))
-
-
-def load_table(spec: str, args):
-    kind, obj = _resolve(spec, args)
-    if kind == "entry":
-        if obj.kind != "characterTable":
-            raise InputProblem(f"{obj.name} is a {obj.kind}, not a character table")
-        return obj.payload
-    if _json_kind(obj) != "characterTable":
-        raise InputProblem("expected character-table JSON with a 'rows' key")
-    return table_from_json(obj)
-
-
-def load_datum(spec: str, args):
-    kind, obj = _resolve(spec, args)
-    if kind == "entry":
-        if obj.kind != "modularDatum":
-            raise InputProblem(f"{obj.name} is a {obj.kind}, not a modular datum")
-        return obj.payload
-    if _json_kind(obj) != "modularDatum":
-        raise InputProblem("expected modular-datum JSON with an 'S' key")
-    return modular_datum_from_json(obj)
+    """The validated fusion ring an input spec names."""
+    kind, obj = load(spec, args)
+    if kind == "ring":
+        return FusionRing.validated(obj.labels, obj.tensor, obj.dual)
+    return catalog.payload_ring(kind, obj, spec.removeprefix("catalog:"))
 
 
 def parse_group_spec(text: str):
     """'C9' or 'C3xC3' -> list of cyclic factor orders."""
-    parts = text.split("x")
     factors = []
-    for p in parts:
+    for p in text.split("x"):
         m = re.fullmatch(r"C(\d+)", p.strip())
         if not m or int(m.group(1)) < 1:
             raise InputProblem(
@@ -170,12 +149,11 @@ def parse_group_spec(text: str):
 
 
 def cmd_verify(args) -> int:
-    kind, obj = _resolve(args.ring, args)
-    if kind == "json" and _json_kind(obj) == "ring":
-        ring = ring_from_json(obj, validate=False)
+    kind, ring = load(args.ring, args)
+    if kind == "ring":
         violations = validate_tensor(ring.tensor, ring.dual)
-    else:
-        ring = _build_ring(kind, obj)
+    else:  # a table or datum gives a validated ring
+        ring = catalog.payload_ring(kind, ring, args.ring.removeprefix("catalog:"))
         violations = []
     payload = {
         "rank": ring.rank,
@@ -268,13 +246,13 @@ def cmd_construct(args) -> int:
     ring = nearintegral.construct(sub, args.kappa)
     payload = ring_to_json(ring)
     lines = [f"rank {ring.rank} ring with labels {list(ring.labels)}",
-             json.dumps(ring_to_json(ring))]
+             json.dumps(payload)]
     _emit(args, payload, lines)
     return OK
 
 
 def cmd_verlinde(args) -> int:
-    m = load_datum(args.datum, args)
+    _, m = load(args.datum, args, "modularDatum")
     ring, info = premodular.verlinde_fusion(m)
     payload = dict(ring_to_json(ring))
     payload.update({"globalDim": info["globalDim"], "dims": list(info["dims"]),
@@ -291,7 +269,7 @@ def cmd_verlinde(args) -> int:
 
 def cmd_balance(args) -> int:
     ring = load_ring(args.ring, args)
-    m = load_datum(args.datum, args)
+    _, m = load(args.datum, args, "modularDatum")
     bad = premodular.balancing_check(ring, m)
     plus, minus = premodular.gauss_sums(m.dims, m.twist_values())
     payload = {
@@ -324,7 +302,7 @@ def cmd_qforms(args) -> int:
 
 
 def cmd_gagola(args) -> int:
-    table = load_table(args.table, args)
+    _, table = load(args.table, args, "characterTable")
     try:
         report = nearintegral.gagola_analyze(table)
     except FusionRingError as exc:
@@ -358,10 +336,9 @@ def cmd_cases(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        names = catalog.list_catalog()
-        payload = {"entries": [{"name": n, "kind": catalog.load_entry(n).kind}
-                               for n in names]}
-        lines = [f"{catalog.load_entry(n).kind:20s} {n}" for n in names]
+        kinds = {n: catalog.load_entry(n).kind for n in catalog.list_catalog()}
+        payload = {"entries": [{"name": n, "kind": k} for n, k in kinds.items()]}
+        lines = [f"{k:20s} {n}" for n, k in kinds.items()]
         _emit(args, payload, lines)
         return OK
     if args.action == "verify":
@@ -424,53 +401,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of extra <name>.json entries for catalog: refs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", help="check all fusion ring axioms")
-    sp.add_argument("ring")
-    sp.set_defaults(func=cmd_verify)
-    sp = sub.add_parser("fpdim", help="Frobenius-Perron dimensions")
-    sp.add_argument("ring")
-    sp.set_defaults(func=cmd_fpdim)
-    sp = sub.add_parser("chars", help="characters of a commutative ring")
-    sp.add_argument("ring")
-    sp.set_defaults(func=cmd_chars)
-    sp = sub.add_parser("codegrees", help="formal codegrees and related data")
-    sp.add_argument("ring")
-    sp.set_defaults(func=cmd_codegrees)
-    sp = sub.add_parser("detect", help="find a near-integral structure")
-    sp.add_argument("ring")
-    sp.set_defaults(func=cmd_detect)
-    sp = sub.add_parser("construct", help="build the near-integral extension")
+    def add(name, summary, func, *positionals):
+        sp = sub.add_parser(name, help=summary)
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+        return sp
+
+    add("verify", "check all fusion ring axioms", cmd_verify, "ring")
+    add("fpdim", "Frobenius-Perron dimensions", cmd_fpdim, "ring")
+    add("chars", "characters of a commutative ring", cmd_chars, "ring")
+    add("codegrees", "formal codegrees and related data", cmd_codegrees, "ring")
+    add("detect", "find a near-integral structure", cmd_detect, "ring")
+    sp = add("construct", "build the near-integral extension", cmd_construct)
     sp.add_argument("--subring", required=True)
     sp.add_argument("--kappa", type=int, required=True)
-    sp.set_defaults(func=cmd_construct)
-    sp = sub.add_parser("verlinde", help="fusion ring from an S-matrix")
-    sp.add_argument("datum")
-    sp.set_defaults(func=cmd_verlinde)
-    sp = sub.add_parser("balance", help="balancing equation check")
-    sp.add_argument("ring")
-    sp.add_argument("datum")
-    sp.set_defaults(func=cmd_balance)
-    sp = sub.add_parser("qforms", help="quadratic forms on an abelian group")
-    sp.add_argument("group")
+    add("verlinde", "fusion ring from an S-matrix", cmd_verlinde, "datum")
+    add("balance", "balancing equation check", cmd_balance, "ring", "datum")
+    sp = add("qforms", "quadratic forms on an abelian group", cmd_qforms, "group")
     sp.add_argument("--classes", action="store_true")
-    sp.set_defaults(func=cmd_qforms)
-    sp = sub.add_parser("gagola", help="Gagola character analysis of a table")
-    sp.add_argument("table")
-    sp.set_defaults(func=cmd_gagola)
-    sp = sub.add_parser("cases", help="braided near-integral constraint cases")
+    add("gagola", "Gagola character analysis of a table", cmd_gagola, "table")
+    sp = add("cases", "braided near-integral constraint cases", cmd_cases)
     sp.add_argument("--N", type=_positive_int, required=True)
-    sp.set_defaults(func=cmd_cases)
-    sp = sub.add_parser("catalog", help="list, verify or show built-in data")
+    sp = add("catalog", "list, verify or show built-in data", cmd_catalog)
     sp.add_argument("action", choices=("list", "verify", "show"))
     sp.add_argument("name", nargs="?")
-    sp.set_defaults(func=cmd_catalog)
     return p
 
 
+_PARSER = build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except InputProblemUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

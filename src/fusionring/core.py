@@ -325,7 +325,6 @@ class CharacterTable:
         return self.rows[:, 0].real
 
     def validate(self) -> None:
-        r = self.num_classes
         degs = self.rows[:, 0]
         if np.abs(degs.imag).max() > SNAP_TOL or any(
                 snap_int(d) is None or snap_int(d) < 1 for d in degs.real):

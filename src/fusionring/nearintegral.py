@@ -10,7 +10,7 @@ eigenvalues of rho outside S are the roots d+- of t^2 - kappa t - N = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,9 +86,12 @@ class GagolaReport:
 
 
 def roots_dpm(kappa: float, big_n: float):
-    """The two roots of t^2 - kappa t - N = 0, larger first."""
-    disc = math.sqrt(kappa * kappa + 4.0 * big_n)
-    return (kappa + disc) / 2.0, (kappa - disc) / 2.0
+    """The two roots of t^2 - kappa t - N = 0 for N > 0, larger first.
+
+    d- = -N / d+ (Vieta), since kappa - sqrt(kappa^2 + 4N) cancels at
+    large kappa."""
+    d_plus = (kappa + math.sqrt(kappa * kappa + 4.0 * big_n)) / 2.0
+    return d_plus, -big_n / d_plus
 
 
 def subring_on(ring: FusionRing, indices) -> FusionRing:

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError, MalformedInput, _is_int, _scalar_matrix
+from .core import (FusionRing, FusionRingError, MalformedInput, _is_int, _json_object,
+                   _scalar_matrix)
 from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 
 __all__ = [
@@ -417,15 +418,14 @@ def braided_cases(big_n: int) -> list:
 
 
 def modular_datum_from_json(data) -> ModularDatum:
-    """Read a modular datum from its JSON object.
+    """Read a modular datum from its JSON object (or a string holding it).
 
     Raises MalformedInput unless data is an object with 'S' a square matrix
     of scalars (see core._scalar_matrix), 'T' one [num, den] integer pair
     with den > 0 per row of S and, when given, 'dims' one number of size
     below 2^63 per row of S.
     """
-    if not isinstance(data, dict):
-        raise MalformedInput("modular-datum JSON must be an object")
+    data = _json_object(data, "modular-datum")
     s = _scalar_matrix(data, "S")
     t, dims = data.get("T"), data.get("dims")
     if not (isinstance(t, list) and len(t) == len(s) and all(

@@ -13,8 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusionring import catalog, cli
 from fusionring.core import FusionRingError, group_ring, ring_to_json, table_to_json
-from fusionring.nearintegral import gagola_analyze
+from fusionring.nearintegral import construct, gagola_analyze
 from fusionring.premodular import modular_datum_to_json
+
+
+S3_TABLE_JSON = json.dumps(table_to_json(catalog.load_entry("S3").payload))
 
 
 def run(capsys, *argv):
@@ -217,13 +220,70 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, "zeta(2,1"]]}', 3),
     (["--seed", "3", "chars", "catalog:S3"], None, 2),
     (["--tolerance", "1e-3", "detect", "catalog:S3"], None, 2),
+    (["gagola", "catalog:Z(Rep(S3))"], None, 3),
+    (["balance", "catalog:Z(Rep(S3))", "catalog:S3"], None, 3),
+    (["verify", "-"], '{"order": 2}', 3),
+    (["gagola", "-"], '{"tensor": [[[1]]]}', 3),
+    (["verlinde", "-"], '{"order": 2, "rows": [[1, 1], [1, 1]]}', 3),
+    (["fpdim", "catalog:groups<=6classes"], None, 1),
+    (["--data-dir", "{tmp}", "fpdim", "catalog:S3-table"], None, 0),
 ])
-def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch):
+def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code, _, err = run(capsys, *argv)
+    (tmp_path / "S3-table.json").write_text(S3_TABLE_JSON)
+    code, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == want
     assert len(err.splitlines()) == (want != 0) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, stdin, want, message", [
+    (["gagola", "catalog:Z(Rep(S3))"], None, 3,
+     "input error: Z(Rep(S3)) is a modularDatum, not a character table"),
+    (["balance", "catalog:Z(Rep(S3))", "catalog:S3"], None, 3,
+     "input error: S3 is a characterTable, not a modular datum"),
+    (["verify", "-"], '{"order": 2}', 3,
+     "input error: cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
+     "'rows' (character table) or 'S' (modular datum)"),
+    (["gagola", "-"], '{"tensor": [[[1]]]}', 3,
+     "input error: expected character-table JSON with a 'rows' key"),
+    # the kind is decided before the (invalid) table is read
+    (["verlinde", "-"], '{"order": 2, "rows": [[1, 1], [1, 1]]}', 3,
+     "input error: expected modular-datum JSON with an 'S' key"),
+    (["fpdim", "catalog:groups<=6classes"], None, 1,
+     "FusionRingError: entry 'groups<=6classes' of kind groupList is not ring-valued"),
+])
+def test_input_kind_messages(argv, stdin, want, message, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (want, "", message + "\n")
+
+
+def test_non_text_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "fpdim", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("cli.run built a parser")
+    monkeypatch.setattr(cli, "build_parser", fail)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", fail)
+    code, out, _ = run(capsys, "fpdim", "catalog:S3")
+    assert code == 0 and "FPdim(ring) = 6" in out
+
+
+def test_detect_stdin_large_kappa(capsys, monkeypatch):
+    # R(C1, 10^4): d- = -N/d+ keeps the dim(A_chi-) forms in agreement
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        json.dumps(ring_to_json(construct(group_ring([1]), 10 ** 4)))))
+    code, out, err = run(capsys, "--format", "json", "detect", "-")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kappa"] == 10 ** 4
 
 
 def run_subprocess(*argv, stdin=None, **env):

@@ -1,0 +1,91 @@
+"""Dead-name guard over the package source, with the standard library only.
+
+Fails on an imported name that the module never uses and on a function
+local that is assigned but never read. The package's __init__.py is all
+re-exports, so its imports are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import fusionring
+
+SOURCES = sorted(Path(fusionring.__file__).parent.glob("*.py"))
+
+
+def _loaded(tree) -> set:
+    """Names read anywhere in tree, including __all__ entries."""
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names |= {e.value for e in node.value.elts}
+    return names
+
+
+def unused_imports(tree) -> list:
+    used = _loaded(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    out.append(f"line {node.lineno}: import {bound}")
+    return out
+
+
+def _assigned(node):
+    """(name, line) of each plain name an assignment-like node binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+        targets = [node.target]
+    elif isinstance(node, ast.withitem):
+        targets = [node.optional_vars]
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+        return [(node.name, node.lineno)]
+    else:
+        return []
+    return [(t.id, t.lineno) for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_locals(tree) -> list:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # a nested function reading the name counts as a read
+        read = _loaded(fn)
+        shared = {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        for node in ast.walk(fn):
+            for name, line in _assigned(node):
+                if name not in read and name not in shared and not name.startswith("_"):
+                    out.append(f"line {line}: {fn.name}.{name}")
+    return out
+
+
+def test_sources_found():
+    assert {"cli.py", "core.py", "__init__.py"} <= {p.name for p in SOURCES}
+
+
+def test_no_unused_imports():
+    found = {p.name: unused_imports(ast.parse(p.read_text())) for p in SOURCES
+             if p.name != "__init__.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_no_unread_locals():
+    found = {p.name: unread_locals(ast.parse(p.read_text())) for p in SOURCES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_guard_catches_dead_names():
+    tree = ast.parse("import os\nfrom a import b, c\n"
+                     "def f(x):\n    r = 1\n    y = x\n    return c(y)\n")
+    assert unused_imports(tree) == ["line 1: import os", "line 2: import b"]
+    assert unread_locals(tree) == ["line 4: f.r"]

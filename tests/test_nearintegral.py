@@ -1,5 +1,7 @@
 """Near-integral structure detection/construction and Gagola analysis."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,20 @@ def test_detect_d_plus_integrality_is_exact():
     report = detect(construct(group_ring([1]), 10 ** 8))
     assert not report.d_plus_exact_integer
     assert not any("d+ integral" in f for f in report.flags)
+
+
+@pytest.mark.parametrize("kappa", [10 ** 4, 10 ** 6, 10 ** 8])
+def test_d_minus_stable_at_large_kappa(kappa):
+    # (kappa - sqrt(kappa^2 + 4N)) / 2 cancels here; the true root is
+    # -N / d+, which a 40-digit Decimal evaluation of the closed form confirms
+    report = detect(construct(group_ring([1]), kappa))
+    n, dp, dm = report.big_n, report.d_plus, report.d_minus
+    assert abs(dm - -n / dp) <= 1e-15 * abs(dm)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (Decimal(kappa) - (Decimal(kappa) ** 2 + 4 * n).sqrt()) / 2
+    assert abs(Decimal(dm) - exact) <= Decimal(1e-15) * abs(exact)
+    assert dim_a_chi_minus(report) == pytest.approx(1 + kappa * dp / n, rel=1e-15)
 
 
 # (18, 3, 6) is extraspecial_kappa(3, 1): kappa = 3, N = 18, d+ = 6
