@@ -354,7 +354,10 @@ def cmd_catalog(args) -> int:
     # show
     if not args.name:
         raise InputProblem("catalog show needs an entry name")
-    entry = catalog.load_entry(args.name)
+    try:
+        entry = catalog.load_entry(args.name)
+    except catalog.UnknownEntry:
+        raise InputProblem(f"unknown catalog entry {args.name!r}") from None
     if entry.kind == "characterTable":
         body = table_to_json(entry.payload)
     elif entry.kind == "modularDatum":

@@ -8,6 +8,7 @@ permutation. Index 0 is always the unit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -192,6 +193,27 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """Read-only boolean tensor: support[i, j, k] iff c_ij^k != 0."""
+        support = self.tensor != 0
+        support.setflags(write=False)
+        return support
+
+    @functools.cached_property
+    def support_masks(self) -> tuple:
+        """support_masks[i][j] is the support of b_i b_j as a bitmask: bit k
+        is set iff c_ij^k != 0."""
+        n = self.rank
+        words = max(1, -(-n // 64))
+        padded = np.zeros((n, n, 64 * words), dtype=bool)
+        padded[:, :, :n] = self.support
+        packed = np.packbits(padded, axis=2, bitorder="little").view("<u8").astype(object)
+        masks = packed[:, :, 0]
+        for w in range(1, words):
+            masks = masks | (packed[:, :, w] << (64 * w))
+        return tuple(map(tuple, masks.tolist()))
 
     def is_commutative(self) -> bool:
         return bool((self.tensor == self.tensor.transpose(1, 0, 2)).all())

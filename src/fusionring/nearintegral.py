@@ -117,12 +117,11 @@ def detect(ring: FusionRing):
     """
     n = ring.rank
     dims = spectral.fpdims(ring)
-    support = ring.tensor != 0
     for rho in range(1, n):
         if ring.dual[rho] != rho:
             continue
         comp = [i for i in range(n) if i != rho]
-        if _first_escape(support, comp) is not None:
+        if _first_escape(ring.support, comp) is not None:
             continue
         sub_dims = [snap_int(dims[i]) for i in comp]
         if None in sub_dims:

@@ -54,7 +54,7 @@ class SubringHandle:
         for i in self.indices:
             if ring.dual[i] not in self.indices:
                 raise ClosureViolation(f"dual of {i} escapes the handle")
-        escape = _first_escape(ring.tensor != 0, self.indices)
+        escape = _first_escape(ring.support, self.indices)
         if escape is not None:
             i, j, k = escape
             raise ClosureViolation(f"product {i}*{j} meets {k} outside the handle")
@@ -63,7 +63,7 @@ class SubringHandle:
 def _first_escape(support: np.ndarray, indices):
     """The first product (i, j, k) in lexicographic order with i and j in
     indices, k outside them and support[i, j, k] set; None when the index
-    set is fusion-closed. support is the boolean tensor ring.tensor != 0."""
+    set is fusion-closed. support is the boolean tensor ring.support."""
     inside = np.zeros(support.shape[0], dtype=bool)
     inside[list(indices)] = True
     idx = np.flatnonzero(inside)
@@ -76,37 +76,54 @@ def _first_escape(support: np.ndarray, indices):
 
 def closure(ring: FusionRing, seed) -> SubringHandle:
     """Smallest fusion-closed, dual-closed subset containing the unit and
-    the seed indices."""
-    support = ring.tensor != 0
-    dual = np.asarray(ring.dual)
-    current = np.zeros(ring.rank, dtype=bool)
-    current[[0, *seed]] = True
-    current |= current[dual]
-    while True:
-        grown = current | support[np.ix_(current, current)].any(axis=(0, 1))
-        grown |= grown[dual]
-        if (grown == current).all():
-            return SubringHandle(tuple(np.flatnonzero(current)))
-        current = grown
+    the seed indices.
+
+    Breadth-first over words in the generators seed + dual(seed), from the
+    unit (the empty word): supp(g w) is the union of supp(g x) over x in
+    supp(w), since structure constants are nonnegative. The basis elements
+    met in some word are fusion-closed (x y is bounded by the product of
+    words containing x and y) and dual-closed (the dual of a word is a word
+    in the duals)."""
+    masks = ring.support_masks
+    gens = {int(g) for g in seed}
+    rows = [masks[g] for g in gens | {ring.dual[g] for g in gens}]
+    reached = 1
+    queue = [0]
+    for x in queue:
+        new = 0
+        for row in rows:
+            new |= row[x]
+        new &= ~reached
+        reached |= new
+        while new:
+            low = new & -new
+            queue.append(low.bit_length() - 1)
+            new ^= low
+    return SubringHandle(tuple(queue))
 
 
 def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
     """All fusion subrings, by closing generating subsets; sorted by rank
-    then indices. Raises SearchBudgetExceeded past max_count closures."""
-    found = {closure(ring, ())}
+    then indices. Each subring H found is extended by every basis element
+    outside it, one closure each, so max_count bounds the sum of
+    rank - |H| over all subrings H; past it SearchBudgetExceeded is raised.
+    A closure takes the generators that produced H, not H itself."""
+    unit = closure(ring, ())
+    found = {unit: ()}
     budget = max_count
-    frontier = list(found)
+    frontier = [unit]
     while frontier:
         handle = frontier.pop()
+        gens = found[handle]
         for g in range(1, ring.rank):
             if g in handle.indices:
                 continue
             budget -= 1
             if budget < 0:
                 raise SearchBudgetExceeded(f"more than {max_count} closure computations")
-            bigger = closure(ring, handle.indices + (g,))
+            bigger = closure(ring, gens + (g,))
             if bigger not in found:
-                found.add(bigger)
+                found[bigger] = gens + (g,)
                 frontier.append(bigger)
     out = sorted(found, key=lambda h: (h.rank, h.indices))
     for h in out:
@@ -126,7 +143,7 @@ def pointed_subring(ring: FusionRing) -> SubringHandle:
 
 def adjoint_subring(ring: FusionRing) -> SubringHandle:
     """Fusion closure of the supports of all b_i b_{i*}."""
-    seed = (ring.tensor[np.arange(ring.rank), list(ring.dual)] != 0).any(axis=0)
+    seed = ring.support[np.arange(ring.rank), list(ring.dual)].any(axis=0)
     return closure(ring, np.flatnonzero(seed))
 
 
@@ -164,7 +181,7 @@ def universal_grading(ring: FusionRing) -> GradingReport:
     The adjoint subring is dual-closed, so by Frobenius reciprocity and
     associativity that relation is an equivalence: row i of `linked` is the
     whole component of i, labelled by its smallest member."""
-    support = ring.tensor != 0
+    support = ring.support
     ad = adjoint_subring(ring)
     linked = support[list(ad.indices)].any(axis=0)
     rep = linked.argmax(axis=1)

@@ -227,6 +227,7 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verlinde", "-"], '{"order": 2, "rows": [[1, 1], [1, 1]]}', 3),
     (["fpdim", "catalog:groups<=6classes"], None, 1),
     (["--data-dir", "{tmp}", "fpdim", "catalog:S3-table"], None, 0),
+    (["catalog", "show", "nope"], None, 3),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:
@@ -252,6 +253,7 @@ def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_
      "input error: expected modular-datum JSON with an 'S' key"),
     (["fpdim", "catalog:groups<=6classes"], None, 1,
      "FusionRingError: entry 'groups<=6classes' of kind groupList is not ring-valued"),
+    (["catalog", "show", "nope"], None, 3, "input error: unknown catalog entry 'nope'"),
 ])
 def test_input_kind_messages(argv, stdin, want, message, capsys, monkeypatch):
     if stdin is not None:

@@ -13,6 +13,7 @@ from fusionring.spectral import (NotCommutative, characters, codegree_object_dim
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
                                  spectral_report, SNAP_TOL)
+from shared_rings import s3_group_ring
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -48,20 +49,6 @@ def test_fpdim_group_ring_all_one():
 def test_ring_fpdim():
     assert ring_fpdim(ising_ring()) == pytest.approx(4.0)
     assert ring_fpdim(fib_ring()) == pytest.approx(1 + GOLDEN ** 2)
-
-
-def s3_group_ring():
-    """Group ring of the nonabelian S3 from its multiplication table on
-    e, r, r2, s, sr, sr2."""
-    def mul(a, b):
-        ra, sa = a % 3, a // 3
-        rb, sb = b % 3, b // 3
-        if sa == 0:
-            r, s = (ra + rb) % 3, sb
-        else:
-            r, s = (ra - rb) % 3, 1 - sb
-        return s * 3 + r
-    return group_ring([[mul(a, b) for b in range(6)] for a in range(6)])
 
 
 def test_characters_noncommutative_raises():

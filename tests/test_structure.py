@@ -1,16 +1,19 @@
 """Subring enumeration, pointed/adjoint/integral subrings, universal grading."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring.core import FusionRing, group_ring
-from fusionring.structure import (ClosureViolation, GradingReport, SubringHandle,
-                                  adjoint_subring, closure, enumerate_subrings,
-                                  integral_subring, pointed_subring,
-                                  universal_grading)
+from fusionring import structure
+from fusionring.core import FusionRing, group_ring, product_ring
+from fusionring.structure import (ClosureViolation, GradingReport, SearchBudgetExceeded,
+                                  SubringHandle, adjoint_subring, closure,
+                                  enumerate_subrings, integral_subring,
+                                  pointed_subring, universal_grading)
+from shared_rings import s3_group_ring
 
 
 def ising_ring():
@@ -213,10 +216,24 @@ def oracle_rings():
     ty = fr.construct(group_ring([2, 2]), 0)
     rings["TY(C2xC2)"] = ty
     rings["R(TY(C2xC2),7)"] = fr.construct(ty, 7)
+    # noncommutative: the group ring of S3 and its product with Rep(A4)
+    rings["ZS3"] = s3_group_ring()
+    rings["ZS3xRep(A4)"] = product_ring(s3_group_ring(), fr.entry_ring("A4"))
     return rings
 
 
 ORACLE_RINGS = oracle_rings()
+
+
+@functools.cache
+def oracle_lattice(name):
+    return oracle_subrings(ORACLE_RINGS[name])
+
+
+def closure_budget(ring, subrings):
+    """What enumerate_subrings spends of max_count: one closure per subring
+    H and basis element outside it."""
+    return sum(ring.rank - len(h) for h in subrings)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
@@ -238,7 +255,7 @@ def test_structure_matches_loop_reference(name):
                     handle.verify(ring)
                 assert str(exc.value) == message
 
-    subrings = oracle_subrings(ring)
+    subrings = oracle_lattice(name)
     assert [h.indices for h in enumerate_subrings(ring)] == subrings
     integral = [i for i in range(n) if abs(fr.fpdim(ring, i) - round(fr.fpdim(ring, i))) <= 1e-6]
     assert integral_subring(ring).indices == tuple(integral)
@@ -252,3 +269,81 @@ def test_structure_matches_loop_reference(name):
     assert report.adjoint.indices == ad
     assert report.component_of == component_of
     assert report.group_table.tolist() == table
+
+
+def test_oracle_rings_include_noncommutative():
+    assert not ORACLE_RINGS["ZS3"].is_commutative()
+    assert not ORACLE_RINGS["ZS3xRep(A4)"].is_commutative()
+    assert len(oracle_lattice("ZS3")) == 6
+    assert ORACLE_RINGS["ZS3xRep(A4)"].rank == 24 and len(oracle_lattice("ZS3xRep(A4)")) == 20
+
+
+def test_closure_budget_c2_5():
+    ring = group_ring([2] * 5)
+    assert len(enumerate_subrings(ring, max_count=9517)) == 374
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_subrings(ring, max_count=9516)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_closure_budget_is_sum_of_coranks(name):
+    ring = ORACLE_RINGS[name]
+    budget = closure_budget(ring, oracle_lattice(name))
+    assert len(enumerate_subrings(ring, max_count=budget)) == len(oracle_lattice(name))
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_subrings(ring, max_count=budget - 1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_enumerate_subrings_closure_calls(name, monkeypatch):
+    # benchmarks/tracing.py counts these calls (closure_calls, closure_yield)
+    ring = ORACLE_RINGS[name]
+    calls = []
+
+    def counted(ring, seed):
+        calls.append(seed)
+        return closure(ring, seed)
+
+    monkeypatch.setattr(structure, "closure", counted)
+    enumerate_subrings(ring)
+    assert len(calls) == 1 + closure_budget(ring, oracle_lattice(name))
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, n, count", [(2, 4, 67), (3, 3, 28), (2, 5, 374)])
+def test_elementary_abelian_subgroup_counts(p, n, count):
+    assert sum(gaussian_binomial(n, k, p) for k in range(n + 1)) == count
+    assert len(enumerate_subrings(group_ring([p] * n))) == count
+
+
+def test_support_cached_on_ring():
+    ring, twin = group_ring([6]), group_ring([6])
+    support = ring.support
+    assert support is ring.support
+    assert not support.flags.writeable
+    assert (support == (ring.tensor != 0)).all()
+    masks = ring.support_masks
+    assert masks == tuple(tuple(sum(1 << int(k) for k in np.flatnonzero(ring.tensor[i, j]))
+                                for j in range(6)) for i in range(6))
+    closure(ring, (2,))
+    first = ring.support_masks
+    closure(ring, (3,))
+    assert ring.support_masks is first is masks
+    # the cache is not a field: equality and hashing ignore it
+    assert ring == twin and hash(ring) == hash(twin)
+    assert "support" not in vars(twin)
+
+
+def test_support_masks_past_one_word():
+    # rank 100 needs two 64-bit words per mask
+    ring = group_ring([100])
+    masks = ring.support_masks
+    assert masks[1][99] == 1 and masks[99][99] == 1 << 98 and masks[63][1] == 1 << 64
