@@ -138,12 +138,13 @@ class ClassificationRow:
     def consistency_error(self) -> float:
         return abs(sum(d * d for d in self.fpdims()) - self.fpdim_total())
 
-    def verify(self) -> None:
+    def verify(self) -> float:
         err = self.consistency_error()
         if err > SNAP_TOL:
             raise FusionRingError(
                 f"row {self.family}/{self.name}: sum of squared dims misses "
                 f"the stated FPdim by {err:.3g}")
+        return err
 
     def to_json(self) -> dict:
         out = {
@@ -274,8 +275,7 @@ def _verify_entry(entry: CatalogEntry) -> str:
                 f"{info['globalDim']:.6g}, balancing clean")
     if entry.kind == "classificationRow":
         row: ClassificationRow = entry.payload
-        row.verify()
-        return f"dims consistent within {row.consistency_error():.2e}"
+        return f"dims consistent within {row.verify():.2e}"
     if entry.kind == "groupList":
         for g in entry.payload:
             if g["order"] < 1 or not (1 <= g["numCentralInvolutive"] <= g["order"]):

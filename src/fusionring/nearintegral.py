@@ -5,6 +5,11 @@ that every other basis element spans, with the unit, a subring S of corank
 one, x * rho = FPdim(x) rho for x in S, and
 rho^2 = kappa rho + sum_{x in S} FPdim(x) x. Writing N = FPdim(S), the two
 eigenvalues of rho outside S are the roots d+- of t^2 - kappa t - N = 0.
+
+In a fusion ring only the closure of S is not a consequence of the axioms.
+Let d_x = c_{rho rho}^x. Frobenius reciprocity gives c_{x rho}^rho = d_x and
+c_{x rho}^y = c_{x* y}^rho = 0 for x, y in S, so x * rho = d_x rho; FPdim is
+a character, so d = FPdim on S, and FPdim(rho) is the positive root d+.
 """
 
 from __future__ import annotations
@@ -95,57 +100,51 @@ def roots_dpm(kappa: float, big_n: float):
 
 
 def subring_on(ring: FusionRing, indices) -> FusionRing:
-    """Restrict the ring to a fusion-closed subset of basis indices
-    (validated)."""
+    """Restrict the ring to a fusion-closed subset of basis indices. Not
+    validated again: a unit-, dual- and fusion-closed subset keeps every
+    axiom, as each associativity sum over t meets only t inside it."""
     handle = SubringHandle(indices)
     handle.verify(ring)
     idx = list(handle.indices)
     pos = {b: a for a, b in enumerate(idx)}
-    return FusionRing.validated([ring.labels[i] for i in idx],
-                                ring.tensor[np.ix_(idx, idx, idx)],
-                                [pos[ring.dual[i]] for i in idx])
+    return FusionRing([ring.labels[i] for i in idx],
+                      ring.tensor[np.ix_(idx, idx, idx)],
+                      [pos[ring.dual[i]] for i in idx])
 
 
 def detect(ring: FusionRing):
     """Find the near-integral structure of a ring, or return None.
 
-    Scans self-dual non-unit candidates rho in index order; for each, checks
-    that the complement is fusion-closed with integer dimensions, that
-    x * rho = FPdim(x) rho on the complement, and that
-    rho^2 = kappa rho + sum FPdim(x) x. d+ is integral iff kappa^2 + 4N
-    is a perfect square, which is decided in integers.
+    Scans self-dual non-unit rho in index order for the first with
+    x * rho = d_x rho, d_x = c_{rho rho}^x >= 1, on its fusion-closed
+    complement S; then kappa = c_{rho rho}^rho and N = sum d_x^2. On a
+    fusion ring the O(n^2) integer tests follow from the closure (module
+    docstring), so no FPdim is computed; on unvalidated tensors all are
+    needed. d+- come from the exact root when kappa^2 + 4N is a square.
     """
     n = ring.rank
-    dims = spectral.fpdims(ring)
     for rho in range(1, n):
         if ring.dual[rho] != rho:
             continue
         comp = [i for i in range(n) if i != rho]
-        if _first_escape(ring.support, comp) is not None:
-            continue
-        sub_dims = [snap_int(dims[i]) for i in comp]
-        if None in sub_dims:
-            continue
-        # x * rho = FPdim(x) * rho for x in the subring
-        rows = ring.tensor[comp, rho]
-        if (rows[:, rho] != sub_dims).any() or rows[:, comp].any():
-            continue
-        # rho^2 = kappa rho + sum FPdim(x) x
         sq = ring.tensor[rho, rho]
-        if any(int(sq[i]) != d for i, d in zip(comp, sub_dims)):
+        rows = ring.tensor[comp, rho]
+        dims = sq[comp]
+        if (rows[:, comp].any() or (rows[:, rho] != dims).any() or (dims < 1).any()
+                or _first_escape(ring.support, comp) is not None):
             continue
         kappa = int(sq[rho])
-        big_n = int(sum(d * d for d in sub_dims))
-        d_plus, d_minus = roots_dpm(kappa, big_n)
+        big_n = sum(int(d) ** 2 for d in dims)
         disc = kappa * kappa + 4 * big_n
-        exact = math.isqrt(disc) ** 2 == disc
+        root = math.isqrt(disc)
+        exact = root * root == disc
+        d_plus, d_minus = (((kappa + root) / 2, (kappa - root) / 2) if exact
+                           else roots_dpm(kappa, big_n))
         flags = []
         if not exact and kappa % big_n != 0:
             flags.append("categorification-screen: d+ irrational and N does not divide kappa")
         if exact and kappa >= big_n:
             flags.append(f"kappa = {kappa} >= N = {big_n} with d+ integral")
-        if abs(dims[rho] - d_plus) > SNAP_TOL * max(1.0, d_plus):
-            flags.append(f"FPdim(rho) = {dims[rho]} differs from d+ = {d_plus}")
         return NearIntegralReport(tuple(comp), rho, kappa, big_n,
                                   d_plus, d_minus, exact, tuple(flags))
     return None
@@ -176,15 +175,14 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
 
 
 def distinguished_characters(ring: FusionRing, report: NearIntegralReport):
-    """The two characters chi+- that restrict to FPdim on S and send rho to
-    d+-. Returned as (chi_plus, chi_minus) value vectors on the full basis.
-    Verifies multiplicativity on all basis pairs."""
-    n = ring.rank
-    dims = spectral.fpdims(ring)
+    """The two characters chi+- that restrict to FPdim = c_{rho rho}^x on S
+    and send rho to d+-. Returned as (chi_plus, chi_minus) value vectors on
+    the full basis. Verifies multiplicativity on all basis pairs."""
+    rho = report.rho_index
     out = []
     for d_rho in (report.d_plus, report.d_minus):
-        v = np.array([dims[i] if i != report.rho_index else d_rho for i in range(n)],
-                     dtype=complex)
+        v = ring.tensor[rho, rho].astype(complex)
+        v[rho] = d_rho
         err = _hom_defect(ring, v)
         if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
             raise NotNearIntegral(f"chi({d_rho}) fails multiplicativity by {err}")
@@ -205,11 +203,8 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     report.subring_indices. Raises ExtensionObstructed if the extension is
     not a character.
     """
-    n = ring.rank
-    v = np.zeros(n, dtype=complex)
-    for pos, i in enumerate(report.subring_indices):
-        v[i] = sub_values[pos]
-    v[report.rho_index] = 0.0
+    v = np.zeros(ring.rank, dtype=complex)  # zero at rho
+    v[list(report.subring_indices)] = sub_values
     err = _hom_defect(ring, v)
     if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
         raise ExtensionObstructed(
@@ -220,7 +215,8 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
 
 def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> list:
     """Codegrees of R(S, kappa): those of S with one copy of FPdim(S)
-    replaced by the pair N + d+^2 and N + d-^2. Cross-checked against the
+    replaced by N + d+-^2 = 2N + kappa d+-, in integers when kappa = 0 or
+    d+- are integers and a float otherwise. Cross-checked against the
     direct spectral computation when the ring is commutative."""
     sub = subring_on(ring, report.subring_indices)
     sub_codegs = spectral.formal_codegrees(sub)
@@ -230,10 +226,12 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
         raise NotNearIntegral(
             f"no subring codegree matches FPdim(S) = {target}: {sub_codegs}")
     out = sub_codegs[:best] + sub_codegs[best + 1:]
-    d_p, d_m = report.d_plus, report.d_minus
-    for extra in (target + d_p * d_p, target + d_m * d_m):
-        i = snap_int(extra)
-        out.append(i if i is not None else extra)
+    k = report.kappa
+    if k == 0 or report.d_plus_exact_integer:
+        root = math.isqrt(k * k + 4 * target)
+        out += [2 * target + k * (k + root) // 2, 2 * target + k * (k - root) // 2]
+    else:
+        out += [target + d * d for d in (report.d_plus, report.d_minus)]
     out = sorted(out, key=float, reverse=True)
     if ring.is_commutative():
         direct = spectral.formal_codegrees(ring)

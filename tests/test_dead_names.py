@@ -1,8 +1,9 @@
 """Dead-name guard over the package source, with the standard library only.
 
-Fails on an imported name that the module never uses and on a function
-local that is assigned but never read. The package's __init__.py is all
-re-exports, so its imports are not checked.
+Fails on an imported name that the module never uses, on a function
+local that is assigned but never read, and on a module-level private
+function, class or constant that no package module reads. The package's
+__init__.py is all re-exports, so its imports are not checked.
 """
 
 import ast
@@ -69,6 +70,31 @@ def unread_locals(tree) -> list:
     return out
 
 
+def unread_privates(trees: dict) -> list:
+    """Each module-level _name (not __dunder__) bound by a def, class or
+    assignment in one of trees (module name -> tree) that no tree reads by
+    name, as an attribute or through a from-import."""
+    read = set()
+    for tree in trees.values():
+        read |= _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [(node.name, node.lineno)]
+            else:
+                bound = _assigned(node)
+            out += [f"{module} line {line}: {name}" for name, line in bound
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in read]
+    return out
+
+
 def test_sources_found():
     assert {"cli.py", "core.py", "__init__.py"} <= {p.name for p in SOURCES}
 
@@ -84,8 +110,18 @@ def test_no_unread_locals():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def test_no_unread_privates():
+    assert unread_privates({p.name: ast.parse(p.read_text()) for p in SOURCES}) == []
+
+
 def test_guard_catches_dead_names():
     tree = ast.parse("import os\nfrom a import b, c\n"
                      "def f(x):\n    r = 1\n    y = x\n    return c(y)\n")
     assert unused_imports(tree) == ["line 1: import os", "line 2: import b"]
     assert unread_locals(tree) == ["line 4: f.r"]
+    trees = {"a.py": ast.parse("_K = 1\n_L = 2\n__x__ = 3\ndef _f():\n    return _K\n"
+                               "class _C:\n    pass\nclass _D:\n    pass\n"
+                               "def _g():\n    return 0\n"),
+             "b.py": ast.parse("import a\nfrom a import _C\nprint(_C, a._g)\n")}
+    assert unread_privates(trees) == ["a.py line 2: _L", "a.py line 4: _f",
+                                      "a.py line 8: _D"]

@@ -1,18 +1,24 @@
 """Near-integral structure detection/construction and Gagola analysis."""
 
+import functools
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring.core import FusionRing, FusionRingError, group_ring
-from fusionring.nearintegral import (ExtensionObstructed, character_kernel,
-                                     construct, detect, dim_a_chi_minus,
-                                     distinguished_characters, extend_character,
-                                     extraspecial_kappa, gagola_analyze,
-                                     near_integral_codegrees, roots_dpm,
-                                     subring_on)
+from fusionring import spectral
+from fusionring.core import (FusionRing, FusionRingError, group_ring, product_ring,
+                             validate_tensor)
+from fusionring.exact import SNAP_TOL, snap_int
+from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport,
+                                     character_kernel, construct, detect,
+                                     dim_a_chi_minus, distinguished_characters,
+                                     extend_character, extraspecial_kappa,
+                                     gagola_analyze, near_integral_codegrees,
+                                     roots_dpm, subring_on)
+from fusionring.structure import _first_escape, enumerate_subrings
 
 
 def test_roots():
@@ -78,6 +84,15 @@ def test_detect_rejects_wrong_x_times_rho(g_rho):
     # rejects this (unvalidated) tensor
     tensor = construct(group_ring([2]), 1).tensor.copy()
     tensor[1, 2] = g_rho
+    assert detect(FusionRing(["1", "g", "rho"], tensor, [0, 1, 2])) is None
+
+
+def test_detect_rejects_open_complement():
+    # R(C2, 1) with g * g changed from 1 to 1 + rho: x * rho = FPdim(x) rho
+    # and rho^2 = kappa rho + 1 + g still hold, so only the closure test
+    # rejects this (unvalidated) tensor
+    tensor = construct(group_ring([2]), 1).tensor.copy()
+    tensor[1, 1, 2] = 1
     assert detect(FusionRing(["1", "g", "rho"], tensor, [0, 1, 2])) is None
 
 
@@ -208,3 +223,134 @@ def test_near_integral_codegrees_s3():
     report = detect(fr.entry_ring("S3"))
     codegs = near_integral_codegrees(fr.entry_ring("S3"), report)
     assert codegs == [6, 3, 2]
+
+
+@pytest.mark.parametrize("order, kappa", [(1, 10 ** 8), (3, 10 ** 6)])
+def test_near_integral_codegrees_irrational_stay_floats(order, kappa):
+    # N + d+-^2 is irrational here, yet lies within a float snap of an
+    # integer: 10^16 + 3 - 1e-16 and 1 + 1e-16, 10^12 + 9 - 9e-12 and
+    # 3 + 9e-12; 50-digit Decimal values of the closed form confirm them
+    ring = construct(group_ring([order]), kappa)
+    got = near_integral_codegrees(ring, detect(ring))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = (Decimal(kappa) ** 2 + 4 * order).sqrt()
+        want = [order + ((kappa + sign * root) / 2) ** 2 for sign in (1, -1)]
+        assert [type(c) for c in got[:2]] == [float, float]
+        assert all(abs(Decimal(c) - w) <= w * Decimal(2) ** -50
+                   for c, w in zip(got[:2], want))
+    assert got[2:] == [order] * (order - 1)
+
+
+@pytest.mark.parametrize("sub, kappa, want", [([3], 0, [6, 6, 3, 3]), ([2], 1, [6, 3, 2]),
+                                              ([3], 2, [12, 4, 3, 3])])
+def test_near_integral_codegrees_integral_pair_in_ints(sub, kappa, want):
+    # kappa = 0 (d+- = +-sqrt(3) irrational) or kappa^2 + 4N a square: the
+    # pair 2N + kappa d+- is computed in Python ints
+    ring = construct(group_ring(sub), kappa)
+    got = near_integral_codegrees(ring, detect(ring))
+    assert got == want and all(type(c) is int for c in got)
+
+
+def _float_detect(ring: FusionRing):
+    """detect as it was while it read FPdims by power iteration and snapped
+    them, kept verbatim as an oracle."""
+    n = ring.rank
+    dims = spectral.fpdims(ring)
+    for rho in range(1, n):
+        if ring.dual[rho] != rho:
+            continue
+        comp = [i for i in range(n) if i != rho]
+        if _first_escape(ring.support, comp) is not None:
+            continue
+        sub_dims = [snap_int(dims[i]) for i in comp]
+        if None in sub_dims:
+            continue
+        # x * rho = FPdim(x) rho for x in the subring
+        rows = ring.tensor[comp, rho]
+        if (rows[:, rho] != sub_dims).any() or rows[:, comp].any():
+            continue
+        # rho^2 = kappa rho + sum FPdim(x) x
+        sq = ring.tensor[rho, rho]
+        if any(int(sq[i]) != d for i, d in zip(comp, sub_dims)):
+            continue
+        kappa = int(sq[rho])
+        big_n = int(sum(d * d for d in sub_dims))
+        d_plus, d_minus = roots_dpm(kappa, big_n)
+        disc = kappa * kappa + 4 * big_n
+        exact = math.isqrt(disc) ** 2 == disc
+        flags = []
+        if not exact and kappa % big_n != 0:
+            flags.append("categorification-screen: d+ irrational and N does not divide kappa")
+        if exact and kappa >= big_n:
+            flags.append(f"kappa = {kappa} >= N = {big_n} with d+ integral")
+        if abs(dims[rho] - d_plus) > SNAP_TOL * max(1.0, d_plus):
+            flags.append(f"FPdim(rho) = {dims[rho]} differs from d+ = {d_plus}")
+        return NearIntegralReport(tuple(comp), rho, kappa, big_n,
+                                  d_plus, d_minus, exact, tuple(flags))
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _base_rings() -> dict:
+    """Every ring-valued catalog entry, C1..C16 and C2^3."""
+    rings = {name: fr.entry_ring(name) for name in fr.list_catalog()
+             if fr.load_entry(name).kind in ("characterTable", "modularDatum")}
+    rings.update({f"C{n}": group_ring([n]) for n in range(1, 17)})
+    rings["C2^3"] = group_ring([2, 2, 2])
+    return rings
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rings() -> dict:
+    """The base rings, R(S, 0..3) over each of rank <= 9, two Deligne
+    products, and R(C1 or C3, kappa) at large kappa."""
+    rings = dict(_base_rings())
+    for name, sub in _base_rings().items():
+        if sub.rank <= 9:
+            rings.update({f"R({name},{k})": construct(sub, k) for k in range(4)})
+    fib = construct(group_ring([1]), 1)
+    rings["FibxFib"] = product_ring(fib, fib)
+    rings["S3xA4"] = product_ring(fr.entry_ring("S3"), fr.entry_ring("A4"))
+    for order in (1, 3):
+        for kappa in (10 ** 4, 10 ** 6, 10 ** 8, 2 ** 40):
+            rings[f"R(C{order},{kappa})"] = construct(group_ring([order]), kappa)
+    return rings
+
+
+def test_detect_matches_float_fpdim_oracle():
+    rings = _oracle_rings()
+    got = {name: detect(r) for name, r in rings.items()}
+    want = {name: _float_detect(r) for name, r in rings.items()}
+    assert {k: v and v.to_json() for k, v in got.items()} == {
+        k: v and v.to_json() for k, v in want.items()}
+    assert (len(rings), sum(v is not None for v in got.values())) == (107, 87)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+def test_detect_and_chi_pm_compute_no_fpdims(monkeypatch):
+    ring = construct(construct(group_ring([2, 2]), 0), 7)  # R(TY(C2xC2), 7)
+    monkeypatch.setattr(spectral, "fpdims", _refuse)
+    report = detect(ring)
+    chi_plus, chi_minus = distinguished_characters(ring, report)
+    assert (report.kappa, report.big_n, report.d_plus, report.d_minus) == (7, 8, 8.0, -1.0)
+    assert chi_plus.tolist() == [1, 1, 1, 1, 2, 8]
+    assert chi_minus.tolist() == [1, 1, 1, 1, 2, -1]
+
+
+def test_restrictions_and_products_are_fusion_rings(monkeypatch):
+    # neither subring_on nor product_ring validates; both must still give
+    # rings that pass every axiom
+    rings = list(_oracle_rings().values())
+    small = [r for r in _base_rings().values() if r.rank <= 8]
+    handles = [(r, h.indices) for r in rings for h in enumerate_subrings(r)]
+    monkeypatch.setattr(FusionRing, "validated", _refuse)
+    restricted = [subring_on(r, idx) for r, idx in handles]
+    products = [product_ring(a, b) for i, a in enumerate(small) for b in small[i:]]
+    monkeypatch.undo()
+    for ring in restricted + products:
+        assert validate_tensor(ring.tensor, ring.dual) == [], ring.labels
+    assert (len(restricted), len(products)) == (568, 136)
