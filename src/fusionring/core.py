@@ -246,8 +246,9 @@ class FusionRing:
 
 def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """Deligne-style product: basis pairs, tensor the structure constants.
-    Not validated again: each axiom of the product of two fusion rings holds
-    factor by factor (an associativity sum is a product of two)."""
+    The factors must be validated fusion rings; the product is not checked,
+    as each axiom holds factor by factor (an associativity sum is a product
+    of two)."""
     n, m = a.rank, b.rank
     ta, tb = a.tensor, b.tensor
     if int(ta.max()) * int(tb.max()) >= 2 ** 63:  # int64 products would wrap

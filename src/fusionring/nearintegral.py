@@ -100,9 +100,9 @@ def roots_dpm(kappa: float, big_n: float):
 
 
 def subring_on(ring: FusionRing, indices) -> FusionRing:
-    """Restrict the ring to a fusion-closed subset of basis indices. Not
-    validated again: a unit-, dual- and fusion-closed subset keeps every
-    axiom, as each associativity sum over t meets only t inside it."""
+    """Restrict a validated fusion ring to a fusion-closed subset of basis
+    indices. The result is not checked: such a subset keeps every axiom, as
+    each associativity sum over t meets only t inside it."""
     handle = SubringHandle(indices)
     handle.verify(ring)
     idx = list(handle.indices)
@@ -117,10 +117,9 @@ def detect(ring: FusionRing):
 
     Scans self-dual non-unit rho in index order for the first with
     x * rho = d_x rho, d_x = c_{rho rho}^x >= 1, on its fusion-closed
-    complement S; then kappa = c_{rho rho}^rho and N = sum d_x^2. On a
-    fusion ring the O(n^2) integer tests follow from the closure (module
-    docstring), so no FPdim is computed; on unvalidated tensors all are
-    needed. d+- come from the exact root when kappa^2 + 4N is a square.
+    complement S; then kappa = c_{rho rho}^rho and N = sum d_x^2. No FPdim
+    is computed (module docstring); the integer tests, implied by the
+    closure on a fusion ring, are kept for unvalidated tensors.
     """
     n = ring.rank
     for rho in range(1, n):
@@ -135,11 +134,9 @@ def detect(ring: FusionRing):
             continue
         kappa = int(sq[rho])
         big_n = sum(int(d) ** 2 for d in dims)
+        d_plus, d_minus = roots_dpm(kappa, big_n)
         disc = kappa * kappa + 4 * big_n
-        root = math.isqrt(disc)
-        exact = root * root == disc
-        d_plus, d_minus = (((kappa + root) / 2, (kappa - root) / 2) if exact
-                           else roots_dpm(kappa, big_n))
+        exact = math.isqrt(disc) ** 2 == disc
         flags = []
         if not exact and kappa % big_n != 0:
             flags.append("categorification-screen: d+ irrational and N does not divide kappa")
@@ -203,8 +200,11 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     report.subring_indices. Raises ExtensionObstructed if the extension is
     not a character.
     """
-    v = np.zeros(ring.rank, dtype=complex)  # zero at rho
-    v[list(report.subring_indices)] = sub_values
+    n = ring.rank
+    v = np.zeros(n, dtype=complex)
+    for pos, i in enumerate(report.subring_indices):
+        v[i] = sub_values[pos]
+    v[report.rho_index] = 0.0
     err = _hom_defect(ring, v)
     if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
         raise ExtensionObstructed(

@@ -76,9 +76,7 @@ def fpdim(ring: FusionRing, i: int) -> float:
     for _ in range(10000):
         y = m @ x
         new = float(x @ y)  # Rayleigh quotient, x normalized
-        y_norm = np.linalg.norm(y)
-        if y_norm == 0:
-            break
+        y_norm = np.linalg.norm(y)  # > 0: y >= x > 0 entrywise, as N_i >= 0
         x = y / y_norm
         if abs(new - lam) <= 1e-12 * max(1.0, abs(new)):
             return new - 1.0

@@ -354,3 +354,15 @@ def test_restrictions_and_products_are_fusion_rings(monkeypatch):
     for ring in restricted + products:
         assert validate_tensor(ring.tensor, ring.dual) == [], ring.labels
     assert (len(restricted), len(products)) == (568, 136)
+
+
+def test_restrictions_and_products_of_unchecked_rings_stay_unchecked():
+    # validity is the caller's: an invalid input gives an invalid result,
+    # and no AxiomViolation is raised
+    tensor = construct(group_ring([2]), 1).tensor.copy()
+    tensor[1, 1, 2] = 1  # g * g = 1 + rho breaks Frobenius reciprocity
+    bad = FusionRing(["1", "g", "rho"], tensor, [0, 1, 2])
+    assert validate_tensor(bad.tensor, bad.dual) != []
+    for ring in (subring_on(bad, range(3)), product_ring(bad, group_ring([2]))):
+        assert any(name == "frobenius" for name, _, _ in
+                   validate_tensor(ring.tensor, ring.dual))
