@@ -289,7 +289,8 @@ def cmd_balance(args) -> int:
 
 def cmd_qforms(args) -> int:
     factors = parse_group_spec(args.group)
-    # form_classes rejects a group above its size bound before enumerating
+    # form_classes refuses a group above either of its bounds before any
+    # QuadraticForm is built
     classes = premodular.form_classes(factors) if args.classes else None
     forms = premodular.quadratic_forms(factors)
     payload = {"factors": factors, "numForms": len(forms)}

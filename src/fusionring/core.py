@@ -259,45 +259,65 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     return FusionRing(labels, t, dual)
 
 
+def _factors(factors) -> tuple:
+    out = tuple(int(f) for f in factors)
+    if any(f < 1 for f in out):
+        raise FusionRingError(f"cyclic factor orders must be positive: {list(out)}")
+    return out
+
+
+class _Group:
+    """Index tables of G, elements numbered in itertools.product order:
+    add[i, j] and neg[i] are element numbers, gens[f] that of generator f."""
+
+    def __init__(self, factors: tuple):
+        self.elements = list(itertools.product(*[range(f) for f in factors]))
+        n, k = len(self.elements), len(factors)
+        self.coords = np.array(self.elements, dtype=np.int64).reshape(n, k)
+        self.mods = np.array(factors, dtype=np.int64)
+        self.strides = np.array([math.prod(factors[i + 1:]) for i in range(k)],
+                                dtype=np.int64)
+        self.add = self.number(self.coords[:, None, :] + self.coords[None, :, :])
+        self.neg = self.number(-self.coords)
+        self.gens = self.number(np.eye(k, dtype=np.int64))
+
+    def number(self, coords: np.ndarray) -> np.ndarray:
+        """Element numbers of coordinate vectors (last axis), reduced mod G."""
+        return (coords % self.mods) @ self.strides
+
+
 def group_ring(spec) -> FusionRing:
     """Fusion ring of a finite abelian group given by its cyclic factor orders,
     or of an arbitrary finite group given by a multiplication table.
 
     spec: list of ints (cyclic orders) or an n x n table of element indices
-    with identity at index 0.
+    in range(n) with identity at index 0. Only a table, outside input, is
+    validated; cyclic orders give a group ring by construction.
     """
     spec = list(spec)
-    if spec and isinstance(spec[0], (list, tuple)):
+    is_table = bool(spec) and isinstance(spec[0], (list, tuple))
+    if is_table:
         table = np.asarray(spec, dtype=np.int64)
         n = table.shape[0]
         if table.shape != (n, n):
             raise FusionRingError("multiplication table must be square")
+        if ((table < 0) | (table >= n)).any():
+            raise FusionRingError(f"multiplication table entries must lie in range({n})")
         labels = [f"g{i}" for i in range(n)]
         dual = [-1] * n
-        tensor = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                tensor[i, j, table[i, j]] = 1
-                if table[i, j] == 0:
-                    dual[i] = j
+        for i, j in zip(*np.nonzero(table == 0)):
+            dual[i] = int(j)
     else:
-        orders = [int(x) for x in spec]
-        if any(o < 1 for o in orders):
-            raise FusionRingError("cyclic factor orders must be positive")
-        elements = list(itertools.product(*[range(o) for o in orders]))
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        labels = ["e" if all(x == 0 for x in e) else "+".join(
-            f"{x}g{i}" for i, x in enumerate(e) if x) for e in elements]
-        tensor = np.zeros((n, n, n), dtype=np.int64)
-        dual = [0] * n
-        for e in elements:
-            i = index[e]
-            dual[i] = index[tuple((-x) % o for x, o in zip(e, orders))]
-            for f in elements:
-                prod = tuple((x + y) % o for x, y, o in zip(e, f, orders))
-                tensor[i, index[f], index[prod]] = 1
-    return FusionRing.validated(labels, tensor, dual)
+        grp = _Group(_factors(spec))
+        table, dual = grp.add, grp.neg
+        labels = ["e" if not any(e) else "+".join(f"{x}g{i}" for i, x in enumerate(e) if x)
+                  for e in grp.elements]
+    n = len(labels)
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    tensor[np.arange(n)[:, None], np.arange(n), table] = 1
+    if is_table:
+        return FusionRing.validated(labels, tensor, dual)
+    return FusionRing(labels, tensor, dual)
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,23 @@ def detect(ring: FusionRing):
 
 
 def construct(sub: FusionRing, kappa: int) -> FusionRing:
-    """Build R(S, kappa) from an integral fusion ring S and kappa >= 0."""
+    """Build R(S, kappa) from a validated integral fusion ring S and
+    kappa >= 0. The result is not checked: its axioms are those of S and
+    sum_k c_ij^k d_k = d_i d_j for the FPdims d of S, which is certified in
+    integers on the snapped FPdims (NotNearIntegral when it fails)."""
     if not 0 <= kappa < 2 ** 63:
         raise FusionRingError("kappa must be nonnegative" if kappa < 0
                               else f"kappa = {kappa} does not fit in int64")
     n = sub.rank
     dims = [snap_int(d) for d in spectral.fpdims(sub)]
-    if None in dims:
-        raise NotNearIntegral("the subring must have integer dimensions")
+    if None in dims or min(dims) < 1:
+        raise NotNearIntegral("the subring must have positive integer dimensions")
+    # both sides stay under max(max(c) * n, max(d)) * max(d), or int64 wraps
+    big = max(int(sub.tensor.max()) * n, max(dims)) * max(dims) >= 2 ** 63
+    dtype = object if big else np.int64
+    d = np.array(dims, dtype=dtype)
+    if not np.array_equal(sub.tensor.astype(dtype, copy=False) @ d, np.outer(d, d)):
+        raise NotNearIntegral(f"the snapped FPdims {dims} of the subring are not a character")
     rho = n
     t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     t[:n, :n, :n] = sub.tensor
@@ -168,7 +177,7 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
         k += 1
     labels = list(sub.labels) + [rho_label]
     dual = list(sub.dual) + [rho]
-    return FusionRing.validated(labels, t, dual)
+    return FusionRing(labels, t, dual)
 
 
 def distinguished_characters(ring: FusionRing, report: NearIntegralReport):
@@ -216,8 +225,8 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
 def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> list:
     """Codegrees of R(S, kappa): those of S with one copy of FPdim(S)
     replaced by N + d+-^2 = 2N + kappa d+-, in integers when kappa = 0 or
-    d+- are integers and a float otherwise. Cross-checked against the
-    direct spectral computation when the ring is commutative."""
+    d+- are integers and a float otherwise. By the paper's theorem these
+    are the codegrees of the whole ring, so those are not computed."""
     sub = subring_on(ring, report.subring_indices)
     sub_codegs = spectral.formal_codegrees(sub)
     target = report.big_n
@@ -232,15 +241,7 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
         out += [2 * target + k * (k + root) // 2, 2 * target + k * (k - root) // 2]
     else:
         out += [target + d * d for d in (report.d_plus, report.d_minus)]
-    out = sorted(out, key=float, reverse=True)
-    if ring.is_commutative():
-        direct = spectral.formal_codegrees(ring)
-        if len(direct) != len(out) or any(
-                abs(float(a) - float(b)) > SNAP_TOL * max(1.0, abs(float(a)))
-                for a, b in zip(direct, out)):
-            raise NotNearIntegral(
-                f"codegree bookkeeping {out} disagrees with spectral values {direct}")
-    return out
+    return sorted(out, key=float, reverse=True)
 
 
 def character_kernel(ring: FusionRing, values):
@@ -258,17 +259,9 @@ def character_kernel(ring: FusionRing, values):
 
 
 def dim_a_chi_minus(report: NearIntegralReport) -> float:
-    """1 + (kappa/N) d+, cross-checked against -d+/d- and
-    (2N + kappa d+) / (2N + kappa d-)."""
-    k, n = report.kappa, report.big_n
-    dp, dm = report.d_plus, report.d_minus
-    val = 1.0 + (k / n) * dp
-    alt1 = -dp / dm
-    alt2 = (2 * n + k * dp) / (2 * n + k * dm)
-    bound = EXACT_TOL * max(1.0, val)
-    if abs(val - alt1) > bound or abs(val - alt2) > bound:
-        raise NotNearIntegral(f"dim(A_chi-) forms disagree: {val}, {alt1}, {alt2}")
-    return val
+    """1 + (kappa/N) d+, which equals -d+/d- and (2N + kappa d+) / (2N + kappa d-)
+    since d+ d- = -N and d+ + d- = kappa."""
+    return 1.0 + (report.kappa / report.big_n) * report.d_plus
 
 
 def gagola_analyze(table: CharacterTable):

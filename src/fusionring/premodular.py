@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FusionRing, FusionRingError, MalformedInput, _is_int, _json_object,
-                   _scalar_matrix)
+from .core import (FusionRing, FusionRingError, MalformedInput, _factors, _Group,
+                   _is_int, _json_object, _scalar_matrix)
 from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 
 __all__ = [
@@ -180,33 +180,10 @@ def centralizer_profile(m: ModularDatum):
 
 # Largest number of (g, g', h) triples the additivity check compares at once.
 _SLAB = 1 << 16
-
-
-def _factors(factors) -> tuple:
-    out = tuple(int(f) for f in factors)
-    if any(f < 1 for f in out):
-        raise FusionRingError(f"cyclic factor orders must be positive: {list(out)}")
-    return out
-
-
-class _Group:
-    """Index tables of G: add[i, j] and neg[i] are element numbers, gens
-    holds the number of each factor's generator."""
-
-    def __init__(self, factors: tuple):
-        self.elements = list(itertools.product(*[range(f) for f in factors]))
-        n, k = len(self.elements), len(factors)
-        self.coords = np.array(self.elements, dtype=np.int64).reshape(n, k)
-        self.mods = np.array(factors, dtype=np.int64)
-        self.strides = np.array([math.prod(factors[i + 1:]) for i in range(k)],
-                                dtype=np.int64)
-        self.add = self.number(self.coords[:, None, :] + self.coords[None, :, :])
-        self.neg = self.number(-self.coords)
-        self.gens = self.number(np.eye(k, dtype=np.int64))
-
-    def number(self, coords: np.ndarray) -> np.ndarray:
-        """Element numbers of coordinate vectors (last axis), reduced mod G."""
-        return (coords % self.mods) @ self.strides
+# Largest number of forms times |G| enumerated. quadratic_forms keeps one
+# RootOfUnity per value, about 120 bytes (C2^4, at 2^18 values, adds 30 MB),
+# so a call stays near 130 MB; C2^5, at 2^25 values, is refused.
+_MAX_FORM_VALUES = 1 << 20
 
 
 def _bicharacter(grp: _Group, q: np.ndarray, m: int) -> np.ndarray:
@@ -314,24 +291,29 @@ def form_nondegenerate(form: QuadraticForm) -> bool:
 
 def _form_table(factors: tuple):
     """(group, M, Q): every quadratic form on G as one row of the int
-    matrix Q mod M = 2 exp(G), in quadratic_forms order, each verified."""
-    grp = _Group(factors)
-    m = 2 * math.lcm(*factors)
-    k, x = len(factors), grp.coords
+    matrix Q mod M = 2 exp(G), in quadratic_forms order; GroupTooLarge
+    first if their number times |G| exceeds _MAX_FORM_VALUES.
+
+    q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts steps
+    of 1/n_i (n_i odd) or 1/(2 n_i) (n_i even) and c_ij steps of
+    1/gcd(n_i, n_j). Rows are not checked: these steps make q invariant
+    under g_i -> g_i + n_i, q is even, and b is bilinear."""
+    k = len(factors)
     pairs = list(itertools.combinations(range(k), 2))
-    # q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts
-    # steps of 1/n_i (n_i odd) or 1/(2 n_i) (n_i even) and c_ij steps of
-    # 1/gcd(n_i, n_j).
     orders = ([n if n % 2 else 2 * n for n in factors]
               + [math.gcd(factors[i], factors[j]) for i, j in pairs])
+    count, order = math.prod(orders), math.prod(factors)
+    if count * order > _MAX_FORM_VALUES:
+        raise GroupTooLarge(f"{count} quadratic forms on |G| = {order} exceed the bound "
+                            f"of {_MAX_FORM_VALUES} form values")
+    grp = _Group(factors)
+    m = 2 * math.lcm(*factors)
+    x = grp.coords
     monomials = [x[:, i] * x[:, i] for i in range(k)] + [x[:, i] * x[:, j] for i, j in pairs]
     basis = np.array([(m // d) * mono for d, mono in zip(orders, monomials)],
                      dtype=np.int64).reshape(len(orders), len(x))
     coeffs = np.array(list(itertools.product(*[range(d) for d in orders])), dtype=np.int64)
-    table = (coeffs @ basis) % m
-    for q in table:
-        _check_form(grp, q, m, exhaustive=len(q) <= 12)
-    return grp, m, table
+    return grp, m, (coeffs @ basis) % m
 
 
 def _form(factors: tuple, grp: _Group, m: int, q: np.ndarray) -> QuadraticForm:
@@ -347,9 +329,8 @@ def quadratic_forms(factors) -> list:
     n is odd and any 2n-th root value if n is even; cross terms are
     bicharacter values of order dividing the gcd of the two factor orders.
     The forms come in that order: diagonal choices outermost, the last
-    cross term fastest. Every candidate is verified globally as an int
-    array mod 2 exp(G) (see QuadraticForm.verify): over all triples
-    (g, g', h) when |G| <= 12, and over generators g x G x G otherwise.
+    cross term fastest; each is a form by construction (see _form_table,
+    which also bounds their number).
     """
     factors = _factors(factors)
     grp, m, table = _form_table(factors)
@@ -379,10 +360,11 @@ def _automorphisms(factors) -> np.ndarray:
 def form_classes(factors) -> list:
     """Orbit representatives of quadratic_forms(factors) under group
     automorphisms, each the first of its orbit in enumeration order.
-    Raises GroupTooLarge for |G| > 64 before any form is enumerated."""
+    Raises GroupTooLarge above the bound of quadratic_forms, before any
+    form is enumerated, and for |G| > 64."""
     factors = _factors(factors)
-    autos = _automorphisms(factors)
     grp, m, table = _form_table(factors)
+    autos = _automorphisms(factors)
     seen = set()
     reps = []
     for q in table:

@@ -76,7 +76,17 @@ def _first_escape(support: np.ndarray, indices):
 
 def closure(ring: FusionRing, seed) -> SubringHandle:
     """Smallest fusion-closed, dual-closed subset containing the unit and
-    the seed indices.
+    the seed indices (see _closure_mask)."""
+    return _handle(_closure_mask(ring, seed))
+
+
+def _handle(mask: int) -> SubringHandle:
+    """The handle of the indices whose bits are set in mask."""
+    return SubringHandle(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+
+
+def _closure_mask(ring: FusionRing, seed) -> int:
+    """closure(ring, seed) as a bitmask: bit k is set iff k is a member.
 
     Breadth-first over words in the generators seed + dual(seed), from the
     unit (the empty word): supp(g w) is the union of supp(g x) over x in
@@ -99,7 +109,7 @@ def closure(ring: FusionRing, seed) -> SubringHandle:
             low = new & -new
             queue.append(low.bit_length() - 1)
             new ^= low
-    return SubringHandle(tuple(queue))
+    return reached
 
 
 def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
@@ -107,38 +117,32 @@ def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
     then indices. Each subring H found is extended by every basis element
     outside it, one closure each, so max_count bounds the sum of
     rank - |H| over all subrings H; past it SearchBudgetExceeded is raised.
-    A closure takes the generators that produced H, not H itself."""
-    unit = closure(ring, ())
-    found = {unit: ()}
+    A closure takes the generators that produced H, not H itself; it is a
+    subring by construction (_closure_mask) and is not verified."""
+    found = {_closure_mask(ring, ()): ()}
     budget = max_count
-    frontier = [unit]
+    frontier = list(found)
     while frontier:
-        handle = frontier.pop()
-        gens = found[handle]
+        mask = frontier.pop()
+        gens = found[mask]
         for g in range(1, ring.rank):
-            if g in handle.indices:
+            if mask >> g & 1:
                 continue
             budget -= 1
             if budget < 0:
                 raise SearchBudgetExceeded(f"more than {max_count} closure computations")
-            bigger = closure(ring, gens + (g,))
+            bigger = _closure_mask(ring, gens + (g,))
             if bigger not in found:
                 found[bigger] = gens + (g,)
                 frontier.append(bigger)
-    out = sorted(found, key=lambda h: (h.rank, h.indices))
-    for h in out:
-        h.verify(ring)
-    return out
+    return sorted(map(_handle, found), key=lambda h: (h.rank, h.indices))
 
 
 def pointed_subring(ring: FusionRing) -> SubringHandle:
-    """Subring of invertible basis elements (b_i b_{i*} = 1)."""
-    inv = [i for i in range(ring.rank)
-           if ring.tensor[i, ring.dual[i], 0] == 1
-           and int(ring.tensor[i, ring.dual[i]].sum()) == 1]
-    handle = SubringHandle(tuple(inv))
-    handle.verify(ring)
-    return handle
+    """Subring of invertible basis elements (b_i b_{i*} = 1, as c_{i i*}^0 = 1),
+    closed as products and duals of invertibles are invertible."""
+    products = ring.tensor[np.arange(ring.rank), list(ring.dual)]
+    return SubringHandle(tuple(np.flatnonzero(products.sum(axis=1) == 1)))
 
 
 def adjoint_subring(ring: FusionRing) -> SubringHandle:

@@ -1,6 +1,22 @@
-"""Rings built in more than one test module."""
+"""Rings and helpers used in more than one test module."""
+
+import math
 
 from fusionring.core import group_ring
+
+
+def refuse(*args, **kwargs):
+    """Stand-in for a check that the code under test must not reach."""
+    raise AssertionError("not to be called")
+
+
+def ordered_factor_lists(bound: int, start=()) -> list:
+    """Every list of cyclic orders >= 2, in every order, with product at
+    most bound; the empty list first."""
+    out = [list(start)]
+    for f in range(2, bound // math.prod(start) + 1):
+        out += ordered_factor_lists(bound, start + (f,))
+    return out
 
 
 def s3_group_ring():

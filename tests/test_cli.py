@@ -228,6 +228,8 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["fpdim", "catalog:groups<=6classes"], None, 1),
     (["--data-dir", "{tmp}", "fpdim", "catalog:S3-table"], None, 0),
     (["catalog", "show", "nope"], None, 3),
+    (["qforms", "C2xC2xC2xC2xC2xC2"], None, 3),
+    (["qforms", "C2xC2xC2xC2xC2xC2", "--classes"], None, 3),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:
@@ -280,7 +282,7 @@ def test_run_builds_no_parser(capsys, monkeypatch):
 
 
 def test_detect_stdin_large_kappa(capsys, monkeypatch):
-    # R(C1, 10^4): d- = -N/d+ keeps the dim(A_chi-) forms in agreement
+    # R(C1, 10^4): detect and dim(A_chi-) at large kappa
     monkeypatch.setattr("sys.stdin", io.StringIO(
         json.dumps(ring_to_json(construct(group_ring([1]), 10 ** 4)))))
     code, out, err = run(capsys, "--format", "json", "detect", "-")

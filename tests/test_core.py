@@ -1,5 +1,6 @@
 """Fusion ring axioms, group rings, character rings and JSON round trips."""
 
+import itertools
 import json
 import math
 import re
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
+from fusionring import core
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity,
                              _associativity_violations, character_table_to_fusion_ring,
                              group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
 from fusionring.exact import snap_int
+from shared_rings import ordered_factor_lists, refuse
 
 TABLES = [name for name in fr.list_catalog()
           if fr.load_entry(name).kind == "characterTable"]
@@ -57,6 +60,43 @@ def test_group_ring_product_factors():
 def test_group_ring_always_valid(factors):
     ring = group_ring(factors)
     assert not validate_tensor(ring.tensor, ring.dual)
+
+
+def _loop_group_ring(orders) -> FusionRing:
+    """group_ring of cyclic orders as it was built by a double loop over
+    element tuples, kept as an oracle."""
+    elements = list(itertools.product(*[range(o) for o in orders]))
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    labels = ["e" if all(x == 0 for x in e) else "+".join(
+        f"{x}g{i}" for i, x in enumerate(e) if x) for e in elements]
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    dual = [0] * n
+    for e in elements:
+        i = index[e]
+        dual[i] = index[tuple((-x) % o for x, o in zip(e, orders))]
+        for f in elements:
+            prod = tuple((x + y) % o for x, y, o in zip(e, f, orders))
+            tensor[i, index[f], index[prod]] = 1
+    return FusionRing.validated(labels, tensor, dual)
+
+
+def test_group_ring_of_orders_is_unchecked_and_matches_loop(monkeypatch):
+    specs = ordered_factor_lists(32) + [[1], [3, 1], [8, 8], [2] * 6]
+    monkeypatch.setattr(core, "validate_tensor", refuse)
+    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    rings = [group_ring(spec) for spec in specs]
+    monkeypatch.undo()
+    for spec, ring in zip(specs, rings):
+        assert ring == _loop_group_ring(spec), spec
+        assert validate_tensor(ring.tensor, ring.dual) == [], spec
+    assert len(specs) == 140
+
+
+@pytest.mark.parametrize("table", [[[0, 5], [5, 0]], [[0, -1], [-1, 0]]])
+def test_group_ring_rejects_table_entries_out_of_range(table):
+    with pytest.raises(FusionRingError, match=r"entries must lie in range\(2\)"):
+        group_ring(table)
 
 
 def test_validated_rejects_broken_associativity():

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring import spectral
-from fusionring.core import (FusionRing, FusionRingError, group_ring, product_ring,
-                             validate_tensor)
-from fusionring.exact import SNAP_TOL, snap_int
-from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport,
+from fusionring import core, spectral
+from fusionring.core import (AxiomViolation, FusionRing, FusionRingError, group_ring,
+                             product_ring, validate_tensor)
+from fusionring.exact import EXACT_TOL, SNAP_TOL, snap_int
+from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, NotNearIntegral,
                                      character_kernel, construct, detect,
                                      dim_a_chi_minus, distinguished_characters,
                                      extend_character, extraspecial_kappa,
                                      gagola_analyze, near_integral_codegrees,
                                      roots_dpm, subring_on)
 from fusionring.structure import _first_escape, enumerate_subrings
+from shared_rings import refuse
 
 
 def test_roots():
@@ -327,13 +328,9 @@ def test_detect_matches_float_fpdim_oracle():
     assert (len(rings), sum(v is not None for v in got.values())) == (107, 87)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("not to be called")
-
-
 def test_detect_and_chi_pm_compute_no_fpdims(monkeypatch):
     ring = construct(construct(group_ring([2, 2]), 0), 7)  # R(TY(C2xC2), 7)
-    monkeypatch.setattr(spectral, "fpdims", _refuse)
+    monkeypatch.setattr(spectral, "fpdims", refuse)
     report = detect(ring)
     chi_plus, chi_minus = distinguished_characters(ring, report)
     assert (report.kappa, report.big_n, report.d_plus, report.d_minus) == (7, 8, 8.0, -1.0)
@@ -347,7 +344,7 @@ def test_restrictions_and_products_are_fusion_rings(monkeypatch):
     rings = list(_oracle_rings().values())
     small = [r for r in _base_rings().values() if r.rank <= 8]
     handles = [(r, h.indices) for r in rings for h in enumerate_subrings(r)]
-    monkeypatch.setattr(FusionRing, "validated", _refuse)
+    monkeypatch.setattr(FusionRing, "validated", refuse)
     restricted = [subring_on(r, idx) for r, idx in handles]
     products = [product_ring(a, b) for i, a in enumerate(small) for b in small[i:]]
     monkeypatch.undo()
@@ -366,3 +363,85 @@ def test_restrictions_and_products_of_unchecked_rings_stay_unchecked():
     for ring in (subring_on(bad, range(3)), product_ring(bad, group_ring([2]))):
         assert any(name == "frobenius" for name, _, _ in
                    validate_tensor(ring.tensor, ring.dual))
+
+
+def _validated_construct(sub: FusionRing, kappa: int) -> FusionRing:
+    """construct as it was while it validated R(S, kappa) instead of
+    certifying the FPdims of S, kept as an oracle (kappa bounds left out)."""
+    n = sub.rank
+    dims = [snap_int(d) for d in spectral.fpdims(sub)]
+    if None in dims:
+        raise NotNearIntegral("the subring must have integer dimensions")
+    rho = n
+    t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    t[:n, :n, :n] = sub.tensor
+    t[:n, rho, rho] = t[rho, :n, rho] = t[rho, rho, :n] = dims
+    t[rho, rho, rho] = kappa
+    rho_label = "rho"
+    k = 2
+    while rho_label in sub.labels:
+        rho_label = f"rho{k}"
+        k += 1
+    return FusionRing.validated(list(sub.labels) + [rho_label], t, list(sub.dual) + [rho])
+
+
+def _outcome(build, sub, kappa, refusals):
+    try:
+        return build(sub, kappa)
+    except refusals:
+        return "refused"
+
+
+def test_construct_is_unchecked_and_matches_validated_oracle(monkeypatch):
+    # the oracle refuses snapped FPdims that are not a character, such as
+    # those of R(C1, 10^8), by AxiomViolation, and construct by NotNearIntegral
+    cases = [(sub, k) for sub in _oracle_rings().values() for k in range(4)]
+    want = [_outcome(_validated_construct, sub, k, (NotNearIntegral, AxiomViolation))
+            for sub, k in cases]
+    monkeypatch.setattr(core, "validate_tensor", refuse)
+    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    got = [_outcome(construct, sub, k, NotNearIntegral) for sub, k in cases]
+    monkeypatch.undo()
+    assert got == want
+    built = [ring for ring in got if ring != "refused"]
+    for ring in built:
+        assert validate_tensor(ring.tensor, ring.dual) == [], ring.labels
+    assert (len(cases), len(built)) == (428, 184)
+
+
+def test_construct_rejects_dimensions_that_are_not_a_character(monkeypatch):
+    # [1, 1, 3] are integers but chi2^2 = 1 + chi1 + chi2 gives 5 != 9
+    monkeypatch.setattr(spectral, "fpdims", lambda ring: np.array([1.0, 1.0, 3.0]))
+    with pytest.raises(NotNearIntegral, match=r"\[1, 1, 3\] of the subring are not a character"):
+        construct(fr.entry_ring("S3"), 1)
+
+
+def test_construct_certificate_in_python_ints():
+    # FPdim(x) = (2^62 + sqrt(2^124 + 4)) / 2 of R(C1, 2^62) snaps to the
+    # integer 2^62; the identity, checked on object arrays, refuses it
+    sub = construct(group_ring([1]), 2 ** 62)
+    with pytest.raises(NotNearIntegral, match="not a character"):
+        construct(sub, 0)
+
+
+def test_codegree_bookkeeping_and_dim_a_chi_minus_forms_agree():
+    # near_integral_codegrees and dim_a_chi_minus evaluate one closed form
+    # each; the whole ring's codegrees and the other two forms of
+    # dim(A_chi-) must agree with them on every near-integral oracle ring
+    compared = 0
+    for name, ring in _oracle_rings().items():
+        report = detect(ring)
+        if report is None:
+            continue
+        k, n, dp, dm = report.kappa, report.big_n, report.d_plus, report.d_minus
+        val = dim_a_chi_minus(report)
+        for alt in (-dp / dm, (2 * n + k * dp) / (2 * n + k * dm)):
+            assert abs(val - alt) <= EXACT_TOL * max(1.0, val), name
+        if ring.is_commutative():
+            got = near_integral_codegrees(ring, report)
+            direct = spectral.formal_codegrees(ring)
+            assert len(got) == len(direct), name
+            assert all(abs(float(a) - float(b)) <= SNAP_TOL * max(1.0, abs(float(a)))
+                       for a, b in zip(direct, got)), name
+            compared += 1
+    assert compared == 87

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
+from fusionring import premodular
 from fusionring.exact import RootOfUnity
 from fusionring.core import FusionRing, FusionRingError
-from fusionring.premodular import (ModularDatum, NegativeFusion, NonIntegralFusion,
+from fusionring.premodular import (GroupTooLarge, ModularDatum, NegativeFusion,
+                                   NonIntegralFusion,
                                    QuadraticForm, balancing_check,
                                    braided_cases, centralizer_profile, form_classes,
                                    form_from_json, form_nondegenerate,
                                    form_to_json, gauss_sums,
                                    modular_datum_from_json, modular_datum_to_json,
                                    quadratic_forms, verlinde_fusion)
+from shared_rings import ordered_factor_lists, refuse
 
 DOUBLES = {"Z(Rep(S3))": 36.0, "Z(Rep(A4))": 144.0}
 
@@ -369,3 +372,28 @@ def test_braided_cases_huge_n_is_immediate():
     rows = braided_cases(2 * 10 ** 40)
     assert [r[3] for r in rows] == ["kappa-zero", "case-2"]
     assert rows[1][:2] == (kappa, 6 * kappa * kappa)
+
+
+@pytest.mark.parametrize("factors", ordered_factor_lists(16), ids=str)
+def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
+    # every row of the form table is a form by construction: none is checked
+    # while it is built (form_classes too, on the groups where it is quick),
+    # and each passes the exhaustive check afterwards
+    monkeypatch.setattr(premodular, "_check_form", refuse)
+    forms = quadratic_forms(factors)
+    classes = form_classes(factors) if math.prod(factors) <= 8 else []
+    monkeypatch.undo()
+    for form in forms + classes:
+        form.verify(exhaustive=True)
+    count = math.prod(n if n % 2 else 2 * n for n in factors)
+    assert len(forms) == count * math.prod(
+        math.gcd(a, b) for a, b in itertools.combinations(factors, 2))
+
+
+@pytest.mark.parametrize("factors", [[2] * 5, [2] * 6, [64, 64], [1024]])
+def test_form_enumeration_bounded_before_it_starts(factors, monkeypatch):
+    monkeypatch.setattr(premodular, "_Group", refuse)
+    monkeypatch.setattr(premodular, "_automorphisms", refuse)
+    for enumerate_forms in (quadratic_forms, form_classes):
+        with pytest.raises(GroupTooLarge, match="exceed the bound of 1048576 form values"):
+            enumerate_forms(factors)

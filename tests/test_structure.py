@@ -13,7 +13,7 @@ from fusionring.structure import (ClosureViolation, GradingReport, SearchBudgetE
                                   SubringHandle, adjoint_subring, closure,
                                   enumerate_subrings, integral_subring,
                                   pointed_subring, universal_grading)
-from shared_rings import s3_group_ring
+from shared_rings import refuse, s3_group_ring
 
 
 def ising_ring():
@@ -271,6 +271,19 @@ def test_structure_matches_loop_reference(name):
     assert report.group_table.tolist() == table
 
 
+def test_subrings_and_pointed_subring_unverified(monkeypatch):
+    # closures and the invertibles are subrings by construction: neither is
+    # verified while it is built, and each passes the check afterwards
+    rings = list(ORACLE_RINGS.values())
+    monkeypatch.setattr(SubringHandle, "verify", refuse)
+    found = [(ring, h) for ring in rings
+             for h in enumerate_subrings(ring) + [pointed_subring(ring)]]
+    monkeypatch.undo()
+    for ring, handle in found:
+        handle.verify(ring)
+    assert len(found) == sum(len(oracle_lattice(name)) + 1 for name in ORACLE_RINGS)
+
+
 def test_oracle_rings_include_noncommutative():
     assert not ORACLE_RINGS["ZS3"].is_commutative()
     assert not ORACLE_RINGS["ZS3xRep(A4)"].is_commutative()
@@ -296,15 +309,17 @@ def test_closure_budget_is_sum_of_coranks(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
 def test_enumerate_subrings_closure_calls(name, monkeypatch):
-    # benchmarks/tracing.py counts these calls (closure_calls, closure_yield)
+    # one bitmask closure per subring found and basis element outside it,
+    # plus the unit's
     ring = ORACLE_RINGS[name]
     calls = []
+    closure_mask = structure._closure_mask
 
     def counted(ring, seed):
         calls.append(seed)
-        return closure(ring, seed)
+        return closure_mask(ring, seed)
 
-    monkeypatch.setattr(structure, "closure", counted)
+    monkeypatch.setattr(structure, "_closure_mask", counted)
     enumerate_subrings(ring)
     assert len(calls) == 1 + closure_budget(ring, oracle_lattice(name))
 
