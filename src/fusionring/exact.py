@@ -126,12 +126,12 @@ SNAP_TOL = 1e-6  # a float this close to an integer, or to the value it must equ
 EXACT_TOL = 1e-9  # how far floats computed from exact input may disagree
 
 
-def snap_int(x: float, tol: float = SNAP_TOL):
-    """Round to the nearest integer if within tol, else return None (always
-    for inf and nan)."""
+def snap_int(x: float):
+    """Round to the nearest integer if within SNAP_TOL, else return None
+    (always for inf and nan)."""
     if not math.isfinite(x):
         return None
     r = round(x)
-    if abs(x - r) <= tol:
+    if abs(x - r) <= SNAP_TOL:
         return int(r)
     return None

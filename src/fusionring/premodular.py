@@ -134,10 +134,10 @@ def verlinde_fusion(m: ModularDatum):
 
 
 def gauss_sums(dims, twists):
-    """tau+- = sum_i dims[i]^2 theta_i^{+-1}."""
+    """tau+- = sum_i dims[i]^2 theta_i^{+-1}, for complex twists theta
+    (ModularDatum.twist_values())."""
     dims = np.asarray(dims, dtype=float)
-    theta = np.array([r.value() if isinstance(r, RootOfUnity) else complex(r)
-                      for r in twists])
+    theta = np.asarray(twists, dtype=complex)
     if dims.shape[0] != theta.shape[0]:
         raise FusionRingError("dims and twists must have equal length")
     tau_plus = complex(np.sum(dims ** 2 * theta))
@@ -174,15 +174,15 @@ def centralizer_profile(m: ModularDatum):
 # Quadratic forms on finite abelian groups
 #
 # G = C_{n_1} x ... x C_{n_k}; its elements are numbered in itertools.product
-# order. A form is an int array q over that numbering, read mod M: the entry
-# x stands for the root of unity exp(2 pi i x / M). RootOfUnity appears only
-# at the boundary (QuadraticForm.values, q, b and JSON I/O).
+# order. A form is its int table q over that numbering, read mod M: the entry
+# x stands for the root of unity exp(2 pi i x / M). Enumeration, classes and
+# verify read only tables; RootOfUnity values are made on demand, for key()
+# and JSON.
 
-# Largest number of (g, g', h) triples the additivity check compares at once.
-_SLAB = 1 << 16
-# Largest number of forms times |G| enumerated. quadratic_forms keeps one
-# RootOfUnity per value, about 120 bytes (C2^4, at 2^18 values, adds 30 MB),
-# so a call stays near 130 MB; C2^5, at 2^25 values, is refused.
+# Largest number of forms times |G| enumerated, i.e. of int64 entries in the
+# form table: 8 MB at the bound (C2^4, at 2^18 entries, takes 2 MB, plus one
+# QuadraticForm of about 0.4 kB per form). C2^5, at 2^25 entries, is refused:
+# its table alone would take 256 MB, and its 2^20 forms about 0.5 GB more.
 _MAX_FORM_VALUES = 1 << 20
 
 
@@ -191,11 +191,11 @@ def _bicharacter(grp: _Group, q: np.ndarray, m: int) -> np.ndarray:
     return (q[grp.add] - q[:, None] - q[None, :]) % m
 
 
-def _check_form(grp: _Group, q: np.ndarray, m: int, exhaustive: bool) -> None:
+def _check_form(grp: _Group, q: np.ndarray, m: int) -> None:
     """Raise FusionRingError unless q(0) = 0, q(-g) = q(g) for all g, and
-    b(g + g', h) = b(g, h) + b(g', h) for all g', h and every g in G
-    (exhaustive) or every generator g. The first failure in element order
-    is reported."""
+    b(g + g', h) = b(g, h) + b(g', h) for every generator g and all g', h.
+    By induction on word length that gives every g, since b(0, h) = -q(0)
+    = 0. The first failure in element order is reported."""
     if q[0] != 0:
         raise FusionRingError("q(0) must be 1")
     bad = np.flatnonzero(q != q[grp.neg])
@@ -203,95 +203,71 @@ def _check_form(grp: _Group, q: np.ndarray, m: int, exhaustive: bool) -> None:
         g = grp.elements[bad[0]]
         raise FusionRingError(f"q({g}) != q(-{g})")
     b = _bicharacter(grp, q, m)
-    firsts = np.arange(len(q)) if exhaustive else grp.gens
-    rows = max(1, _SLAB // b.size)
-    for start in range(0, len(firsts), rows):
-        f = firsts[start:start + rows]
-        bad = np.argwhere(b[grp.add[f]] != (b[f][:, None, :] + b[None]) % m)
+    for f in grp.gens:
+        bad = np.argwhere(b[grp.add[f]] != (b[f] + b) % m)
         if bad.size:
-            g, gp, h = (grp.elements[i] for i in (f[bad[0, 0]], bad[0, 1], bad[0, 2]))
+            g, gp, h = (grp.elements[i] for i in (f, *bad[0]))
             raise FusionRingError(f"b is not additive at {g}, {gp}, {h}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """q : G -> roots of unity with q(g) = q(-g) and bilinear associated
-    bicharacter. G is a product of cyclic groups given by factor orders;
-    elements are tuples, and `values` maps every element to a RootOfUnity.
-
-    The form is held as an int array mod M in itertools.product element
-    order. M = 2 exp(G) for every quadratic form, since q(g) has order
-    dividing 2 ord(g); a value of larger order widens M, so that verify
-    sees the value exactly and rejects it.
+    """q : G -> roots of unity, G a product of cyclic groups given by factor
+    orders, held as its table: q(g) = exp(2 pi i q[g] / m), with q an int64
+    array over the elements of G in itertools.product order, reduced mod m
+    and read-only. It is a quadratic form if q(g) = q(-g) and its associated
+    bicharacter is bilinear; `verify` checks that, the constructor only the
+    table's length and 0 < m < 2^62. `values` maps every element tuple to
+    its RootOfUnity; `==` compares factors and values.
     """
 
     factors: tuple
-    values: dict = field(repr=False)
+    q: np.ndarray = field(repr=False)
+    m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", _factors(self.factors))
-        values = dict(self.values)
-        elements = list(self.elements())
-        known = set(elements)
-        extra = [g for g in values if g not in known]
-        if extra:
-            raise FusionRingError(f"form value at {extra[0]!r}, which is not an element of G")
-        if len(values) != len(elements):
-            missing = next(g for g in elements if g not in values)
-            raise FusionRingError(f"form has no value at {missing}")
-        if not all(isinstance(r, RootOfUnity) for r in values.values()):
-            raise FusionRingError("form values must be RootOfUnity values")
-        m = math.lcm(2 * math.lcm(*self.factors), *(r.den for r in values.values()))
-        if m >= 1 << 62:  # b and the additivity check add up to 2m in int64
-            raise FusionRingError("form value orders exceed the int64 range")
-        q = np.array([values[g].num * (m // values[g].den) for g in elements],
-                     dtype=np.int64)
+        factors = _factors(self.factors)
+        m = int(self.m)
+        if not 0 < m < 1 << 62:  # b and the additivity check add up to 2m in int64
+            raise FusionRingError(f"form modulus must lie in (0, 2^62), got {m}")
+        q = np.asarray(self.q, dtype=np.int64) % m
+        if q.shape != (math.prod(factors),):
+            raise FusionRingError(f"a form on |G| = {math.prod(factors)} elements needs as "
+                                  f"many values, got shape {q.shape}")
         q.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m", m)
 
-    def elements(self):
-        return itertools.product(*[range(f) for f in self.factors])
+    @property
+    def values(self) -> dict:
+        return dict(zip(itertools.product(*map(range, self.factors)), self.key()))
 
-    def neg(self, g):
-        return tuple((-x) % f for x, f in zip(g, self.factors))
+    def key(self) -> tuple:
+        """The values as RootOfUnity, in element order."""
+        return tuple(RootOfUnity(x, self.m) for x in self.q.tolist())
 
-    def add(self, g, h):
-        return tuple((x + y) % f for x, y, f in zip(g, h, self.factors))
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticForm):
+            return NotImplemented
+        return self.factors == other.factors and self.key() == other.key()
 
-    def _at(self, g) -> int:
-        i = 0
-        for x, f in zip(g, self.factors):
-            i = i * f + x % f
-        return int(self._q[i])
-
-    def q(self, g) -> RootOfUnity:
-        return self.values[tuple(x % f for x, f in zip(g, self.factors))]
-
-    def b(self, g, h) -> RootOfUnity:
-        """Associated bicharacter b(g,h) = q(g+h) q(g)^-1 q(h)^-1."""
-        return RootOfUnity(self._at(self.add(g, h)) - self._at(g) - self._at(h), self._m)
-
-    def verify(self, exhaustive: bool = True) -> None:
-        """Check q(0) = 1, q(g) = q(-g) and b(g+g', h) = b(g,h) b(g',h) for all
-        g', h and all g (exhaustive) or the factor generators g; raise
-        FusionRingError at the first failure."""
-        _check_form(_Group(self.factors), self._q, self._m, exhaustive)
-
-    def key(self):
-        return tuple(self.values[g] for g in self.elements())
+    def verify(self) -> None:
+        """Check q(0) = 1, q(g) = q(-g) and b(g+g', h) = b(g,h) b(g',h) for
+        the factor generators g and all g', h, which gives it for all g;
+        raise FusionRingError at the first failure."""
+        _check_form(_Group(self.factors), self.q, self.m)
 
 
 def form_nondegenerate(form: QuadraticForm) -> bool:
     """True iff g -> b(g, .) is injective, i.e. the rows of b are distinct."""
-    b = _bicharacter(_Group(form.factors), form._q, form._m)
+    b = _bicharacter(_Group(form.factors), form.q, form.m)
     return len({row.tobytes() for row in b}) == len(b)
 
 
 def _form_table(factors: tuple):
-    """(group, M, Q): every quadratic form on G as one row of the int
-    matrix Q mod M = 2 exp(G), in quadratic_forms order; GroupTooLarge
+    """(M, Q): every quadratic form on G as one row of the int matrix
+    Q mod M = 2 exp(G), in quadratic_forms order; GroupTooLarge
     first if their number times |G| exceeds _MAX_FORM_VALUES.
 
     q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts steps
@@ -306,19 +282,13 @@ def _form_table(factors: tuple):
     if count * order > _MAX_FORM_VALUES:
         raise GroupTooLarge(f"{count} quadratic forms on |G| = {order} exceed the bound "
                             f"of {_MAX_FORM_VALUES} form values")
-    grp = _Group(factors)
     m = 2 * math.lcm(*factors)
-    x = grp.coords
+    x = _Group(factors).coords
     monomials = [x[:, i] * x[:, i] for i in range(k)] + [x[:, i] * x[:, j] for i, j in pairs]
     basis = np.array([(m // d) * mono for d, mono in zip(orders, monomials)],
                      dtype=np.int64).reshape(len(orders), len(x))
     coeffs = np.array(list(itertools.product(*[range(d) for d in orders])), dtype=np.int64)
-    return grp, m, (coeffs @ basis) % m
-
-
-def _form(factors: tuple, grp: _Group, m: int, q: np.ndarray) -> QuadraticForm:
-    return QuadraticForm(factors, {g: RootOfUnity(x, m)
-                                   for g, x in zip(grp.elements, q.tolist())})
+    return m, (coeffs @ basis) % m
 
 
 def quadratic_forms(factors) -> list:
@@ -333,8 +303,8 @@ def quadratic_forms(factors) -> list:
     which also bounds their number).
     """
     factors = _factors(factors)
-    grp, m, table = _form_table(factors)
-    return [_form(factors, grp, m, q) for q in table]
+    m, table = _form_table(factors)
+    return [QuadraticForm(factors, q, m) for q in table]
 
 
 def _automorphisms(factors) -> np.ndarray:
@@ -363,14 +333,14 @@ def form_classes(factors) -> list:
     Raises GroupTooLarge above the bound of quadratic_forms, before any
     form is enumerated, and for |G| > 64."""
     factors = _factors(factors)
-    grp, m, table = _form_table(factors)
+    m, table = _form_table(factors)
     autos = _automorphisms(factors)
     seen = set()
     reps = []
     for q in table:
         if q.tobytes() in seen:
             continue
-        reps.append(_form(factors, grp, m, q))
+        reps.append(QuadraticForm(factors, q, m))
         seen.update(moved.tobytes() for moved in q[autos])
     return reps
 
@@ -432,32 +402,41 @@ def modular_datum_to_json(m: ModularDatum) -> dict:
 
 
 def form_from_json(data) -> QuadraticForm:
-    """Inverse of form_to_json. Every element of G must appear exactly once,
-    keyed by its comma-joined coordinates, with an integer pair [num, den],
-    den > 0; the form is then verified. Raises FusionRingError otherwise."""
-    if not (isinstance(data, dict) and isinstance(data.get("factors"), list)
-            and isinstance(data.get("values"), dict)):
-        raise FusionRingError('a quadratic form is {"factors": [...], "values": {...}}')
-    if not all(map(_is_int, data["factors"])):
-        raise FusionRingError(f"factors must be integers: {data['factors']!r}")
-    factors = _factors(data["factors"])
-    values = {}
-    for key, val in data["values"].items():
-        try:
-            g = tuple(int(x) for x in key.split(",")) if key else ()
-        except ValueError:
-            raise FusionRingError(f"value key {key!r} is not a list of integers") from None
-        if len(g) != len(factors) or not all(0 <= x < f for x, f in zip(g, factors)):
-            raise FusionRingError(f"value key {key!r} is not an element of "
-                                  + " x ".join(f"C{f}" for f in factors))
-        if g in values:
-            raise FusionRingError(f"element {g} appears twice")
+    """Inverse of form_to_json. Raises MalformedInput unless data is an
+    object (or a string holding one) with 'factors' a list of positive
+    integers and 'values' an object that keys each element of G, by its
+    comma-joined coordinates as form_to_json writes them, to an integer
+    pair [num, den] with den > 0, and M = lcm(2 exp(G), every den) lies
+    below 2^62. Then raises FusionRingError unless the values are a
+    quadratic form. M = 2 exp(G) for every quadratic form, since q(g) has
+    order dividing 2 ord(g); a value of larger order widens M, so that
+    verify sees the value exactly and rejects it."""
+    data = _json_object(data, "quadratic-form")
+    factors, values = data.get("factors"), data.get("values")
+    if not (isinstance(factors, list) and all(_is_int(f) and f > 0 for f in factors)
+            and isinstance(values, dict)):
+        raise MalformedInput('a quadratic form is {"factors": [positive integers], '
+                             '"values": {...}}')
+    group, order = " x ".join(f"C{f}" for f in factors) or "C1", math.prod(factors)
+    if len(values) != order:  # before any table of |G| entries is built
+        raise MalformedInput(f"a form on {group} has {order} values, one per element, "
+                             f"not {len(values)}")
+    index = {",".join(map(str, g)): i
+             for i, g in enumerate(itertools.product(*map(range, factors)))}
+    for key, val in values.items():
+        if key not in index:
+            raise MalformedInput(f"value key {key!r} is not an element of {group}")
         if not (isinstance(val, list) and len(val) == 2 and all(map(_is_int, val))
                 and val[1] > 0):
-            raise FusionRingError(f"value of {key!r} must be [num, den] with den > 0: {val!r}")
-        values[g] = RootOfUnity(*val)
-    form = QuadraticForm(factors, values)
-    form.verify(exhaustive=math.prod(factors) <= 12)
+            raise MalformedInput(f"value of {key!r} must be [num, den] with den > 0: {val!r}")
+    m = math.lcm(2 * math.lcm(*factors), *(den for _, den in values.values()))
+    if m >= 1 << 62:
+        raise MalformedInput("form value orders exceed the int64 range")
+    q = [0] * order
+    for key, (num, den) in values.items():
+        q[index[key]] = num % den * (m // den)
+    form = QuadraticForm(tuple(factors), q, m)
+    form.verify()
     return form
 
 
@@ -465,5 +444,5 @@ def form_to_json(form: QuadraticForm) -> dict:
     return {
         "factors": list(form.factors),
         "values": {",".join(str(x) for x in g): [r.num, r.den]
-                   for g, r in sorted(form.values.items())},
+                   for g, r in form.values.items()},
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError
-from .exact import EXACT_TOL, SNAP_TOL, snap_int
+from .exact import EXACT_TOL, snap_int
 
 __all__ = [
     "NotCommutative",
@@ -173,7 +173,7 @@ def formal_codegrees(ring: FusionRing) -> list:
     factor = np.linalg.cholesky(casimir[np.ix_(order, order)])
     out = []
     for f in np.linalg.svd(factor, compute_uv=False) ** 2:
-        i = snap_int(float(f), SNAP_TOL)
+        i = snap_int(float(f))
         out.append(i if i is not None else float(f))
     return sorted(out, key=float, reverse=True)
 

@@ -17,7 +17,6 @@ from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionR
                              _associativity_violations, character_table_to_fusion_ring,
                              group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
-from fusionring.exact import snap_int
 from shared_rings import ordered_factor_lists, refuse
 
 TABLES = [name for name in fr.list_catalog()
@@ -296,8 +295,8 @@ def loop_character_ring(table, tol=1e-9):
                 if abs(val.imag) > tol:
                     raise NonIntegralMultiplicity(
                         f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
-                m = snap_int(val.real, tol)
-                if m is None or m < 0:
+                m = round(val.real)
+                if abs(val.real - m) > tol or m < 0:
                     raise NonIntegralMultiplicity(
                         f"<chi_{i} chi_{j}, chi_{k}> = {val.real} is not a nonnegative integer")
                 tensor[i, j, k] = m

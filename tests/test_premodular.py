@@ -1,6 +1,7 @@
 """Verlinde fusion, balancing, Gauss sums, quadratic forms, braided cases."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fusionring as fr
 from fusionring import premodular
 from fusionring.exact import RootOfUnity
-from fusionring.core import FusionRing, FusionRingError
+from fusionring.core import FusionRing, FusionRingError, MalformedInput, _Group
 from fusionring.premodular import (GroupTooLarge, ModularDatum, NegativeFusion,
                                    NonIntegralFusion,
                                    QuadraticForm, balancing_check,
@@ -199,7 +200,7 @@ def test_forms_verify_and_are_distinct():
     keys = {f.key() for f in forms}
     assert len(keys) == len(forms)
     for f in forms:
-        f.verify(exhaustive=True)
+        f.verify()
 
 
 def test_nondegenerate_count_c3():
@@ -208,18 +209,49 @@ def test_nondegenerate_count_c3():
     assert flags == [False, True, True]
 
 
+def _parent_form_to_json(form) -> dict:
+    """Test-only copy of form_to_json when a form held a RootOfUnity dict:
+    one RootOfUnity(x, M) per table entry, keyed by element, sorted."""
+    elements = itertools.product(*[range(f) for f in form.factors])
+    values = {g: RootOfUnity(x, form.m) for g, x in zip(elements, form.q.tolist())}
+    return {
+        "factors": list(form.factors),
+        "values": {",".join(str(x) for x in g): [r.num, r.den]
+                   for g, r in sorted(values.items())},
+    }
+
+
 def test_form_json_round_trip():
-    form = quadratic_forms([2, 4])[5]
-    back = form_from_json(form_to_json(form))
-    assert back.factors == form.factors
-    assert back.key() == form.key()
+    for factors in ordered_factor_lists(16):
+        for form in quadratic_forms(factors):
+            data = form_to_json(form)
+            assert json.dumps(data) == json.dumps(_parent_form_to_json(form))
+            back = form_from_json(data)
+            assert back.factors == form.factors
+            assert back.key() == form.key()
+
+
+def test_form_is_its_table():
+    form = QuadraticForm([2], [4, 5], 4)
+    assert form.factors == (2,) and form.m == 4 and form.q.tolist() == [0, 1]
+    assert not form.q.flags.writeable
+    assert form.values == {(0,): RootOfUnity(0, 1), (1,): RootOfUnity(1, 4)}
+    # == compares values, not the modulus they are written over
+    assert form == QuadraticForm((2,), [0, 2], 8)
+    assert form != QuadraticForm((2,), [0, 3], 4)
+    assert form != QuadraticForm((2, 1), [0, 1], 4)
+    for factors, q, m in [((2,), [0, 1, 0], 4), ((2,), [0, 1], 0),
+                          ((2,), [0, 1], 1 << 62), ((0,), [], 4)]:
+        with pytest.raises(FusionRingError):
+            QuadraticForm(factors, q, m)
 
 
 @pytest.mark.parametrize("data", [
     {"factors": [2], "values": {"0": [0, 1]}},                          # element missing
-    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4], "5": [0, 1]}},  # out of range
-    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4], "01": [1, 4]}},  # element twice
-    {"factors": [2, 2], "values": {"0": [0, 1]}},                       # wrong key length
+    {"factors": [2], "values": {"0": [0, 1], "5": [0, 1]}},             # out of range
+    {"factors": [2], "values": {"0": [0, 1], "01": [1, 4]}},            # not as written
+    {"factors": [2, 2], "values": {"0": [0, 1], "1": [0, 1], "0,1": [0, 1],
+                                   "1,1": [0, 1]}},                     # wrong key length
     {"factors": [2], "values": {"0": [0, 1], "x": [1, 4]}},             # not an integer
     {"factors": [2], "values": {"0": [0, 1], "1": [1, 0]}},             # den = 0
     {"factors": [2], "values": {"0": [0, 1], "1": [1, -4]}},            # den < 0
@@ -228,16 +260,36 @@ def test_form_json_round_trip():
     {"factors": [2], "values": {"0": [0, 1], "1": "1/4"}},              # not a pair
     {"factors": [0], "values": {}},                                     # bad factor
     {"factors": [2], "values": [[0, 1], [1, 4]]},                       # not an object
-    {"factors": [2], "values": {"0": [0, 1], "1": [1, 3]}},             # not a form
+    {"factors": 2, "values": {"0": [0, 1], "1": [1, 4]}},               # factors not a list
     {"factors": [2], "values": {"0": [0, 1], "1": [1, 10 ** 30]}},      # beyond int64
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 2 ** 61 - 1]}},   # lcm beyond 2^62
+    {"factors": [True], "values": {"0": [0, 1]}},                       # bool factor
+    {"factors": [2], "values": {"0": [0, 1], "1": [1, 4], "2": [0, 1]}},  # one value too many
+    {"factors": [10 ** 30], "values": {"0": [0, 1]}},                   # too few values
+    {"factors": [2], "values": {"0": [0, 1], "1": [True, 4]}},          # bool value
+    {"factors": [2]},                                                   # no values
+    [2],                                                                # not an object
+    '{"factors": [2], "values": ',                                      # does not parse
 ])
 def test_form_from_json_rejects(data):
-    with pytest.raises(FusionRingError):
+    with pytest.raises(MalformedInput):
         form_from_json(data)
 
 
-# Test-only reference: the triple loop over Fractions of a turn that the
-# integer-array verify replaced.
+@pytest.mark.parametrize("data,message", [
+    ({"factors": [2], "values": {"0": [0, 1], "1": [1, 3]}}, "b is not additive"),
+    ({"factors": [2], "values": {"0": [1, 2], "1": [0, 1]}}, "q\\(0\\) must be 1"),
+    ({"factors": [3], "values": {"0": [0, 1], "1": [1, 3], "2": [0, 1]}}, "!= q"),
+])
+def test_form_from_json_rejects_non_form(data, message):
+    # well-formed JSON whose values are no quadratic form is a finding
+    with pytest.raises(FusionRingError, match=message) as err:
+        form_from_json(json.dumps(data))
+    assert not isinstance(err.value, MalformedInput)
+
+
+# Test-only references: the triple loop over Fractions of a turn that the
+# integer-array verify replaced, and the exhaustive check on the int table.
 
 def _oracle_is_form(factors, values, exhaustive=True) -> bool:
     elems = list(itertools.product(*[range(f) for f in factors]))
@@ -254,6 +306,20 @@ def _oracle_is_form(factors, values, exhaustive=True) -> bool:
     gens = [tuple(int(i == j) % f for j, f in enumerate(factors)) for i in range(len(factors))]
     return all(b[add(g, gp), h] == (b[g, h] + b[gp, h]) % 1
                for g in (elems if exhaustive else gens) for gp in elems for h in elems)
+
+
+def _table_is_form(grp, form) -> bool:
+    """q(0) = 0, q(-g) = q(g) and b(g + g', h) = b(g, h) + b(g', h) for all
+    g, g', h, on the int table mod M."""
+    q, m = form.q, form.m
+    b = (q[grp.add] - q[:, None] - q[None, :]) % m
+    return bool(q[0] == 0 and (q == q[grp.neg]).all()
+                and (b[grp.add] == (b[:, None, :] + b[None, :, :]) % m).all())
+
+
+def _form_json(factors, values) -> dict:
+    return {"factors": list(factors),
+            "values": {",".join(str(x) for x in g): [r.num, r.den] for g, r in values.items()}}
 
 
 small_groups = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
@@ -276,22 +342,22 @@ def test_forms_pass_oracle_and_closed_count(factors):
 def test_perturbed_form_rejected(factors, data):
     forms = quadratic_forms(factors)
     form = forms[data.draw(st.integers(0, len(forms) - 1))]
-    elems = list(form.values)
-    g = elems[data.draw(st.integers(1, len(elems) - 1))]
+    values = form.values
+    g = list(values)[data.draw(st.integers(1, len(values) - 1))]
     den = data.draw(st.integers(2, 4 * math.lcm(*factors)))
     delta = RootOfUnity(data.draw(st.integers(1, den - 1)), den)
-    values = dict(form.values)
-    for h in {g, form.neg(g)}:
+    for h in {g, tuple(-x % f for x, f in zip(g, factors))}:
         values[h] = values[h] * delta
     ok = _oracle_is_form(factors, values)
     assert _oracle_is_form(factors, values, exhaustive=False) == ok
-    # delta on {g, -g} can give another form (on C2, or for g of order 3);
-    # only the perturbations the oracle rejects are a test of verify
-    assume(not ok)
-    perturbed = QuadraticForm(form.factors, values)
-    for exhaustive in (True, False):
-        with pytest.raises(FusionRingError):
-            perturbed.verify(exhaustive=exhaustive)
+    # delta on {g, -g} can give another form (on C2, or for g of order 3),
+    # which must read back; every other perturbation must be refused
+    if ok:
+        assert form_from_json(_form_json(factors, values)).values == values
+        return
+    with pytest.raises(FusionRingError) as err:
+        form_from_json(_form_json(factors, values))
+    assert not isinstance(err.value, MalformedInput)
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,10 +373,8 @@ def test_form_times_nonreal_character_rejected(factors, data):
         turn = sum((Fraction(x * y, n) for x, y, n in zip(a, g, factors)), Fraction(0))
         values[g] = r * RootOfUnity(turn.numerator, turn.denominator)
     assert not _oracle_is_form(factors, values)
-    perturbed = QuadraticForm(form.factors, values)
-    for exhaustive in (True, False):
-        with pytest.raises(FusionRingError, match="!= q"):
-            perturbed.verify(exhaustive=exhaustive)
+    with pytest.raises(FusionRingError, match="!= q"):
+        form_from_json(_form_json(factors, values))
 
 
 @settings(max_examples=15, deadline=None)
@@ -377,14 +441,16 @@ def test_braided_cases_huge_n_is_immediate():
 @pytest.mark.parametrize("factors", ordered_factor_lists(16), ids=str)
 def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
     # every row of the form table is a form by construction: none is checked
-    # while it is built (form_classes too, on the groups where it is quick),
-    # and each passes the exhaustive check afterwards
+    # and no RootOfUnity is made while it is built (form_classes too, on the
+    # groups where it is quick), and each passes the exhaustive check on its
+    # table afterwards (test_form_json_round_trip runs verify on each)
     monkeypatch.setattr(premodular, "_check_form", refuse)
+    monkeypatch.setattr(premodular, "RootOfUnity", refuse)
     forms = quadratic_forms(factors)
     classes = form_classes(factors) if math.prod(factors) <= 8 else []
     monkeypatch.undo()
-    for form in forms + classes:
-        form.verify(exhaustive=True)
+    grp = _Group(tuple(factors))
+    assert all(_table_is_form(grp, form) for form in forms + classes)
     count = math.prod(n if n % 2 else 2 * n for n in factors)
     assert len(forms) == count * math.prod(
         math.gcd(a, b) for a, b in itertools.combinations(factors, 2))

@@ -12,7 +12,7 @@ from fusionring.nearintegral import construct
 from fusionring.spectral import (NotCommutative, characters, codegree_object_dims,
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
-                                 spectral_report, SNAP_TOL)
+                                 spectral_report)
 from shared_rings import s3_group_ring
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -210,7 +210,7 @@ def assert_same_codegrees(got, want):
     """Integers equal, other values within 1e-9 relative, in the same order."""
     assert len(got) == len(want)
     for f, g in zip(got, want):
-        snapped = snap_int(float(g), SNAP_TOL)
+        snapped = snap_int(float(g))
         if snapped is not None:
             assert isinstance(f, int) and f == snapped
         else:
