@@ -82,6 +82,15 @@ def test_verify_ok_and_violation(tmp_path, capsys):
     assert "violation" in out
 
 
+def test_verify_stdin_rank_101(capsys, monkeypatch):
+    # R(C100, 15), the extraspecial_kappa(5, 1) ring: outside JSON of rank
+    # 101 is validated in full
+    payload = json.dumps(ring_to_json(construct(group_ring([100]), 15)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, _, err = run(capsys, "verify", "-")
+    assert code == 0 and err == ""
+
+
 def test_stdin_input(capsys, monkeypatch, tmp_path):
     import io
     payload = json.dumps(ring_to_json(group_ring([4])))

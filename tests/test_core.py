@@ -92,6 +92,14 @@ def test_group_ring_of_orders_is_unchecked_and_matches_loop(monkeypatch):
     assert len(specs) == 140
 
 
+def test_group_tables_built_once_and_read_only():
+    grp = core._Group((2, 4))
+    assert core._Group((2, 4)) is grp
+    for arr in (grp.coords, grp.mods, grp.strides, grp.add, grp.neg, grp.gens):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 @pytest.mark.parametrize("table", [[[0, 5], [5, 0]], [[0, -1], [-1, 0]]])
 def test_group_ring_rejects_table_entries_out_of_range(table):
     with pytest.raises(FusionRingError, match=r"entries must lie in range\(2\)"):
@@ -207,6 +215,92 @@ def test_associativity_exact_at_float_limits(bits, float_type):
     for c in (kappa, kappa + 1):
         near_group = np.array([[[1, 0], [0, 1]], [[0, 1], [1, c]]])
         assert _associativity_violations(near_group) == []
+
+
+def _unit_fixing_relabel(ring, seed):
+    """ring's tensor under a random basis permutation that fixes the unit."""
+    p = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.rank - 1)])
+    return ring.tensor[np.ix_(p, p, p)]
+
+
+# Associative tensors of rank >= 16, where _associativity_violations checks a
+# generating set's slabs first; the last runs on Python ints (max|c| = 2^32)
+CERTIFIED = {
+    "C16": lambda: _unit_fixing_relabel(group_ring([16]), 1),
+    "C4xC4": lambda: _unit_fixing_relabel(group_ring([4, 4]), 2),
+    "C2^4": lambda: _unit_fixing_relabel(group_ring([2] * 4), 3),
+    "A4xA4": lambda: product_ring(fr.entry_ring("A4"), fr.entry_ring("A4")).tensor,
+    "Q8xD4": lambda: product_ring(fr.entry_ring("Q8"), fr.entry_ring("D4")).tensor,
+    "R(C16,3)": lambda: fr.construct(group_ring([16]), 3).tensor,
+    "R(C1,2^32)xC8": lambda: product_ring(fr.construct(group_ring([1]), 2 ** 32),
+                                          group_ring([8])).tensor,
+}
+
+# (entry, change) pairs; a change in row 0 breaks the left-unit start of
+# _generators
+PERTURBATIONS = [
+    (),
+    (((3, 5, 7), 1),),
+    (((2, 2, 1), -1),),
+    (((0, 1, 4), 2),),
+    (((0, 3, 3), -1), ((9, 4, 2), 1)),
+    (((5, 5, 0), 2), ((1, 2, 9), -1)),
+]
+
+
+@pytest.mark.parametrize("changes", PERTURBATIONS, ids=lambda c: str(list(c)))
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_associativity_matches_einsum_reference(name, changes):
+    t = np.array(CERTIFIED[name]())
+    assert t.shape[0] >= core._CERTIFY_MIN_RANK
+    for index, delta in changes:
+        t[index] += delta
+    violations = _associativity_violations(t)
+    assert violations == einsum_associativity_violations(t)
+    assert bool(violations) == bool(changes)
+
+
+def _nucleus_gap_tensor():
+    """Z[C16] + Z y with g y = y, y g^k = (-1)^k y and y y = sum of G, in the
+    basis g^k (k != 2), g^2 + y, y. The group lies in the left nucleus and y
+    does not, so g g = (g^2 + y) - y gives neither of its two basis
+    elements to the peeling."""
+    n = 17
+    e = np.zeros((n, n, n), dtype=np.int64)
+    e[:16, :16, :16] = group_ring([16]).tensor
+    e[:16, 16, 16] = 1
+    e[16, :16, 16] = (-1) ** np.arange(16)
+    e[16, 16, :16] = 1
+    p, p_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    p[2, 16], p_inv[2, 16] = 1, -1  # b_2 = g^2 + y, so g^2 = b_2 - b_16
+    return np.einsum("ia,jb,abc,ck->ijk", p, p, e, p_inv)
+
+
+def test_certificate_is_sound_on_crafted_nucleus():
+    # the generating set must be grown only from slabs that hold: the
+    # tensors below fail associativity in slabs that a looser peeling, or a
+    # unit taken for granted, would never check
+    gap = _nucleus_gap_tensor()
+    not_unit = np.zeros((16, 16, 16), dtype=np.int64)
+    not_unit[0] = np.eye(16, dtype=np.int64)
+    not_unit[0, 2, 0] = -1  # only slab 0 fails; every other product is 0
+    for t in (gap, not_unit):
+        violations = _associativity_violations(t)
+        assert violations and violations == einsum_associativity_violations(t)
+    assert {i for _, (i, *_), _ in _associativity_violations(not_unit)} == {0}
+
+
+@pytest.mark.parametrize("orders", [[48], [8, 8], [2] * 6, [162]], ids=str)
+def test_group_ring_generators_at_most_log2_order(orders):
+    # peeling closes the known set under products, so it is a subgroup, and
+    # each new generator at least doubles it
+    gens = core._generators(group_ring(orders).tensor)
+    assert len(gens) <= math.log2(math.prod(orders))
+
+
+def test_extraspecial_ring_generators():
+    # R(C162, 9): a generator of C162, then rho
+    assert core._generators(fr.construct(group_ring([162]), 9).tensor) == [1, 162]
 
 
 def test_validate_tensor_memory_is_cubic():
