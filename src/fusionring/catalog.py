@@ -10,22 +10,20 @@ The catalog ships four kinds of entries as embedded JSON:
   internal consistency (sum of squared dims = FPdim) is re-checked here.
 
 Symbolic dimension values are stored as expression strings evaluated by
-eval_dimension_expr; the grammar covers arithmetic, sqrt/csc/sec/sin/cos,
-pi, quantum integers qint(n, m) and roots of unity zeta(n, k).
+eval_dimension_expr, in the scalar grammar of exact.parse_zeta_expr that
+table and datum entries use too: arithmetic, sqrt/csc/sec/sin/cos, pi,
+quantum integers qint(n, m) and roots of unity zeta(n, k).
 """
 
 from __future__ import annotations
 
-import ast
-import cmath
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 
 from .core import (CharacterTable, FusionRing, FusionRingError,
                    character_table_to_fusion_ring, table_from_json)
-from .exact import EXACT_TOL, SNAP_TOL, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr, quantum_integer, snap_int
 from .premodular import (ModularDatum, balancing_check, gauss_sums,
                          modular_datum_from_json, verlinde_fusion)
 from . import spectral
@@ -48,65 +46,11 @@ class UnknownEntry(FusionRingError):
     pass
 
 
-def quantum_integer(n: int, m: int) -> float:
-    """Quantum integer [n]_m = sin(n*pi/m)/sin(pi/m), the positive evaluation
-    used for Frobenius-Perron dimensions."""
-    n, m = int(n), int(m)
-    if not (1 <= n < m):
-        raise ValueError(f"quantum integer needs 1 <= n < m, got [{n}]_{m}")
-    return math.sin(n * math.pi / m) / math.sin(math.pi / m)
-
-
-_FUNCS = {
-    "sqrt": cmath.sqrt,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "csc": lambda x: 1.0 / cmath.sin(x),
-    "sec": lambda x: 1.0 / cmath.cos(x),
-    "qint": lambda n, m: complex(quantum_integer(int(n.real), int(m.real))),
-    "zeta": lambda n, k: cmath.exp(2j * cmath.pi * int(k.real) / int(n.real)),
-}
-
-_NAMES = {"pi": complex(math.pi)}
-
-
-def _eval_node(node) -> complex:
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return complex(node.value)
-    if isinstance(node, ast.Name) and node.id in _NAMES:
-        return _NAMES[node.id]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        val = _eval_node(node.operand)
-        return val if isinstance(node.op, ast.UAdd) else -val
-    if isinstance(node, ast.BinOp):
-        left, right = _eval_node(node.left), _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            return left / right
-        if isinstance(node.op, ast.Pow):
-            return left ** right
-        raise ValueError(f"unsupported operator {ast.dump(node.op)}")
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        fn = _FUNCS.get(node.func.id)
-        if fn is None or node.keywords:
-            raise ValueError(f"unknown function {node.func.id!r}")
-        return fn(*[_eval_node(a) for a in node.args])
-    raise ValueError(f"unsupported expression node {ast.dump(node)}")
-
-
 def eval_dimension_expr(text: str) -> float:
-    """Evaluate a dimension expression to a real number.
-
-    Intermediate values may be complex (zeta terms); the result must be real
-    within EXACT_TOL (relative)."""
-    value = _eval_node(ast.parse(str(text), mode="eval"))
+    """Evaluate a dimension expression (exact.parse_zeta_expr) to a real
+    number. Intermediate values may be complex (zeta terms); the result must
+    be real within EXACT_TOL (relative)."""
+    value = parse_zeta_expr(str(text))
     if abs(value.imag) > EXACT_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"expression {text!r} evaluates to non-real {value}")
     return value.real

@@ -1,15 +1,20 @@
-"""Exact scalars: roots of unity and small integer combinations of them.
+"""Exact scalars: roots of unity, and the one evaluator of scalar strings.
 
-Everything downstream (character tables, T-matrices, S-matrix entries) only
-ever needs Z-linear combinations of roots of unity, so a fraction-of-a-turn
-type plus a tiny expression parser is enough; no symbolic algebra dependency.
+Character tables, T-matrices and S-matrix entries only ever need Z-linear
+combinations of roots of unity; classification dimensions add sqrt, csc,
+qint and pi. A fraction-of-a-turn type plus one walker over Python's own
+parse tree covers both, with no symbolic algebra dependency.
+parse_zeta_expr states the grammar: it reads table and datum entries
+(parse_scalar) and catalog dimension expressions alike.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
-import re
+import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,49 +63,69 @@ class RootOfUnity:
         return f"zeta({self.den},{self.num})"
 
 
-def parse_zeta_expr(text: str) -> complex:
-    """Parse an exact-scalar string into a complex number.
+def quantum_integer(n: int, m: int) -> float:
+    """Quantum integer [n]_m = sin(n*pi/m)/sin(pi/m), the positive evaluation
+    used for Frobenius-Perron dimensions."""
+    n, m = int(n), int(m)
+    if not (1 <= n < m):
+        raise ValueError(f"quantum integer needs 1 <= n < m, got [{n}]_{m}")
+    return math.sin(n * math.pi / m) / math.sin(math.pi / m)
 
-    Grammar: signed sum of terms, each term an optional integer coefficient
-    times an optional root of unity, e.g. "zeta(8,1)+zeta(8,7)",
-    "2*zeta(3,1)", "-1", "4*zeta(6,1)", "zeta(4,1)**3".
+
+def _integer(x: complex) -> int:
+    if x.imag or not x.real.is_integer():
+        raise ValueError(f"expected an integer argument, got {x}")
+    return int(x.real)
+
+
+_FUNCS = {
+    "sqrt": cmath.sqrt,
+    "sin": cmath.sin,
+    "cos": cmath.cos,
+    "csc": lambda x: 1.0 / cmath.sin(x),
+    "sec": lambda x: 1.0 / cmath.cos(x),
+    "qint": lambda n, m: complex(quantum_integer(_integer(n), _integer(m))),
+    "zeta": lambda n, k: RootOfUnity(_integer(k), _integer(n)).value(),
+}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def _eval_node(node) -> complex:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return complex(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return complex(math.pi)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_node(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_eval_node(node.left), _eval_node(node.right))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and not node.keywords):
+        return _FUNCS[node.func.id](*[_eval_node(a) for a in node.args])
+    raise ValueError(f"unsupported {type(node).__name__} node")
+
+
+def parse_zeta_expr(text: str) -> complex:
+    """Evaluate an exact-scalar string to a complex number.
+
+    The grammar is arithmetic (+, binary and unary -, *, /, **) on integer
+    and decimal literals, the name pi and the functions sqrt, sin, cos, csc,
+    sec, quantum integers qint(n, m) and roots of unity zeta(n, k) =
+    exp(2*pi*i*k/n), e.g. "zeta(8,1)+zeta(8,7)", "-4-4*zeta(3,1)",
+    "5/4*csc(pi/5)**2". The arguments of qint and zeta must be integers.
+    Anything else, an overflow included, raises ValueError, which quotes
+    the string shortened by reprlib.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar expression")
-    total = 0 + 0j
-    pos = 0
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-        elif not first:
-            raise ValueError(f"expected +/- at position {pos} in {text!r}")
-        m = re.match(r"(\d+)(?:\*)?", s[pos:])
-        coef = 1
-        if m and m.group(1):
-            coef = int(m.group(1))
-            pos += m.end()
-        zm = re.match(r"zeta\((\d+),(-?\d+)\)(?:\*\*(-?\d+))?", s[pos:])
-        if zm:
-            den, num = int(zm.group(1)), int(zm.group(2))
-            root = RootOfUnity(num, den)
-            if zm.group(3) is not None:
-                root = root ** int(zm.group(3))
-            total += sign * coef * root.value()
-            pos += zm.end()
-        else:
-            if m is None or not m.group(1):
-                raise ValueError(f"cannot parse term at position {pos} in {text!r}")
-            total += sign * coef
-        first = False
-    return total
+    try:
+        return _eval_node(ast.parse(text.strip(), mode="eval").body)
+    except (ValueError, SyntaxError, TypeError, ArithmeticError, RecursionError,
+            MemoryError) as exc:
+        raise ValueError(f"cannot read scalar {reprlib.repr(text)}: {exc}") from None
 
 
 def parse_scalar(entry) -> complex:
-    """Parse one matrix entry from JSON: number, [re, im] pair, or zeta string."""
+    """Parse one matrix entry from JSON: number, [re, im] pair, or scalar string."""
     if isinstance(entry, str):
         return parse_zeta_expr(entry)
     if isinstance(entry, (list, tuple)):

@@ -31,3 +31,15 @@ def s3_group_ring():
             r, s = (ra - rb) % 3, 1 - sb
         return s * 3 + r
     return group_ring([[mul(a, b) for b in range(6)] for a in range(6)])
+
+
+# Scalar strings that table and datum entries must refuse: a division by
+# zero, a unary plus, a non-integer root of unity, Python that is not in the
+# grammar, an overflow, and a sum and a nesting too deep to evaluate.
+HOSTILE_SCALARS = ["1/0", "1++2", "zeta(3.5,1)", "__import__('os')", "x.real", "9**9**9",
+                   "+".join(["1"] * 10 ** 5), "(" * 1000 + "1" + ")" * 1000]
+
+
+def scalar_id(text: str) -> str:
+    """A short test id for a scalar string."""
+    return text if len(text) <= 20 else f"{text[:6]}...({len(text)} chars)"

@@ -38,8 +38,9 @@ def test_eval_dimension_expr():
 def test_eval_dimension_expr_rejects():
     with pytest.raises(ValueError):
         eval_dimension_expr("zeta(4,1)")  # not real
-    with pytest.raises(Exception):
-        eval_dimension_expr("__import__('os')")
+    for bad in ["__import__('os')", "zeta(2.5,1)", "qint(3.5,5)", "1/0"]:
+        with pytest.raises(ValueError):
+            eval_dimension_expr(bad)
 
 
 def test_list_and_load():

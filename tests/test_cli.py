@@ -15,6 +15,7 @@ from fusionring import catalog, cli
 from fusionring.core import FusionRingError, group_ring, ring_to_json, table_to_json
 from fusionring.nearintegral import construct, gagola_analyze
 from fusionring.premodular import modular_datum_to_json
+from shared_rings import HOSTILE_SCALARS, scalar_id
 
 
 S3_TABLE_JSON = json.dumps(table_to_json(catalog.load_entry("S3").payload))
@@ -299,6 +300,70 @@ def test_detect_stdin_large_kappa(capsys, monkeypatch):
     assert json.loads(out)["kappa"] == 10 ** 4
 
 
+@pytest.mark.parametrize("text", HOSTILE_SCALARS, ids=scalar_id)
+def test_hostile_table_string_is_one_line_input_error(text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"order": 2, "rows": [[1, 1], [1, text]]})))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: 'rows' has an unreadable entry: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_catalog_list(capsys):
+    code, out, _ = run(capsys, "--format", "json", "catalog", "list")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["name"] for e in entries] == catalog.list_catalog()
+    assert all(set(e) == {"name", "kind"} for e in entries)
+    assert {e["kind"] for e in entries} == {"characterTable", "modularDatum", "groupList",
+                                           "classificationRow"}
+
+
+@pytest.mark.parametrize("name, kind, body_keys", [
+    ("Z(Rep(S3))", "modularDatum", {"S", "T", "dims"}),
+    ("rank4/C(A1,8,q)_ad", "classificationRow",
+     {"family", "name", "fpdim", "dims", "center", "count"}),
+    ("rank6-tannakian1/C(G2,21,q)", "classificationRow",
+     {"family", "name", "fpdim", "dims", "center", "count", "countUnverified"}),
+])
+def test_catalog_show_kinds(name, kind, body_keys, capsys):
+    code, out, _ = run(capsys, "--format", "json", "catalog", "show", name)
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"name", "kind", "provenance", "payload"}
+    assert (data["name"], data["kind"]) == (name, kind)
+    assert set(data["payload"]) == body_keys
+
+
+def test_catalog_show_group_list(capsys):
+    code, out, _ = run(capsys, "--format", "json", "catalog", "show", "groups<=6classes")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "groupList"
+    assert data["payload"] == list(catalog.load_entry("groups<=6classes").payload)
+    assert set(data["payload"][0]) == {"name", "order", "numClasses", "numCentralInvolutive"}
+
+
+@pytest.mark.parametrize("argv, payload, want", [
+    (["detect", "-"], ring_to_json(group_ring([4])), {"nearIntegral": False}),
+    (["gagola", "-"], {"order": 3, "rows": [[1, 1, 1], [1, "zeta(3,1)", "zeta(3,2)"],
+                                            [1, "zeta(3,2)", "zeta(3,1)"]]},
+     {"found": False, "reason": "no qualifying class/row pair"}),
+])
+def test_negative_findings_exit_1(argv, payload, want, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == want
+
+
+def test_qforms_empty_factor_is_input_error(capsys):
+    code, out, err = run(capsys, "qforms", "Cx")
+    assert (code, out) == (3, "")
+    assert err == "input error: bad group spec 'Cx'; use products of cyclic factors like C9 or C3xC3\n"
+
+
 def run_subprocess(*argv, stdin=None, **env):
     """python -m fusionring.cli in a fresh process, with env added."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -337,7 +402,8 @@ ring_json = st.fixed_dictionaries(
     optional={"labels": nested, "dual": st.lists(small_ints | json_scalars, max_size=3) | nested})
 # matrix entries as parse_scalar reads them: numbers, [re, im] pairs, zeta strings
 scalars = (small_ints | json_scalars | st.lists(small_ints | st.floats(), min_size=2, max_size=2)
-           | st.sampled_from(["-1", "zeta(3,1)", "2*zeta(4,1)", "zeta(0,1)", "zeta(2,1"]))
+           | st.sampled_from(["-1", "zeta(3,1)", "2*zeta(4,1)", "zeta(0,1)", "zeta(2,1"]
+                             + HOSTILE_SCALARS))
 square_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
 int_lists = st.lists(small_ints | json_scalars, max_size=3) | nested

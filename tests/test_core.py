@@ -130,6 +130,28 @@ def test_violation_report_names_axioms():
     assert any(v[0] == "dual-pairing" for v in violations)
 
 
+@pytest.mark.parametrize("dual, want", [
+    ([0, 0, 2, 3], [((0, 0, 2, 3), "dual is not a permutation")]),
+    ([1, 0, 2, 3], [((0,), "dual of the unit is not the unit")]),
+    ([0, 2, 3, 1], [((1,), "dual is not an involution"), ((2,), "dual is not an involution"),
+                    ((3,), "dual is not an involution")]),
+])
+def test_duality_violations(dual, want):
+    violations = validate_tensor(group_ring([4]).tensor, dual)
+    assert [(i, d) for a, i, d in violations if a == "duality"] == want
+
+
+@pytest.mark.parametrize("order, rows, sizes, message", [
+    (2, [[1, 1], [-1, 1]], (1, 1), "column 0 must hold positive integer degrees"),
+    (3, [[1, 1], [1, -1]], (1, 2), "sum of squared degrees must equal the group order"),
+    (2, [[1, 1], [1, -1]], (1, 2), "class sizes must sum to the group order"),
+    (2, [[1, 1], [1, 1]], (1, 1), "column orthogonality fails"),
+])
+def test_character_table_checks(order, rows, sizes, message):
+    with pytest.raises(FusionRingError, match=f"^{message}$"):
+        CharacterTable(order, rows, sizes).validate()
+
+
 def test_frobenius_reciprocity_violation_detected():
     t = np.zeros((3, 3, 3), dtype=int)
     t[0] = np.eye(3)

@@ -1,8 +1,11 @@
-"""Exact root-of-unity scalars, the zeta expression parser and the tolerance policy."""
+"""Exact root-of-unity scalars, the scalar-string evaluator and the tolerance policy."""
 
 import argparse
 import cmath
 import inspect
+import json
+import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, strategies as st
 import fusionring
 from fusionring import catalog, cli, core, exact, nearintegral, premodular, spectral, structure
 from fusionring.exact import RootOfUnity, parse_scalar, parse_zeta_expr, snap_int
+from shared_rings import HOSTILE_SCALARS, scalar_id
 
 
 def test_reduction():
@@ -66,6 +70,100 @@ def test_parse_scalar_forms():
 
 def test_parse_rejects_garbage():
     for bad in ["", "zeta(3)", "1++2", "spam"]:
+        with pytest.raises(ValueError):
+            parse_zeta_expr(bad)
+
+
+def _parent_parse_zeta_expr(text: str) -> complex:
+    """Test-only copy of the regex parser that read table and datum strings
+    before they shared the dimension-expression walker: a signed sum of
+    terms, each an optional integer coefficient times an optional
+    zeta(n,k)**e, the power taken exactly on the root."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar expression")
+    total = 0 + 0j
+    pos = 0
+    first = True
+    while pos < len(s):
+        sign = 1
+        if s[pos] in "+-":
+            sign = -1 if s[pos] == "-" else 1
+            pos += 1
+        elif not first:
+            raise ValueError(f"expected +/- at position {pos} in {text!r}")
+        m = re.match(r"(\d+)(?:\*)?", s[pos:])
+        coef = 1
+        if m and m.group(1):
+            coef = int(m.group(1))
+            pos += m.end()
+        zm = re.match(r"zeta\((\d+),(-?\d+)\)(?:\*\*(-?\d+))?", s[pos:])
+        if zm:
+            den, num = int(zm.group(1)), int(zm.group(2))
+            root = RootOfUnity(num, den)
+            if zm.group(3) is not None:
+                root = root ** int(zm.group(3))
+            total += sign * coef * root.value()
+            pos += zm.end()
+        else:
+            if m is None or not m.group(1):
+                raise ValueError(f"cannot parse term at position {pos} in {text!r}")
+            total += sign * coef
+        first = False
+    return total
+
+
+def _data_strings() -> list:
+    """Every string entry of the catalog's character tables and modular data."""
+    out = []
+    for fname, key in (("character_tables.json", "rows"), ("modular_data.json", "S")):
+        data = json.loads(resources.files("fusionring.data").joinpath(fname).read_text())
+        out += [e for entry in data.values() for row in entry[key] for e in row
+                if isinstance(e, str)]
+    return out
+
+
+def test_data_strings_match_the_regex_parser():
+    strings = _data_strings()
+    assert (len(strings), len(set(strings))) == (120, 10)
+    for text in strings:
+        assert parse_zeta_expr(text) == _parent_parse_zeta_expr(text), text
+
+
+zeta_terms = st.builds("{}*zeta({},{})".format, st.integers(0, 50), st.integers(1, 48),
+                       st.integers(-60, 60))
+int_terms = st.integers(0, 2 ** 60).map(str)
+
+
+@given(st.sampled_from(["", "-"]), st.lists(st.tuples(st.sampled_from("+-"),
+                                                      zeta_terms | int_terms),
+                                            min_size=1, max_size=8))
+def test_sums_match_the_regex_parser(first_sign, terms):
+    text = first_sign + "".join(sign + term for sign, term in terms)[1:]
+    assert parse_zeta_expr(text) == _parent_parse_zeta_expr(text)
+
+
+def test_powers_of_roots_within_last_bits():
+    # the walker raises zeta(n,k) as a complex number; the regex parser
+    # raised the root exactly
+    for e in range(-8, 9):
+        text = f"zeta(8,1)**{e}"
+        assert abs(parse_zeta_expr(text) - _parent_parse_zeta_expr(text)) < 1e-14
+
+
+@pytest.mark.parametrize("text", HOSTILE_SCALARS, ids=scalar_id)
+def test_parse_rejects_hostile_strings(text):
+    with pytest.raises(ValueError):
+        parse_zeta_expr(text)
+
+
+def test_parse_reads_the_dimension_grammar():
+    assert parse_zeta_expr("zeta(6,1)") == RootOfUnity(1, 6).value()
+    assert parse_zeta_expr(" 1 + zeta(4,1) ") == 1 + RootOfUnity(1, 4).value()
+    assert parse_zeta_expr("qint(3,5)**2") == pytest.approx((1 + 5 ** 0.5) ** 2 / 4)
+    assert parse_zeta_expr("5/4*csc(pi/5)**2") == pytest.approx(1 + (1 + 5 ** 0.5) ** 2 / 4)
+    for bad in ["+1", "qint(3.5,5)", "zeta(3,1j)", "True", "zeta(n=3,k=1)", "sqrt(2,3)",
+                "zeta(-3,1)"]:
         with pytest.raises(ValueError):
             parse_zeta_expr(bad)
 

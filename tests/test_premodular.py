@@ -180,6 +180,19 @@ def test_modular_datum_json_round_trip():
     assert back.t == m.t
 
 
+def test_modular_datum_checks():
+    one = RootOfUnity(0, 1)
+    with pytest.raises(FusionRingError, match=r"^S must be square$"):
+        ModularDatum([[1, 1]], (one,))
+    with pytest.raises(FusionRingError, match=r"^T length must match S$"):
+        ModularDatum([[1, 1], [1, -1]], (one,))
+    with pytest.raises(FusionRingError, match=r"^S is not symmetric \(max defect 1\.0\)$"):
+        ModularDatum([[1, 1], [2, -1]], (one, one)).validate()
+    with pytest.raises(FusionRingError, match=r"^explicit dims disagree with row 0 of S$"):
+        modular_datum_from_json({"S": [[1, 1], [1, -1]], "T": [[0, 1], [0, 1]],
+                                 "dims": [1, 2]})
+
+
 def test_form_counts():
     assert len(quadratic_forms([2])) == 4
     assert len(quadratic_forms([3])) == 3
