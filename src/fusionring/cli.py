@@ -450,6 +450,11 @@ def run(argv) -> int:
     except FusionRingError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return VIOLATION
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VIOLATION
 
 
 def main() -> None:

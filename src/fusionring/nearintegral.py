@@ -183,17 +183,13 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
 def distinguished_characters(ring: FusionRing, report: NearIntegralReport):
     """The two characters chi+- that restrict to FPdim = c_{rho rho}^x on S
     and send rho to d+-. Returned as (chi_plus, chi_minus) value vectors on
-    the full basis. Verifies multiplicativity on all basis pairs."""
+    the full basis. Multiplicativity is the paper's theorem on R(S, kappa)
+    (d+- are the roots of t^2 = kappa t + N) and is not checked here."""
     rho = report.rho_index
-    out = []
-    for d_rho in (report.d_plus, report.d_minus):
-        v = ring.tensor[rho, rho].astype(complex)
-        v[rho] = d_rho
-        err = _hom_defect(ring, v)
-        if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
-            raise NotNearIntegral(f"chi({d_rho}) fails multiplicativity by {err}")
-        out.append(v)
-    return out[0], out[1]
+    chi_plus = ring.tensor[rho, rho].astype(complex)
+    chi_minus = chi_plus.copy()
+    chi_plus[rho], chi_minus[rho] = report.d_plus, report.d_minus
+    return chi_plus, chi_minus
 
 
 def _hom_defect(ring: FusionRing, values: np.ndarray) -> float:
@@ -305,5 +301,4 @@ def extraspecial_kappa(p: int, n: int):
     kappa = p ** n * (p - 2)
     big_n = p ** (2 * n) * (p - 1)
     d_plus = p ** n * (p - 1)
-    assert d_plus * d_plus - kappa * d_plus - big_n == 0
     return kappa, big_n, d_plus

@@ -244,8 +244,11 @@ class QuadraticForm:
         return dict(zip(itertools.product(*map(range, self.factors)), self.key()))
 
     def key(self) -> tuple:
-        """The values as RootOfUnity, in element order."""
-        return tuple(RootOfUnity(x, self.m) for x in self.q.tolist())
+        """The values as RootOfUnity, in element order; one RootOfUnity per
+        distinct value, as a form takes at most 2 exp(G) of them."""
+        q = self.q.tolist()
+        roots = {x: RootOfUnity(x, self.m) for x in set(q)}
+        return tuple(map(roots.__getitem__, q))
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):

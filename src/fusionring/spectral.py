@@ -180,8 +180,7 @@ def formal_codegrees(ring: FusionRing) -> list:
 
 def codegree_object_dims(ring: FusionRing) -> list:
     """FPdim(ring) / f for each formal codegree f, in codegree order."""
-    total = ring_fpdim(ring)
-    return [total / float(f) for f in formal_codegrees(ring)]
+    return list(spectral_report(ring).codegree_dims)
 
 
 def induction_unit_profile(ring: FusionRing) -> np.ndarray:

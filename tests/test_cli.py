@@ -364,13 +364,36 @@ def test_qforms_empty_factor_is_input_error(capsys):
     assert err == "input error: bad group spec 'Cx'; use products of cyclic factors like C9 or C3xC3\n"
 
 
+def subprocess_env(**env):
+    """The environment of a fresh process that imports this fusionring,
+    with env added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+
+
 def run_subprocess(*argv, stdin=None, **env):
     """python -m fusionring.cli in a fresh process, with env added."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
-    return subprocess.run([sys.executable, "-m", "fusionring.cli", *argv],
-                          input=stdin, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "fusionring.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=subprocess_env(**env), timeout=60)
+
+
+def test_closed_stdout_is_not_a_traceback(tmp_path):
+    # R(C40, 2) as JSON is about 300 kB, more than a pipe buffer holds, so
+    # the command is still printing when the reader closes the pipe, as
+    # `... | head -c 100` does
+    path = tmp_path / "c40.json"
+    path.write_text(json.dumps(ring_to_json(group_ring([40]))))
+    argv = ["--format", "json", "construct", "--subring", str(path), "--kappa", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "fusionring.cli", *argv], env=subprocess_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b"{") and len(head) == 100
+    assert "Traceback" not in err and err == ""
 
 
 def test_datum_overflow_prints_one_stderr_line():

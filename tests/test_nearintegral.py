@@ -445,3 +445,24 @@ def test_codegree_bookkeeping_and_dim_a_chi_minus_forms_agree():
                        for a, b in zip(direct, got)), name
             compared += 1
     assert compared == 87
+
+
+def _catalog_tables() -> list:
+    return [name for name in fr.list_catalog() if fr.load_entry(name).kind == "characterTable"]
+
+
+@pytest.mark.parametrize("name", _catalog_tables())
+def test_distinguished_characters_are_multiplicative(name):
+    # distinguished_characters checks nothing; chi+- are characters of
+    # R(S, kappa) by the paper's theorem, checked here within the bound the
+    # run-time check used: sum_k c_ij^k chi(b_k) = chi(b_i) chi(b_j)
+    sub = fr.entry_ring(name)
+    for kappa in range(6):
+        ring = construct(sub, kappa)
+        report = detect(ring)
+        tensor = ring.tensor.astype(float)
+        chi_pm = distinguished_characters(ring, report)
+        assert [chi[report.rho_index] for chi in chi_pm] == [report.d_plus, report.d_minus]
+        for chi in chi_pm:
+            defect = np.abs(tensor @ chi - np.outer(chi, chi)).max()
+            assert defect <= EXACT_TOL * max(1.0, np.abs(chi).max() ** 2), (name, kappa)

@@ -362,3 +362,57 @@ def test_support_masks_past_one_word():
     ring = group_ring([100])
     masks = ring.support_masks
     assert masks[1][99] == 1 and masks[99][99] == 1 << 98 and masks[63][1] == 1 << 64
+
+
+# ---------------------------------------------------------------------------
+# universal_grading reads the grading off component representatives and
+# checks nothing; each theorem it relies on is checked here, as a loop over
+# basis indices, on the oracle rings and on R(S, kappa) over every catalog
+# character ring S for kappa <= 2.
+
+
+CATALOG_TABLES = [name for name in fr.list_catalog()
+                  if fr.load_entry(name).kind == "characterTable"]
+GRADING_RINGS = {**ORACLE_RINGS, **{f"R({name},{kappa})": fr.construct(fr.entry_ring(name), kappa)
+                                    for name in CATALOG_TABLES for kappa in range(3)}}
+
+
+def test_grading_rings_cover_catalog_tables():
+    assert len(CATALOG_TABLES) == 11 and set(CATALOG_TABLES) <= set(ORACLE_RINGS)
+    assert len(GRADING_RINGS) == len(ORACLE_RINGS) + 3 * 11
+
+
+@pytest.mark.parametrize("name", sorted(GRADING_RINGS))
+def test_grading_theorems(name):
+    ring = GRADING_RINGS[name]
+    report = universal_grading(ring)
+    n, comp, table = ring.rank, report.component_of, report.group_table
+    g, ad = report.group_order, report.adjoint.indices
+    assert table.dtype == np.int64 and table.shape == (g, g)
+    # the linking relation (j in supp(b_a b_i) for some a in the adjoint
+    # subring) is an equivalence, and its classes are the components
+    linked = [{int(j) for a in ad for j in np.flatnonzero(ring.tensor[a, i])} for i in range(n)]
+    for i in range(n):
+        assert i in linked[i]
+        for j in linked[i]:
+            assert i in linked[j] and linked[j] <= linked[i]
+        assert linked[i] == {j for j in range(n) if comp[j] == comp[i]}
+    assert sorted(set(comp)) == list(range(g))
+    # the unit's component is 0 and holds the adjoint subring
+    assert comp[0] == 0
+    assert all(comp[a] == 0 for a in ad)
+    # products of components are homogeneous, with the component the table gives
+    for i in range(n):
+        for j in range(n):
+            for k in np.flatnonzero(ring.tensor[i, j]):
+                assert comp[k] == table[comp[i], comp[j]]
+    # the table is a group: identity 0, inverses, associativity
+    for a in range(g):
+        assert table[0, a] == a and table[a, 0] == a
+        assert 0 in table[a] and 0 in table[:, a]
+        for b in range(g):
+            for c in range(g):
+                assert table[table[a, b], c] == table[a, table[b, c]]
+    # duality inverts the grading
+    for i in range(n):
+        assert table[comp[ring.dual[i]], comp[i]] == 0
