@@ -80,7 +80,7 @@ def _as_tensor(tensor) -> np.ndarray:
                                        and (np.abs(arr) < 2.0 ** 63).all())
     if not exact:
         raise NonIntegralMultiplicity("structure constants must be integers")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)  # an int64 input is kept, not copied
     if (arr < 0).any():
         raise NonIntegralMultiplicity("structure constants must be nonnegative")
     return arr
@@ -121,16 +121,19 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
                            f"c[{i}][{j}][0] = {int(tensor[i, j, 0])}"))
 
     # Frobenius reciprocity: c_{ij}^k = c_{i* k}^j = c_{k j*}^i
+    # (np.array_equal first: it makes no index arrays when the check holds)
     t_star_left = tensor[dual].transpose(0, 2, 1)  # c_{i* k}^j at [i,j,k]
-    for i, j, k in zip(*np.nonzero(tensor != t_star_left)):
-        violations.append(("frobenius", (int(i), int(j), int(k)),
-                           f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
-                           f"c[{dual[i]}][{k}][{j}] = {int(tensor[dual[i], k, j])}"))
+    if not np.array_equal(tensor, t_star_left):
+        for i, j, k in zip(*np.nonzero(tensor != t_star_left)):
+            violations.append(("frobenius", (int(i), int(j), int(k)),
+                               f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
+                               f"c[{dual[i]}][{k}][{j}] = {int(tensor[dual[i], k, j])}"))
     t_star_right = tensor[:, dual, :].transpose(2, 1, 0)  # c_{k j*}^i at [i,j,k]
-    for i, j, k in zip(*np.nonzero(tensor != t_star_right)):
-        violations.append(("frobenius", (int(i), int(j), int(k)),
-                           f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
-                           f"c[{k}][{dual[j]}][{i}] = {int(tensor[k, dual[j], i])}"))
+    if not np.array_equal(tensor, t_star_right):
+        for i, j, k in zip(*np.nonzero(tensor != t_star_right)):
+            violations.append(("frobenius", (int(i), int(j), int(k)),
+                               f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
+                               f"c[{k}][{dual[j]}][{i}] = {int(tensor[k, dual[j], i])}"))
 
     violations.extend(_associativity_violations(tensor))
     return violations

@@ -108,24 +108,41 @@ def _closure_mask(ring: FusionRing, seed) -> int:
 
 
 def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
-    """All fusion subrings, by closing generating subsets; sorted by rank
-    then indices. Each subring H found is extended by every basis element
-    outside it, one closure each, so max_count bounds the sum of
-    rank - |H| over all subrings H; past it SearchBudgetExceeded is raised.
-    A closure takes the generators that produced H, not H itself; it is a
-    subring by construction (_closure_mask) and is not verified."""
-    found = {_closure_mask(ring, ()): ()}
+    """All fusion subrings, sorted by rank then indices, by the cyclic
+    extension method (Neubueser's, for subgroup lattices).
+
+    The candidates are the one-generated subrings C_g = closure(g), one g
+    per distinct C_g, less each C_g that is the closure of the C_h strictly
+    inside it. Every subring H is the join of the C_g of its members, and a
+    C_g that is a join of smaller C_h is by induction a join of candidates;
+    so H is the join of the candidates inside it, added one at a time. The
+    search extends each subring found by every candidate not inside it, so
+    it meets each partial join, hence every subring. A closure takes the
+    generators that produced H plus g, not H itself; it is a subring by
+    construction (_closure_mask) and is not verified.
+
+    max_count bounds the sum of rank - |H| over all subrings H found,
+    charged as each H is extended; past it SearchBudgetExceeded is raised."""
+    cyclic = {}
+    for g in range(1, ring.rank):
+        cyclic.setdefault(_closure_mask(ring, (g,)), g)
+    candidates = []
+    for mask, g in cyclic.items():
+        inner = tuple(h for sub, h in cyclic.items() if sub != mask and sub & mask == sub)
+        if not inner or _closure_mask(ring, inner) != mask:
+            candidates.append((mask, g))
+    found = {1: ()}
     budget = max_count
-    frontier = list(found)
+    frontier = [1]
     while frontier:
         mask = frontier.pop()
+        budget -= ring.rank - mask.bit_count()
+        if budget < 0:
+            raise SearchBudgetExceeded(f"subring coranks sum to more than {max_count}")
         gens = found[mask]
-        for g in range(1, ring.rank):
-            if mask >> g & 1:
+        for sub, g in candidates:
+            if sub & mask == sub:
                 continue
-            budget -= 1
-            if budget < 0:
-                raise SearchBudgetExceeded(f"more than {max_count} closure computations")
             bigger = _closure_mask(ring, gens + (g,))
             if bigger not in found:
                 found[bigger] = gens + (g,)

@@ -162,6 +162,54 @@ def test_frobenius_reciprocity_violation_detected():
     assert violations
 
 
+def loop_frobenius(t, dual):
+    """Frobenius violations as validate_tensor lists them: every (i, j, k)
+    with c_ij^k != c_{i* k}^j, then every one with c_ij^k != c_{k j*}^i."""
+    n = len(dual)
+    out = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if t[i, j, k] != t[dual[i], k, j]:
+            out.append(("frobenius", (i, j, k), f"c[{i}][{j}][{k}] = {t[i, j, k]} but "
+                                                 f"c[{dual[i]}][{k}][{j}] = {t[dual[i], k, j]}"))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if t[i, j, k] != t[k, dual[j], i]:
+            out.append(("frobenius", (i, j, k), f"c[{i}][{j}][{k}] = {t[i, j, k]} but "
+                                                 f"c[{k}][{dual[j]}][{i}] = {t[k, dual[j], i]}"))
+    return out
+
+
+def test_frobenius_violations_match_loop():
+    # the whole list, entries and order: unit and pairing violations, the
+    # Frobenius ones of the loop, then associativity
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = np.eye(3)
+    t[:, 0] = np.eye(3)
+    t[1, 2, 0] = t[2, 1, 0] = 1
+    t[1, 1, 2] = 1
+    c3 = np.array(group_ring([3]).tensor)
+    c3[1, 1, 2] = 2
+    c3[2, 1, 0] = 0
+    for tensor, dual in ((t, [0, 2, 1]), (c3, [0, 2, 1])):
+        got = validate_tensor(tensor, dual)
+        frobenius = loop_frobenius(tensor, dual)
+        assert frobenius
+        assert got == ([v for v in got if v[0] in ("unit", "dual-pairing")] + frobenius
+                       + [v for v in got if v[0] == "associativity"])
+
+
+def test_int64_tensor_is_kept_read_only_not_copied():
+    t = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=np.int64)
+    ring = FusionRing(["1", "tau"], t, [0, 1])
+    assert np.shares_memory(ring.tensor, t)
+    assert not ring.tensor.flags.writeable and not t.flags.writeable
+    for dtype in (np.int32, np.float64):
+        other = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=dtype)
+        ring = FusionRing(["1", "tau"], other, [0, 1])
+        assert ring.tensor.dtype == np.int64 and not np.shares_memory(ring.tensor, other)
+        assert not ring.tensor.flags.writeable and other.flags.writeable
+        assert ring == fib_ring()
+
+
 def test_product_ring():
     a, b = fib_ring(), group_ring([2])
     ab = product_ring(a, b)

@@ -307,10 +307,26 @@ def test_closure_budget_is_sum_of_coranks(name):
         enumerate_subrings(ring, max_count=budget - 1)
 
 
+def cyclic_extension_calls(ring, subrings):
+    """The closures the cyclic extension method makes, counted with oracle
+    closures, as (candidate pass, search). The candidate pass makes one per
+    non-unit basis element and one join check per distinct cyclic closure
+    with proper cyclic sub-closures; the search makes one per subring H and
+    join-irreducible cyclic closure not inside H."""
+    cyclic = {oracle_closure(ring, (g,)) for g in range(1, ring.rank)}
+    checks = 0
+    kept = []
+    for c in cyclic:
+        inner = [d for d in cyclic if d != c and set(d) <= set(c)]
+        checks += bool(inner)
+        if not inner or oracle_closure(ring, sorted(set().union(*inner))) != c:
+            kept.append(set(c))
+    extensions = sum(1 for h in subrings for c in kept if not c <= set(h))
+    return ring.rank - 1 + checks, extensions
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
 def test_enumerate_subrings_closure_calls(name, monkeypatch):
-    # one bitmask closure per subring found and basis element outside it,
-    # plus the unit's
     ring = ORACLE_RINGS[name]
     calls = []
     closure_mask = structure._closure_mask
@@ -321,7 +337,12 @@ def test_enumerate_subrings_closure_calls(name, monkeypatch):
 
     monkeypatch.setattr(structure, "_closure_mask", counted)
     enumerate_subrings(ring)
-    assert len(calls) == 1 + closure_budget(ring, oracle_lattice(name))
+    subrings = oracle_lattice(name)
+    candidates, extensions = cyclic_extension_calls(ring, subrings)
+    assert len(calls) == candidates + extensions
+    # each candidate outside H has its own generator outside H, so H makes
+    # at most the rank - |H| extensions of extending by every basis element
+    assert extensions <= closure_budget(ring, subrings)
 
 
 def gaussian_binomial(n, k, q):
@@ -337,6 +358,45 @@ def gaussian_binomial(n, k, q):
 def test_elementary_abelian_subgroup_counts(p, n, count):
     assert sum(gaussian_binomial(n, k, p) for k in range(n + 1)) == count
     assert len(enumerate_subrings(group_ring([p] * n))) == count
+
+
+# Subring counts from closed forms: subrings of a group ring are subgroups
+# of the group, and subrings of Rep(G) are normal subgroups of G.
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_subring_count_is_divisor_count(n):
+    assert len(enumerate_subrings(group_ring([n]))) == len(divisors(n))
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 13) for n in range(1, 13)])
+def test_two_cyclic_factors_subring_count(m, n):
+    # Hampejs, Holighaus, Toth and Wiesmeyr (2014): C_m x C_n has
+    # sum over a | m, b | n of gcd(a, b) subgroups
+    count = sum(np.gcd(a, b) for a in divisors(m) for b in divisors(n))
+    assert len(enumerate_subrings(group_ring([m, n]))) == count
+
+
+def test_rep_a4xa4xs3_subrings_are_normal_subgroups():
+    # normal subgroups are the intersections of character kernels; kernels
+    # are read off the Kronecker product of the catalog tables as sets of
+    # classes where a character takes its degree
+    a4, s3 = fr.load_entry("A4").payload, fr.load_entry("S3").payload
+    rows = np.kron(np.kron(a4.rows, a4.rows), s3.rows)
+    normal = {frozenset(np.flatnonzero(np.isclose(row, row[0]))) for row in rows}
+    while True:
+        meets = normal | {a & b for a in normal for b in normal}
+        if meets == normal:
+            break
+        normal = meets
+    ring = product_ring(product_ring(fr.entry_ring("A4"), fr.entry_ring("A4")),
+                        fr.entry_ring("S3"))
+    assert len(normal) == 33
+    assert len(enumerate_subrings(ring)) == 33
 
 
 def test_support_cached_on_ring():
