@@ -6,8 +6,8 @@ from .core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                    table_from_json, table_to_json, validate_tensor)
 from .exact import RootOfUnity, parse_scalar, parse_zeta_expr, quantum_integer, snap_int
 from .spectral import (Character, SpectralReport, characters, codegree_object_dims,
-                       formal_codegrees, fpdim, fpdims, fusion_matrix,
-                       induction_unit_profile, ring_fpdim, spectral_report)
+                       formal_codegrees, fpdim, fpdims, induction_unit_profile,
+                       ring_fpdim, spectral_report)
 from .nearintegral import (GagolaReport, NearIntegralReport, construct, detect,
                            dim_a_chi_minus, extraspecial_kappa, gagola_analyze,
                            near_integral_codegrees, roots_dpm, subring_on)

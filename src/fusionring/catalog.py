@@ -17,6 +17,7 @@ quantum integers qint(n, m) and roots of unity zeta(n, k).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -69,10 +70,6 @@ class ClassificationRow:
     count: int
     count_unverified: bool = False
 
-    @property
-    def rank(self) -> int:
-        return len(self.dim_exprs)
-
     def fpdim_total(self) -> float:
         return eval_dimension_expr(self.fpdim_expr)
 
@@ -117,13 +114,8 @@ def _read(fname: str):
         return json.load(fh)
 
 
-_cache = None
-
-
+@functools.cache
 def _entries() -> dict:
-    global _cache
-    if _cache is not None:
-        return _cache
     entries = {}
     for name, data in _read("character_tables.json").items():
         table = table_from_json(data)
@@ -155,7 +147,6 @@ def _entries() -> dict:
         entries[key] = CatalogEntry(
             key, "classificationRow", row,
             "small-rank premodular inventory row")
-    _cache = entries
     return entries
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import catalog, nearintegral, premodular, spectral
 from .core import (FusionRing, FusionRingError, MalformedInput, ring_from_json,
                    ring_to_json, table_from_json, table_to_json, validate_tensor)
+from .exact import EXACT_TOL
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
 
@@ -193,7 +194,7 @@ def cmd_chars(args) -> int:
     lines = []
     for k, c in enumerate(chars):
         vals = ", ".join(
-            _fnum(z.real) if abs(z.imag) < 1e-9 else f"{_fnum(z.real)}{z.imag:+.6g}i"
+            _fnum(z.real) if abs(z.imag) < EXACT_TOL else f"{_fnum(z.real)}{z.imag:+.6g}i"
             for z in c.values)
         tag = " (FPdim)" if c.is_fpdim else ""
         lines.append(f"chi_{k}{tag}: [{vals}]  codegree {_fnum(c.codegree)}")

@@ -57,11 +57,6 @@ class RootOfUnity:
     def order(self) -> int:
         return self.den
 
-    def __str__(self) -> str:
-        if self.num == 0:
-            return "1"
-        return f"zeta({self.den},{self.num})"
-
 
 def quantum_integer(n: int, m: int) -> float:
     """Quantum integer [n]_m = sin(n*pi/m)/sin(pi/m), the positive evaluation

@@ -159,11 +159,7 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     dims = [snap_int(d) for d in spectral.fpdims(sub)]
     if None in dims or min(dims) < 1:
         raise NotNearIntegral("the subring must have positive integer dimensions")
-    # both sides stay under max(max(c) * n, max(d)) * max(d), or int64 wraps
-    big = max(int(sub.tensor.max()) * n, max(dims)) * max(dims) >= 2 ** 63
-    dtype = object if big else np.int64
-    d = np.array(dims, dtype=dtype)
-    if not np.array_equal(sub.tensor.astype(dtype, copy=False) @ d, np.outer(d, d)):
+    if not spectral._is_eigenvector(sub.tensor, dims, dims):
         raise NotNearIntegral(f"the snapped FPdims {dims} of the subring are not a character")
     rho = n
     t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
@@ -192,11 +188,6 @@ def distinguished_characters(ring: FusionRing, report: NearIntegralReport):
     return chi_plus, chi_minus
 
 
-def _hom_defect(ring: FusionRing, values: np.ndarray) -> float:
-    prod = np.einsum("ijk,k->ij", ring.tensor.astype(float), values)
-    return float(np.abs(prod - np.outer(values, values)).max())
-
-
 def extend_character(ring: FusionRing, report: NearIntegralReport,
                      sub_values) -> np.ndarray:
     """Extend a non-FPdim character of S to R(S, kappa) by zero at rho.
@@ -210,7 +201,8 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     for pos, i in enumerate(report.subring_indices):
         v[i] = sub_values[pos]
     v[report.rho_index] = 0.0
-    err = _hom_defect(ring, v)
+    prod = np.einsum("ijk,k->ij", ring.tensor.astype(float), v)
+    err = float(np.abs(prod - np.outer(v, v)).max())
     if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
         raise ExtensionObstructed(
             f"zero extension fails multiplicativity by {err}; "
@@ -221,15 +213,13 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
 def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> list:
     """Codegrees of R(S, kappa): those of S with one copy of FPdim(S)
     replaced by N + d+-^2 = 2N + kappa d+-, in integers when kappa = 0 or
-    d+- are integers and a float otherwise. By the paper's theorem these
-    are the codegrees of the whole ring, so those are not computed."""
+    d+- are integers and a float otherwise. FPdim(S) = N is a codegree of
+    S, the one nearest N is replaced; by the paper's theorem these are the
+    codegrees of the whole ring, so those are not computed."""
     sub = subring_on(ring, report.subring_indices)
     sub_codegs = spectral.formal_codegrees(sub)
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))
-    if abs(float(sub_codegs[best]) - target) > SNAP_TOL * max(1, target):
-        raise NotNearIntegral(
-            f"no subring codegree matches FPdim(S) = {target}: {sub_codegs}")
     out = sub_codegs[:best] + sub_codegs[best + 1:]
     k = report.kappa
     if k == 0 or report.d_plus_exact_integer:

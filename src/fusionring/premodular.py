@@ -204,9 +204,9 @@ def _check_form(grp: _Group, q: np.ndarray, m: int) -> None:
         raise FusionRingError(f"q({g}) != q(-{g})")
     b = _bicharacter(grp, q, m)
     for f in grp.gens:
-        bad = np.argwhere(b[grp.add[f]] != (b[f] + b) % m)
-        if bad.size:
-            g, gp, h = (grp.elements[i] for i in (f, *bad[0]))
+        lhs, rhs = b[grp.add[f]], (b[f] + b) % m
+        if not np.array_equal(lhs, rhs):  # no index arrays when the slab holds
+            g, gp, h = (grp.elements[i] for i in (f, *np.argwhere(lhs != rhs)[0]))
             raise FusionRingError(f"b is not additive at {g}, {gp}, {h}")
 
 

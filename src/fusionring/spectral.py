@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateSpectrum",
     "Character",
     "SpectralReport",
-    "fusion_matrix",
     "fpdim",
     "fpdims",
     "ring_fpdim",
@@ -59,18 +58,13 @@ class Character:
         object.__setattr__(self, "values", v)
 
 
-def fusion_matrix(ring: FusionRing, i: int) -> np.ndarray:
-    """Left multiplication matrix N_i with (N_i)_{jk} = c_{ij}^k."""
-    return ring.tensor[i].astype(float)
-
-
 def fpdim(ring: FusionRing, i: int) -> float:
-    """Perron eigenvalue of N_i.
+    """Perron eigenvalue of N_i, with (N_i)_{jk} = c_{ij}^k.
 
     Power iteration on N_i + I (the shift keeps bipartite fusion graphs from
     oscillating) to a 1e-12 relative step; dense eigvals if it stalls.
     """
-    m = fusion_matrix(ring, i) + np.eye(ring.rank)
+    m = ring.tensor[i].astype(float) + np.eye(ring.rank)
     x = np.full(ring.rank, 1.0 / np.sqrt(ring.rank))
     lam = np.inf
     for _ in range(10000):
@@ -81,12 +75,24 @@ def fpdim(ring: FusionRing, i: int) -> float:
         if abs(new - lam) <= 1e-12 * max(1.0, abs(new)):
             return new - 1.0
         lam = new
-    ev = np.linalg.eigvals(fusion_matrix(ring, i))
+    ev = np.linalg.eigvals(ring.tensor[i].astype(float))
     return float(np.max(ev.real))
 
 
 def fpdims(ring: FusionRing) -> np.ndarray:
     return np.array([fpdim(ring, i) for i in range(ring.rank)])
+
+
+def _is_eigenvector(m, d, lam) -> bool:
+    """Whether m d = lam d holds exactly: m a nonnegative integer matrix or a
+    stack of them, d a positive integer vector, lam an integer or one per
+    matrix. Both sides stay under max(max(m) len(d), max(lam)) max(d), so
+    past 2^63, where int64 wraps, they are computed in Python ints."""
+    big = max(int(m.max()) * len(d), int(np.max(lam))) * max(d) >= 2 ** 63
+    dtype = object if big else np.int64
+    d = np.array(d, dtype=dtype)
+    return np.array_equal(m.astype(dtype, copy=False) @ d,
+                          np.multiply.outer(np.array(lam, dtype=dtype), d))
 
 
 def ring_fpdim(ring: FusionRing) -> float:

@@ -1,17 +1,21 @@
 """Dead-name guard over the package source, with the standard library only.
 
 Fails on an imported name that the module never uses, on a function
-local that is assigned but never read, and on a module-level private
-function, class or constant that no package module reads. The package's
-__init__.py is all re-exports, so its imports are not checked.
+local that is assigned but never read, on a module-level private
+function, class or constant that no package module reads, and on a
+function named in a module's __all__ that nothing outside the module
+reads. The package's __init__.py is all re-exports, so its imports are
+not checked and it does not count as a reader.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import fusionring
 
 SOURCES = sorted(Path(fusionring.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _loaded(tree) -> set:
@@ -95,6 +99,34 @@ def unread_privates(trees: dict) -> list:
     return out
 
 
+def _reads(tree) -> set:
+    """Names tree reads by name, as an attribute or through a from-import."""
+    read = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def dead_public_functions(trees: dict, readers: list, text: str) -> list:
+    """Each top-level function named in the __all__ of one of trees (module
+    name -> tree) that no other of trees, no tree in readers and no word of
+    text reads. Classes are exempt: they are return and exception types."""
+    out = []
+    for module, tree in trees.items():
+        public = {e.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                  for e in node.value.elts}
+        read = set(re.findall(r"\w+", text)).union(
+            *(_reads(t) for t in readers), *(_reads(t) for m, t in trees.items() if m != module))
+        out += [f"{module} line {node.lineno}: {node.name}" for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in public
+                and node.name not in read]
+    return out
+
+
 def test_sources_found():
     assert {"cli.py", "core.py", "__init__.py"} <= {p.name for p in SOURCES}
 
@@ -114,6 +146,14 @@ def test_no_unread_privates():
     assert unread_privates({p.name: ast.parse(p.read_text()) for p in SOURCES}) == []
 
 
+def test_no_dead_public_functions():
+    # readers: the tests, the benchmark scripts and README
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES if p.name != "__init__.py"}
+    readers = [ast.parse(p.read_text())
+               for folder in ("tests", "benchmarks") for p in sorted((ROOT / folder).glob("*.py"))]
+    assert dead_public_functions(trees, readers, (ROOT / "README.md").read_text()) == []
+
+
 def test_guard_catches_dead_names():
     tree = ast.parse("import os\nfrom a import b, c\n"
                      "def f(x):\n    r = 1\n    y = x\n    return c(y)\n")
@@ -125,3 +165,15 @@ def test_guard_catches_dead_names():
              "b.py": ast.parse("import a\nfrom a import _C\nprint(_C, a._g)\n")}
     assert unread_privates(trees) == ["a.py line 2: _L", "a.py line 4: _f",
                                       "a.py line 8: _D"]
+
+
+def test_guard_catches_dead_public_functions():
+    trees = {"a.py": ast.parse("__all__ = ['f', 'g', 'h', 'K', 'p']\n"
+                               "def f():\n    pass\ndef g():\n    pass\n"
+                               "def h():\n    pass\nclass K:\n    pass\n"
+                               "def p():\n    return f()\n"),
+             "b.py": ast.parse("from a import g\n")}
+    readers = [ast.parse("import a\na.h()\n")]
+    assert dead_public_functions(trees, readers, "p()") == ["a.py line 2: f"]
+    assert dead_public_functions(trees, [], "") == [
+        "a.py line 2: f", "a.py line 6: h", "a.py line 10: p"]

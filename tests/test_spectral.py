@@ -9,8 +9,8 @@ import fusionring as fr
 from fusionring.core import FusionRing, group_ring, product_ring
 from fusionring.exact import snap_int
 from fusionring.nearintegral import construct
-from fusionring.spectral import (NotCommutative, characters, codegree_object_dims,
-                                 formal_codegrees, fpdim, fpdims,
+from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
+                                 codegree_object_dims, formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
                                  spectral_report)
 from shared_rings import s3_group_ring
@@ -271,3 +271,14 @@ def test_codegrees_basis_permutation(name):
         got = formal_codegrees(permuted(ring, perm))
         assert [type(f) for f in got] == [type(f) for f in want]
         assert [float(f) for f in got] == pytest.approx([float(f) for f in want], rel=1e-12)
+
+
+def test_eigenvector_certificate_does_not_wrap():
+    # (2^32 + 1) 2^32 = 2^32 mod 2^64, so in int64 the identity would hold
+    m = np.array([[2 ** 32 + 1]], dtype=np.int64)
+    assert not _is_eigenvector(m, [2 ** 32], 1)
+    assert _is_eigenvector(m, [2 ** 32], 2 ** 32 + 1)
+    # a stack with one eigenvalue per matrix, as construct checks d_i d = N_i d
+    ring = group_ring([2, 3])
+    assert _is_eigenvector(ring.tensor, [1] * 6, [1] * 6)
+    assert not _is_eigenvector(ring.tensor, [1] * 6, [1] * 5 + [2])

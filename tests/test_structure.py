@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,36 @@ def test_integral_subring():
     assert integral_subring(ising_ring()).indices == (0, 1)
     assert integral_subring(fib_ring()).indices == (0,)
     assert integral_subring(fr.entry_ring("F5")).rank == 5
+
+
+CHARACTER_RINGS = [name for name in fr.list_catalog()
+                   if fr.load_entry(name).kind == "characterTable"]
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3, 10 ** 4, 10 ** 6, 10 ** 8, 2 ** 40])
+def test_integral_part_of_near_integral_rings(kappa, monkeypatch):
+    # the integral part of R(S, kappa) is S, and rho joins it exactly when
+    # d+ is an integer, i.e. kappa^2 + 4N is a square; the snapped FPdims
+    # are certified, so SubringHandle.verify is never reached
+    rings = {name: fr.construct(fr.entry_ring(name), kappa) for name in CHARACTER_RINGS}
+    monkeypatch.setattr(SubringHandle, "verify", refuse)
+    for name, ring in rings.items():
+        n = ring.rank - 1
+        big_n = int(sum(int(d) ** 2 for d in ring.tensor[n, n, :n]))
+        disc = kappa * kappa + 4 * big_n
+        want = tuple(range(n + (math.isqrt(disc) ** 2 == disc)))
+        assert integral_subring(ring).indices == want, name
+    assert len(rings) == 11
+
+
+@pytest.mark.parametrize("sub, kappa, want", [
+    ("C1", 10 ** 4, (0,)), ("C1", 10 ** 6, (0,)), ("C1", 10 ** 7, (0,)), ("C1", 10 ** 8, (0,)),
+    ("C1", 2 ** 40, (0,)), ("C3", 10 ** 7, (0, 1, 2)), ("S3", 10 ** 8, (0, 1, 2))])
+def test_integral_subring_refuses_snapped_irrational_fpdims(sub, kappa, want):
+    # FPdim(rho) = (kappa + sqrt(kappa^2 + 4N)) / 2 is irrational but lies
+    # within the snap tolerance of kappa; N_rho d = kappa d fails in integers
+    ring = group_ring([int(sub[1:])]) if sub.startswith("C") else fr.entry_ring(sub)
+    assert integral_subring(fr.construct(ring, kappa)).indices == want
 
 
 def test_universal_grading_group_ring():

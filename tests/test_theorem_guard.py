@@ -13,8 +13,10 @@ import fusionring
 
 PACKAGE = Path(fusionring.__file__).parent
 BY_THEOREM = {
-    "structure": ["universal_grading", "adjoint_subring", "pointed_subring", "closure"],
-    "nearintegral": ["detect", "distinguished_characters", "dim_a_chi_minus"],
+    "structure": ["universal_grading", "adjoint_subring", "pointed_subring", "closure",
+                  "integral_subring"],
+    "nearintegral": ["detect", "distinguished_characters", "dim_a_chi_minus",
+                     "near_integral_codegrees"],
     "core": ["product_ring"],
 }
 
