@@ -128,15 +128,21 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
             violations.append(("frobenius", (int(i), int(j), int(k)),
                                f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
                                f"c[{dual[i]}][{k}][{j}] = {int(tensor[dual[i], k, j])}"))
+    del t_star_left
+    associativity = _associativity_violations(tensor)
+    # The second identity holds when every other check does: associativity
+    # at m = 0, with the pairing and the involutive dual, gives
+    # c_ij^{k*} = c_jk^{i*}; with the first identity,
+    # c_{k j*}^i = c_{k* i}^{j*} = c_ij^k.
+    if not violations and not associativity:
+        return []
     t_star_right = tensor[:, dual, :].transpose(2, 1, 0)  # c_{k j*}^i at [i,j,k]
     if not np.array_equal(tensor, t_star_right):
         for i, j, k in zip(*np.nonzero(tensor != t_star_right)):
             violations.append(("frobenius", (int(i), int(j), int(k)),
                                f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
                                f"c[{k}][{dual[j]}][{i}] = {int(tensor[k, dual[j], i])}"))
-
-    violations.extend(_associativity_violations(tensor))
-    return violations
+    return violations + associativity
 
 
 # Rank from which _associativity_violations first checks a generating set's
@@ -230,9 +236,9 @@ class FusionRing:
         object.__setattr__(self, "dual", tuple(int(d) for d in self.dual))
         n = arr.shape[0]
         if len(self.labels) != n or len(self.dual) != n:
-            raise FusionRingError("labels, tensor and dual must agree on rank")
+            raise MalformedInput("labels, tensor and dual must agree on rank")
         if len(set(self.labels)) != n:
-            raise FusionRingError("labels must be distinct")
+            raise MalformedInput("labels must be distinct")
 
     @classmethod
     def validated(cls, labels, tensor, dual) -> "FusionRing":

@@ -105,7 +105,12 @@ def subring_on(ring: FusionRing, indices) -> FusionRing:
     each associativity sum over t meets only t inside it."""
     handle = SubringHandle(indices)
     handle.verify(ring)
-    idx = list(handle.indices)
+    return _restrict(ring, handle.indices)
+
+
+def _restrict(ring: FusionRing, idx) -> FusionRing:
+    """subring_on for sorted indices already known to be fusion-closed."""
+    idx = list(idx)
     pos = {b: a for a, b in enumerate(idx)}
     return FusionRing([ring.labels[i] for i in idx],
                       ring.tensor[np.ix_(idx, idx, idx)],
@@ -215,8 +220,9 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
     replaced by N + d+-^2 = 2N + kappa d+-, in integers when kappa = 0 or
     d+- are integers and a float otherwise. FPdim(S) = N is a codegree of
     S, the one nearest N is replaced; by the paper's theorem these are the
-    codegrees of the whole ring, so those are not computed."""
-    sub = subring_on(ring, report.subring_indices)
+    codegrees of the whole ring, so those are not computed. S is not
+    re-verified: detect reports it only once it is found closed."""
+    sub = _restrict(ring, report.subring_indices)
     sub_codegs = spectral.formal_codegrees(sub)
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))

@@ -118,8 +118,9 @@ def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
     so H is the join of the candidates inside it, added one at a time. The
     search extends each subring found by every candidate not inside it, so
     it meets each partial join, hence every subring. A closure takes the
-    generators that produced H plus g, not H itself; it is a subring by
-    construction (_closure_mask) and is not verified.
+    generators that produced H plus g, not H itself, and is C_g itself when
+    H is the unit subring; it is a subring by construction (_closure_mask)
+    and is not verified.
 
     max_count bounds the sum of rank - |H| over all subrings H found,
     charged as each H is extended; past it SearchBudgetExceeded is raised."""
@@ -143,7 +144,7 @@ def enumerate_subrings(ring: FusionRing, max_count: int = 2 ** 16) -> list:
         for sub, g in candidates:
             if sub & mask == sub:
                 continue
-            bigger = _closure_mask(ring, gens + (g,))
+            bigger = _closure_mask(ring, gens + (g,)) if gens else sub
             if bigger not in found:
                 found[bigger] = gens + (g,)
                 frontier.append(bigger)

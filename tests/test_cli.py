@@ -240,6 +240,8 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["catalog", "show", "nope"], None, 3),
     (["qforms", "C2xC2xC2xC2xC2xC2"], None, 3),
     (["qforms", "C2xC2xC2xC2xC2xC2", "--classes"], None, 3),
+    (["verify", "-"], '{"tensor": [[[1,0],[0,1]],[[0,1],[1,0]]], "dual": [0]}', 3),
+    (["verify", "-"], '{"tensor": [[[1,0],[0,1]],[[0,1],[1,0]]], "labels": ["a", "a"]}', 3),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:

@@ -17,7 +17,7 @@ from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionR
                              _associativity_violations, character_table_to_fusion_ring,
                              group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
-from shared_rings import ordered_factor_lists, refuse
+from shared_rings import ordered_factor_lists, refuse, s3_group_ring
 
 TABLES = [name for name in fr.list_catalog()
           if fr.load_entry(name).kind == "characterTable"]
@@ -162,25 +162,42 @@ def test_frobenius_reciprocity_violation_detected():
     assert violations
 
 
-def loop_frobenius(t, dual):
-    """Frobenius violations as validate_tensor lists them: every (i, j, k)
-    with c_ij^k != c_{i* k}^j, then every one with c_ij^k != c_{k j*}^i."""
-    n = len(dual)
+def loop_frobenius(t, dual, identity):
+    """Violations of one Frobenius identity as validate_tensor lists them:
+    every (i, j, k) with c_ij^k != c_{i* k}^j (identity 0) or with
+    c_ij^k != c_{k j*}^i (identity 1)."""
+    c = np.asarray(t).tolist()
     out = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if t[i, j, k] != t[dual[i], k, j]:
-            out.append(("frobenius", (i, j, k), f"c[{i}][{j}][{k}] = {t[i, j, k]} but "
-                                                 f"c[{dual[i]}][{k}][{j}] = {t[dual[i], k, j]}"))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if t[i, j, k] != t[k, dual[j], i]:
-            out.append(("frobenius", (i, j, k), f"c[{i}][{j}][{k}] = {t[i, j, k]} but "
-                                                 f"c[{k}][{dual[j]}][{i}] = {t[k, dual[j], i]}"))
+    for i, j, k in itertools.product(range(len(dual)), repeat=3):
+        a, b, m = (dual[i], k, j) if identity == 0 else (k, dual[j], i)
+        if c[i][j][k] != c[a][b][m]:
+            out.append(("frobenius", (i, j, k), f"c[{i}][{j}][{k}] = {c[i][j][k]} but "
+                                                 f"c[{a}][{b}][{m}] = {c[a][b][m]}"))
     return out
 
 
+def _perturbed(ring, rng, kind):
+    """ring's tensor and dual with one to three seeded edits: +-1 entries
+    (kind 0), +-1 edits copied to c_{i* k}^j so that the first Frobenius
+    identity still holds (kind 1), or swapped duals of non-unit elements
+    (kind 2)."""
+    t, dual, n = np.array(ring.tensor), list(ring.dual), ring.rank
+    for _ in range(int(rng.integers(1, 4))):
+        i, j, k = (int(x) for x in rng.integers(0, n, 3))
+        delta = int(rng.choice([-1, 1]))
+        if kind == 0:
+            t[i, j, k] += delta
+        elif kind == 1:
+            t[i, j, k] = t[dual[i], k, j] = t[i, j, k] + delta
+        else:
+            a, b = rng.choice(np.arange(1, n), 2, replace=False)
+            dual[a], dual[b] = dual[b], dual[a]
+    return t, dual
+
+
 def test_frobenius_violations_match_loop():
-    # the whole list, entries and order: unit and pairing violations, the
-    # Frobenius ones of the loop, then associativity
+    # the whole list, entries and order: duality, unit and pairing
+    # violations, the Frobenius ones of the loop, then associativity
     t = np.zeros((3, 3, 3), dtype=np.int64)
     t[0] = np.eye(3)
     t[:, 0] = np.eye(3)
@@ -189,12 +206,32 @@ def test_frobenius_violations_match_loop():
     c3 = np.array(group_ring([3]).tensor)
     c3[1, 1, 2] = 2
     c3[2, 1, 0] = 0
-    for tensor, dual in ((t, [0, 2, 1]), (c3, [0, 2, 1])):
+    cases = [(t, [0, 2, 1]), (c3, [0, 2, 1])]
+    assert all(loop_frobenius(tensor, dual, 0) for tensor, dual in cases)
+    bases = [fr.entry_ring(name) for name in TABLES] + [
+        group_ring([16]), group_ring([4, 4]), group_ring([2] * 5),
+        fr.construct(group_ring([17]), 3), s3_group_ring()]
+    rng = np.random.default_rng(5)
+    cases += [_perturbed(ring, rng, kind) for ring in bases for kind in (0, 1, 2) * 3
+              if kind < 2 or ring.rank > 2]
+    second_only = valid = 0
+    for tensor, dual in cases:
         got = validate_tensor(tensor, dual)
-        frobenius = loop_frobenius(tensor, dual)
-        assert frobenius
-        assert got == ([v for v in got if v[0] in ("unit", "dual-pairing")] + frobenius
-                       + [v for v in got if v[0] == "associativity"])
+        first, second = loop_frobenius(tensor, dual, 0), loop_frobenius(tensor, dual, 1)
+        assert got == ([v for v in got if v[0] in ("duality", "unit", "dual-pairing")]
+                       + first + second + _associativity_violations(tensor))
+        second_only += bool(second) and not first
+        valid += not got
+    # the mirrored edits leave the first identity and break the second
+    assert second_only >= len(bases) and valid < len(cases) // 10
+    # validate_tensor does not compare the second identity on a ring that
+    # passes every other check: that it then holds is a theorem
+    rings = bases + [fr.entry_ring(name) for name in fr.list_catalog()
+                     if fr.load_entry(name).kind == "modularDatum"]
+    rings.append(product_ring(s3_group_ring(), fr.entry_ring("A4")))
+    for ring in rings:
+        assert not validate_tensor(ring.tensor, ring.dual)
+        assert not loop_frobenius(ring.tensor, ring.dual, 1), ring.labels
 
 
 def test_int64_tensor_is_kept_read_only_not_copied():
@@ -374,15 +411,19 @@ def test_extraspecial_ring_generators():
 
 
 def test_validate_tensor_memory_is_cubic():
-    # the full n^4 associativity tensors would take over 250 MB at rank 64
-    ring = group_ring([8, 8])
-    tracemalloc.start()
-    try:
-        assert not validate_tensor(ring.tensor, ring.dual)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    # the full n^4 associativity tensors would take over 250 MB at rank 64.
+    # One permuted copy for the first Frobenius identity, freed before the
+    # associativity slabs, and none for the second on a valid ring: about
+    # 1.66 tensors at the peak, against 3.66 with both copies alive at once
+    for orders in ([8, 8], [48]):
+        ring = group_ring(orders)
+        tracemalloc.start()
+        try:
+            assert not validate_tensor(ring.tensor, ring.dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * ring.tensor.nbytes, orders
 
 
 def test_fuse_and_basis_vector():

@@ -18,7 +18,7 @@ from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, No
                                      extend_character, extraspecial_kappa,
                                      gagola_analyze, near_integral_codegrees,
                                      roots_dpm, subring_on)
-from fusionring.structure import _first_escape, enumerate_subrings
+from fusionring.structure import SubringHandle, _first_escape, enumerate_subrings
 from shared_rings import refuse
 
 
@@ -251,6 +251,21 @@ def test_near_integral_codegrees_integral_pair_in_ints(sub, kappa, want):
     ring = construct(group_ring(sub), kappa)
     got = near_integral_codegrees(ring, detect(ring))
     assert got == want and all(type(c) is int for c in got)
+
+
+def test_near_integral_codegrees_do_not_reverify_the_subring(monkeypatch):
+    # detect reports S only once it is closed, so the restriction to S is
+    # not checked again; subring_on, which takes indices from outside, is
+    rings = [construct(fr.entry_ring(name), kappa)
+             for name in _catalog_tables() for kappa in range(3)]
+    reports = [detect(ring) for ring in rings]
+    want = [near_integral_codegrees(ring, report) for ring, report in zip(rings, reports)]
+    monkeypatch.setattr(SubringHandle, "verify", refuse)
+    assert [near_integral_codegrees(ring, report)
+            for ring, report in zip(rings, reports)] == want
+    with pytest.raises(AssertionError, match="not to be called"):
+        subring_on(rings[0], reports[0].subring_indices)
+    assert len(want) == 3 * len(_catalog_tables())
 
 
 def _float_detect(ring: FusionRing):

@@ -342,8 +342,9 @@ def cyclic_extension_calls(ring, subrings):
     """The closures the cyclic extension method makes, counted with oracle
     closures, as (candidate pass, search). The candidate pass makes one per
     non-unit basis element and one join check per distinct cyclic closure
-    with proper cyclic sub-closures; the search makes one per subring H and
-    join-irreducible cyclic closure not inside H."""
+    with proper cyclic sub-closures; the search makes one per subring H
+    other than the unit subring and join-irreducible cyclic closure not
+    inside H (the unit subring's extensions are the candidates' closures)."""
     cyclic = {oracle_closure(ring, (g,)) for g in range(1, ring.rank)}
     checks = 0
     kept = []
@@ -352,7 +353,7 @@ def cyclic_extension_calls(ring, subrings):
         checks += bool(inner)
         if not inner or oracle_closure(ring, sorted(set().union(*inner))) != c:
             kept.append(set(c))
-    extensions = sum(1 for h in subrings for c in kept if not c <= set(h))
+    extensions = sum(1 for h in subrings if h != (0,) for c in kept if not c <= set(h))
     return ring.rank - 1 + checks, extensions
 
 
@@ -374,6 +375,25 @@ def test_enumerate_subrings_closure_calls(name, monkeypatch):
     # each candidate outside H has its own generator outside H, so H makes
     # at most the rank - |H| extensions of extending by every basis element
     assert extensions <= closure_budget(ring, subrings)
+
+
+def test_unit_extensions_reuse_cyclic_closures(monkeypatch):
+    # C2^5: 31 cyclic closures, no join check (no C_g lies inside another)
+    # and 9,486 extensions of the 373 subrings other than the unit; the
+    # unit's 31 extensions by the candidates, the subgroups of order 2,
+    # reuse C_g, where closing each again made 9,548 closures
+    calls = []
+    closure_mask = structure._closure_mask
+
+    def counted(ring, seed):
+        calls.append(seed)
+        return closure_mask(ring, seed)
+
+    monkeypatch.setattr(structure, "_closure_mask", counted)
+    assert len(enumerate_subrings(group_ring([2] * 5))) == 374
+    assert len(calls) == 9548 - 31
+    assert all(len(seed) == 1 for seed in calls[:31])
+    assert all(len(seed) > 1 for seed in calls[31:])
 
 
 def gaussian_binomial(n, k, q):
