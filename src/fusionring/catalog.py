@@ -22,23 +22,21 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (CharacterTable, FusionRing, FusionRingError,
-                   character_table_to_fusion_ring, table_from_json)
-from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr, quantum_integer, snap_int
-from .premodular import (ModularDatum, balancing_check, gauss_sums,
-                         modular_datum_from_json, verlinde_fusion)
+from .core import (FusionRing, FusionRingError, character_table_to_fusion_ring,
+                   table_from_json)
+from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr, snap_int
+from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
+                         verlinde_fusion)
 from . import spectral
 
 __all__ = [
     "UnknownEntry",
     "CatalogEntry",
     "ClassificationRow",
-    "quantum_integer",
     "eval_dimension_expr",
     "list_catalog",
     "load_entry",
     "entry_ring",
-    "payload_ring",
     "verify_catalog",
 ]
 
@@ -104,9 +102,23 @@ class ClassificationRow:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # characterTable | modularDatum | classificationRow | groupList
+    kind: str  # characterTable | modularDatum | classificationRow | groupList | ring
     payload: object
     provenance: str
+
+    @functools.cached_property
+    def ring(self) -> FusionRing:
+        """The entry's fusion ring, validated, built on first use: as given for
+        ring JSON, the character ring of a table, the Verlinde ring of a
+        modular datum. FusionRingError, not cached, for the other kinds."""
+        if self.kind == "ring":
+            return FusionRing.validated(self.payload.labels, self.payload.tensor,
+                                        self.payload.dual)
+        if self.kind == "characterTable":
+            return character_table_to_fusion_ring(self.payload)
+        if self.kind == "modularDatum":
+            return verlinde_fusion(self.payload)[0]
+        raise FusionRingError(f"entry {self.name!r} of kind {self.kind} is not ring-valued")
 
 
 def _read(fname: str):
@@ -163,21 +175,8 @@ def load_entry(name: str) -> CatalogEntry:
 
 
 def entry_ring(name: str) -> FusionRing:
-    """Load a catalog entry as a fusion ring (see payload_ring)."""
-    entry = load_entry(name)
-    return payload_ring(entry.kind, entry.payload, name)
-
-
-def payload_ring(kind: str, payload, name: str) -> FusionRing:
-    """The fusion ring of a payload of the given entry kind: character
-    tables convert to their character rings, modular data through the
-    Verlinde formula; name is for the error on other kinds."""
-    if kind == "characterTable":
-        return character_table_to_fusion_ring(payload)
-    if kind == "modularDatum":
-        ring, _ = verlinde_fusion(payload)
-        return ring
-    raise FusionRingError(f"entry {name!r} of kind {kind} is not ring-valued")
+    """A catalog entry's fusion ring (CatalogEntry.ring), built once."""
+    return load_entry(name).ring
 
 
 def _verify_entry(entry: CatalogEntry) -> str:
@@ -185,9 +184,7 @@ def _verify_entry(entry: CatalogEntry) -> str:
     A character table passed CharacterTable.validate when it loaded, so
     here its ring's codegrees are checked to divide |G|."""
     if entry.kind == "characterTable":
-        table: CharacterTable = entry.payload
-        ring = character_table_to_fusion_ring(table)
-        order = table.order
+        ring, order = entry.ring, entry.payload.order
         for f in spectral.formal_codegrees(ring):
             fi = snap_int(f)
             if fi is None or order % fi != 0:
@@ -195,8 +192,7 @@ def _verify_entry(entry: CatalogEntry) -> str:
                     f"codegree {f} of {entry.name} does not divide |G| = {order}")
         return f"rank {ring.rank} character ring, codegrees divide {order}"
     if entry.kind == "modularDatum":
-        m: ModularDatum = entry.payload
-        ring, info = verlinde_fusion(m)
+        m, ring = entry.payload, entry.ring
         bad = balancing_check(ring, m)
         if bad:
             raise FusionRingError(f"{entry.name}: {len(bad)} balancing violations")
@@ -207,7 +203,7 @@ def _verify_entry(entry: CatalogEntry) -> str:
         if max(abs(dims - m.dims)) > SNAP_TOL:
             raise FusionRingError(f"{entry.name}: FPdims disagree with S-matrix row 0")
         return (f"rank {ring.rank} Verlinde ring, global dim "
-                f"{info['globalDim']:.6g}, balancing clean")
+                f"{m.global_dim:.6g}, balancing clean")
     if entry.kind == "classificationRow":
         row: ClassificationRow = entry.payload
         return f"dims consistent within {row.verify():.2e}"

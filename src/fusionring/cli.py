@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import catalog, nearintegral, premodular, spectral
-from .core import (FusionRing, FusionRingError, MalformedInput, ring_from_json,
-                   ring_to_json, table_from_json, table_to_json, validate_tensor)
+from .core import (FusionRingError, MalformedInput, ring_from_json, ring_to_json,
+                   table_from_json, table_to_json, validate_tensor)
 from .exact import EXACT_TOL
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -81,16 +81,11 @@ _WANTED = {"characterTable": ("character table", "character-table JSON with a 'r
            "modularDatum": ("modular datum", "modular-datum JSON with an 'S' key")}
 
 
-def load(spec: str, args, want=None):
-    """(kind, object) for an input spec; InputProblem if want is given and
-    the kind is another.
-
-    catalog:NAME gives the entry's kind and payload, falling back to
-    NAME.json in --data-dir. A path or "-" (stdin) gives the JSON's kind,
-    told by its key before the JSON is read, and an unvalidated FusionRing,
-    a CharacterTable or a ModularDatum.
-    """
-    entry = None
+def load(spec: str, args, want=None) -> catalog.CatalogEntry:
+    """The CatalogEntry an input spec names; InputProblem if want is given
+    and the kind is another. catalog:NAME is the built-in entry, or else
+    NAME.json in --data-dir. A path or "-" (stdin) is JSON, whose key tells
+    its kind before it is read: an unvalidated ring, a table or a datum."""
     if spec.startswith("catalog:"):
         name = spec[len("catalog:"):]
         try:
@@ -99,38 +94,29 @@ def load(spec: str, args, want=None):
             spec = os.path.join(args.data_dir or "", name + ".json")
             if not (args.data_dir and os.path.exists(spec)):
                 raise InputProblem(f"unknown catalog entry {name!r}") from None
-    if entry is None:
-        try:
-            if spec == "-":
-                data = json.load(sys.stdin)
-            else:
-                with open(spec) as fh:
-                    data = json.load(fh)
-        except OSError as exc:
-            raise InputProblem(f"cannot read {spec}: {exc}")
-        except ValueError as exc:  # bad JSON, or bytes that are not text
-            raise InputProblem(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
-        key = next((k for k in _JSON_KINDS if isinstance(data, dict) and k in data), None)
-        if key is None:
-            raise InputProblem(
-                "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
-                "'rows' (character table) or 'S' (modular datum)")
-        kind, read = _JSON_KINDS[key]
-    else:
-        kind = entry.kind
+        else:
+            if want not in (None, entry.kind):
+                raise InputProblem(f"{name} is a {entry.kind}, not a {_WANTED[want][0]}")
+            return entry
+    try:
+        if spec == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(spec) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise InputProblem(f"cannot read {spec}: {exc}")
+    except ValueError as exc:  # bad JSON, or bytes that are not text
+        raise InputProblem(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
+    key = next((k for k in _JSON_KINDS if isinstance(data, dict) and k in data), None)
+    if key is None:
+        raise InputProblem(
+            "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
+            "'rows' (character table) or 'S' (modular datum)")
+    kind, read = _JSON_KINDS[key]
     if want not in (None, kind):
-        what, json_form = _WANTED[want]
-        raise InputProblem(f"{entry.name} is a {kind}, not a {what}" if entry
-                           else f"expected {json_form}")
-    return kind, entry.payload if entry else read(data)
-
-
-def load_ring(spec: str, args) -> FusionRing:
-    """The validated fusion ring an input spec names."""
-    kind, obj = load(spec, args)
-    if kind == "ring":
-        return FusionRing.validated(obj.labels, obj.tensor, obj.dual)
-    return catalog.payload_ring(kind, obj, spec.removeprefix("catalog:"))
+        raise InputProblem(f"expected {_WANTED[want][1]}")
+    return catalog.CatalogEntry(spec, kind, read(data), "input JSON")
 
 
 def parse_group_spec(text: str):
@@ -150,12 +136,12 @@ def parse_group_spec(text: str):
 
 
 def cmd_verify(args) -> int:
-    kind, ring = load(args.ring, args)
-    if kind == "ring":
+    entry = load(args.ring, args)
+    if entry.kind == "ring":  # read unvalidated, so that every violation is listed
+        ring = entry.payload
         violations = validate_tensor(ring.tensor, ring.dual)
-    else:  # a table or datum gives a validated ring
-        ring = catalog.payload_ring(kind, ring, args.ring.removeprefix("catalog:"))
-        violations = []
+    else:
+        ring, violations = entry.ring, []
     payload = {
         "rank": ring.rank,
         "ok": not violations,
@@ -172,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fpdim(args) -> int:
-    ring = load_ring(args.ring, args)
+    ring = load(args.ring, args).ring
     dims = spectral.fpdims(ring)
     payload = {"labels": list(ring.labels), "fpdims": dims.tolist(),
                "ringFPdim": float(np.sum(dims ** 2))}
@@ -183,7 +169,7 @@ def cmd_fpdim(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    ring = load_ring(args.ring, args)
+    ring = load(args.ring, args).ring
     chars = spectral.characters(ring)
     payload = {
         "labels": list(ring.labels),
@@ -203,7 +189,7 @@ def cmd_chars(args) -> int:
 
 
 def cmd_codegrees(args) -> int:
-    ring = load_ring(args.ring, args)
+    ring = load(args.ring, args).ring
     report = spectral.spectral_report(ring)
     payload = report.to_json()
     lines = [
@@ -217,7 +203,7 @@ def cmd_codegrees(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    ring = load_ring(args.ring, args)
+    ring = load(args.ring, args).ring
     report = nearintegral.detect(ring)
     if report is None:
         _emit(args, {"nearIntegral": False},
@@ -243,7 +229,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    sub = load_ring(args.subring, args)
+    sub = load(args.subring, args).ring
     ring = nearintegral.construct(sub, args.kappa)
     payload = ring_to_json(ring)
     lines = [f"rank {ring.rank} ring with labels {list(ring.labels)}",
@@ -253,7 +239,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verlinde(args) -> int:
-    _, m = load(args.datum, args, "modularDatum")
+    m = load(args.datum, args, "modularDatum").payload
     ring, info = premodular.verlinde_fusion(m)
     payload = dict(ring_to_json(ring))
     payload.update({"globalDim": info["globalDim"], "dims": list(info["dims"]),
@@ -269,8 +255,8 @@ def cmd_verlinde(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    ring = load_ring(args.ring, args)
-    _, m = load(args.datum, args, "modularDatum")
+    ring = load(args.ring, args).ring
+    m = load(args.datum, args, "modularDatum").payload
     bad = premodular.balancing_check(ring, m)
     plus, minus = premodular.gauss_sums(m.dims, m.twist_values())
     payload = {
@@ -304,7 +290,7 @@ def cmd_qforms(args) -> int:
 
 
 def cmd_gagola(args) -> int:
-    _, table = load(args.table, args, "characterTable")
+    table = load(args.table, args, "characterTable").payload
     try:
         report = nearintegral.gagola_analyze(table)
     except FusionRingError as exc:

@@ -4,9 +4,11 @@ constraint table for braided near-integral categories."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 __all__ = [
     "NonIntegralFusion",
     "NegativeFusion",
+    "FusionOverflow",
     "GroupTooLarge",
     "ModularDatum",
     "QuadraticForm",
@@ -40,6 +43,10 @@ class NonIntegralFusion(FusionRingError):
 
 
 class NegativeFusion(FusionRingError):
+    pass
+
+
+class FusionOverflow(FusionRingError):
     pass
 
 
@@ -109,13 +116,15 @@ def verlinde_fusion(m: ModularDatum):
         # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
         # complex array may differ in the last bit, which maxSnapError would show
         err = np.hypot(tensor.real - out, tensor.imag)
-    ok = (err <= SNAP_TOL) & (out >= 0)
+    ok = (err <= SNAP_TOL) & (out >= 0) & (out < 2 ** 63)
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]
         if not err[i, j, k] <= SNAP_TOL:
             raise NonIntegralFusion(f"N[{i}][{j}][{k}] = {tensor[i, j, k]} is not an "
                                     f"integer (defect {err[i, j, k]})")
-        raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
+        if out[i, j, k] < 0:
+            raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
+        raise FusionOverflow(f"N[{i}][{j}][{k}] = {out[i, j, k]:.6g} does not fit in int64")
     c = (s @ s).real
     hits = np.abs(c - 1) < SNAP_TOL
     dual = hits.argmax(axis=1)
@@ -404,6 +413,14 @@ def modular_datum_to_json(m: ModularDatum) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _element_index(factors: tuple) -> MappingProxyType:
+    """Read-only map, in element order, from each element's JSON key (its
+    comma-joined coordinates) to its number; O(|G|), no _Group tables."""
+    return MappingProxyType({",".join(map(str, g)): i for i, g in
+                             enumerate(itertools.product(*map(range, factors)))})
+
+
 def form_from_json(data) -> QuadraticForm:
     """Inverse of form_to_json. Raises MalformedInput unless data is an
     object (or a string holding one) with 'factors' a list of positive
@@ -424,8 +441,7 @@ def form_from_json(data) -> QuadraticForm:
     if len(values) != order:  # before any table of |G| entries is built
         raise MalformedInput(f"a form on {group} has {order} values, one per element, "
                              f"not {len(values)}")
-    index = {",".join(map(str, g)): i
-             for i, g in enumerate(itertools.product(*map(range, factors)))}
+    index = _element_index(tuple(factors))
     for key, val in values.items():
         if key not in index:
             raise MalformedInput(f"value key {key!r} is not an element of {group}")
@@ -446,6 +462,6 @@ def form_from_json(data) -> QuadraticForm:
 def form_to_json(form: QuadraticForm) -> dict:
     return {
         "factors": list(form.factors),
-        "values": {",".join(str(x) for x in g): [r.num, r.den]
-                   for g, r in form.values.items()},
+        "values": {key: [r.num, r.den]
+                   for key, r in zip(_element_index(form.factors), form.key())},
     }

@@ -7,7 +7,8 @@ import pytest
 import fusionring as fr
 from fusionring.catalog import (ClassificationRow, UnknownEntry, entry_ring,
                                 eval_dimension_expr, list_catalog, load_entry,
-                                quantum_integer, verify_catalog)
+                                verify_catalog)
+from fusionring.exact import quantum_integer
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -125,6 +126,27 @@ def test_entry_ring_kinds():
     assert entry_ring("Z(Rep(S3))").rank == 8
     with pytest.raises(fr.FusionRingError):
         entry_ring("groups<=6classes")
+
+
+def test_entry_ring_built_once():
+    # each ring-valued entry builds its ring on first use and keeps it
+    kinds = {"characterTable": fr.character_table_to_fusion_ring,
+             "modularDatum": lambda m: fr.verlinde_fusion(m)[0]}
+    entries = [load_entry(n) for n in list_catalog() if load_entry(n).kind in kinds]
+    for entry in entries:
+        assert entry_ring(entry.name) is entry_ring(entry.name) is entry.ring
+        assert entry.ring == kinds[entry.kind](entry.payload), entry.name
+    assert len(entries) == 13
+
+
+def test_entry_ring_error_is_not_cached():
+    entry = load_entry("groups<=6classes")
+    message = "entry 'groups<=6classes' of kind groupList is not ring-valued"
+    for _ in range(3):
+        with pytest.raises(fr.FusionRingError) as exc:
+            entry_ring("groups<=6classes")
+        assert str(exc.value) == message
+    assert "ring" not in vars(entry)
 
 
 def test_group_list_contents():

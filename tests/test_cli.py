@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fusionring import catalog, cli
-from fusionring.core import FusionRingError, group_ring, ring_to_json, table_to_json
+from fusionring.core import (FusionRingError, group_ring, ring_from_json, ring_to_json,
+                             table_to_json, validate_tensor)
 from fusionring.nearintegral import construct, gagola_analyze
 from fusionring.premodular import modular_datum_to_json
 from shared_rings import HOSTILE_SCALARS, scalar_id
@@ -185,6 +186,11 @@ def test_machine_output_byte_identical(capsys):
     _, out3, _ = run(capsys, "--format", "json", "codegrees", "catalog:Aut(D9)")
     _, out4, _ = run(capsys, "--format", "json", "codegrees", "catalog:Aut(D9)")
     assert out3 == out4
+    # the second call reads the ring the entry kept from the first
+    for command in ("verify", "fpdim", "detect"):
+        for name in ("PSU(3,2)", "Z(Rep(S3))"):
+            argv = ("--format", "json", command, f"catalog:{name}")
+            assert run(capsys, *argv) == run(capsys, *argv)
 
 
 def test_data_dir_extension(tmp_path, capsys):
@@ -194,6 +200,23 @@ def test_data_dir_extension(tmp_path, capsys):
                        "fpdim", "catalog:myring")
     assert code == 0
     assert "FPdim(ring) = 5" in out
+
+
+def test_data_dir_ring_breaking_an_axiom(tmp_path, capsys):
+    data = ring_to_json(group_ring([3]))
+    data["tensor"][1][1][2] = 2
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, "--data-dir", str(tmp_path), "detect", "catalog:bad")
+    assert (code, out) == (1, "")
+    assert err.startswith("AxiomViolation: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "--data-dir", str(tmp_path), "--format", "json",
+                         "verify", "catalog:bad")
+    assert (code, err) == (1, "")
+    bad = ring_from_json(data, validate=False)
+    want = validate_tensor(bad.tensor, bad.dual)
+    assert json.loads(out)["violations"] == [
+        {"axiom": a, "index": list(i), "detail": d} for a, i, d in want]
+    assert len(want) > 1
 
 
 @pytest.mark.parametrize("payload", [
@@ -405,6 +428,15 @@ def test_datum_overflow_prints_one_stderr_line():
     proc = run_subprocess("verify", "-", stdin=datum)
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_verlinde_multiplicity_overflow_prints_one_stderr_line():
+    # N[1][1][1] = 1e300 once wrapped to INT64_MIN, with numpy's cast
+    # warning and a "nonnegative" finding
+    datum = '{"S": [[1, 1e-300], [1e-300, 1]], "T": [[0, 1], [1, 4]]}'
+    proc = run_subprocess("verlinde", "-", stdin=datum)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "FusionOverflow: N[1][1][1] = 1e+300 does not fit in int64\n"
 
 
 def test_fusionring_tol_environment_is_ignored():

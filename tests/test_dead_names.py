@@ -4,8 +4,9 @@ Fails on an imported name that the module never uses, on a function
 local that is assigned but never read, on a module-level private
 function, class or constant that no package module reads, and on a
 function named in a module's __all__ that nothing outside the module
-reads. The package's __init__.py is all re-exports, so its imports are
-not checked and it does not count as a reader.
+reads, and on a name in a module's __all__ that the module does not define
+(a re-export). The package's __init__.py is all re-exports, so its imports
+and __all__ are not checked and it does not count as a reader.
 """
 
 import ast
@@ -127,6 +128,20 @@ def dead_public_functions(trees: dict, readers: list, text: str) -> list:
     return out
 
 
+def reexports(tree) -> list:
+    """Each name in tree's __all__ that no top-level def, class or
+    assignment of tree binds."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        else:
+            defined |= {name for name, _ in _assigned(node)}
+    return [e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in node.value.elts if e.value not in defined]
+
+
 def test_sources_found():
     assert {"cli.py", "core.py", "__init__.py"} <= {p.name for p in SOURCES}
 
@@ -154,6 +169,12 @@ def test_no_dead_public_functions():
     assert dead_public_functions(trees, readers, (ROOT / "README.md").read_text()) == []
 
 
+def test_no_reexports():
+    found = {p.name: reexports(ast.parse(p.read_text())) for p in SOURCES
+             if p.name != "__init__.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def test_guard_catches_dead_names():
     tree = ast.parse("import os\nfrom a import b, c\n"
                      "def f(x):\n    r = 1\n    y = x\n    return c(y)\n")
@@ -177,3 +198,9 @@ def test_guard_catches_dead_public_functions():
     assert dead_public_functions(trees, readers, "p()") == ["a.py line 2: f"]
     assert dead_public_functions(trees, [], "") == [
         "a.py line 2: f", "a.py line 6: h", "a.py line 10: p"]
+
+
+def test_guard_catches_reexports():
+    tree = ast.parse("from a import f\nimport b\n__all__ = ['f', 'b', 'g', 'C', 'K']\n"
+                     "def g():\n    pass\nclass C:\n    pass\nK = 1\n")
+    assert reexports(tree) == ["f", "b"]

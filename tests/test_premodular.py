@@ -13,8 +13,8 @@ import fusionring as fr
 from fusionring import premodular
 from fusionring.exact import RootOfUnity
 from fusionring.core import FusionRing, FusionRingError, MalformedInput, _Group
-from fusionring.premodular import (GroupTooLarge, ModularDatum, NegativeFusion,
-                                   NonIntegralFusion,
+from fusionring.premodular import (FusionOverflow, GroupTooLarge, ModularDatum,
+                                   NegativeFusion, NonIntegralFusion,
                                    QuadraticForm, balancing_check,
                                    braided_cases, centralizer_profile, form_classes,
                                    form_from_json, form_nondegenerate,
@@ -75,6 +75,8 @@ def loop_verlinde_fusion(m, snap=1e-6):
                 f"N[{i}][{j}][{k}] = {v} is not an integer (defect {err})")
         if r < 0:
             raise NegativeFusion(f"N[{i}][{j}][{k}] = {r} is negative")
+        if r >= 2 ** 63:
+            raise FusionOverflow(f"N[{i}][{j}][{k}] = {float(r):.6g} does not fit in int64")
         out[i, j, k] = r
     c = (s @ s).real
     dual = []
@@ -112,7 +114,10 @@ def nudged(m, a, b, delta):
     ModularDatum([[1, 1], [1, -3]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1
     ModularDatum([[1, 1], [1, -3.4]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1.2
     ModularDatum([[1, 1], [1, 1]], (RootOfUnity(0, 1),) * 2),  # two charge conjugates
-], ids=[*sorted(DOUBLES), "sub-snap", "negative", "negative-non-integer", "two-conjugates"])
+    # N[1][1][1] = 1e300 would wrap in int64
+    ModularDatum([[1, 1e-300], [1e-300, 1]], (RootOfUnity(0, 1), RootOfUnity(1, 4))),
+], ids=[*sorted(DOUBLES), "sub-snap", "negative", "negative-non-integer", "two-conjugates",
+        "overflow"])
 def test_verlinde_matches_loop(m):
     assert verlinde_outcome(verlinde_fusion, m) == verlinde_outcome(loop_verlinde_fusion, m)
 

@@ -22,7 +22,7 @@ BOUNDARY = {
     "core.character_table_to_fusion_ring",  # multiplicities snapped from floats
     "core.group_ring",  # the multiplication-table branch only
     "premodular.verlinde_fusion",  # multiplicities snapped from floats
-    "cli.load_ring",  # ring JSON read unvalidated
+    "catalog.CatalogEntry.ring",  # ring JSON read unvalidated
     "cli.cmd_verify",  # lists every violation
 }
 
