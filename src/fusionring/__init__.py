@@ -5,9 +5,8 @@ from .core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                    group_ring, product_ring, ring_from_json, ring_to_json,
                    table_from_json, table_to_json, validate_tensor)
 from .exact import RootOfUnity, parse_scalar, parse_zeta_expr, quantum_integer, snap_int
-from .spectral import (Character, SpectralReport, characters, codegree_object_dims,
-                       formal_codegrees, fpdim, fpdims, induction_unit_profile,
-                       ring_fpdim, spectral_report)
+from .spectral import (Character, SpectralReport, characters, formal_codegrees, fpdim,
+                       fpdims, induction_unit_profile, ring_fpdim, spectral_report)
 from .nearintegral import (GagolaReport, NearIntegralReport, construct, detect,
                            dim_a_chi_minus, extraspecial_kappa, gagola_analyze,
                            near_integral_codegrees, roots_dpm, subring_on)

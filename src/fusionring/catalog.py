@@ -24,7 +24,7 @@ from importlib import resources
 
 from .core import (FusionRing, FusionRingError, character_table_to_fusion_ring,
                    table_from_json)
-from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
                          verlinde_fusion)
 from . import spectral
@@ -181,13 +181,12 @@ def entry_ring(name: str) -> FusionRing:
 
 def _verify_entry(entry: CatalogEntry) -> str:
     """Check one entry; returns a short success note, raises on failure.
-    A character table passed CharacterTable.validate when it loaded, so
-    here its ring's codegrees are checked to divide |G|."""
+    A table's ring must have codegrees that formal_codegrees snapped to
+    ints dividing |G| (the table passed CharacterTable.validate on load)."""
     if entry.kind == "characterTable":
         ring, order = entry.ring, entry.payload.order
         for f in spectral.formal_codegrees(ring):
-            fi = snap_int(f)
-            if fi is None or order % fi != 0:
+            if not (isinstance(f, int) and order % f == 0):
                 raise FusionRingError(
                     f"codegree {f} of {entry.name} does not divide |G| = {order}")
         return f"rank {ring.rank} character ring, codegrees divide {order}"

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Every library operation is exposed as a batch subcommand. Ring, table and
+Batch subcommands for the library's operations, save subring enumeration,
+gradings, integral subrings and near-integral codegrees. Ring, table and
 modular-datum inputs are JSON file paths, "-" for standard input, or
 catalog:<name> references; an extra directory of user entries can be added
 with --data-dir. Exit codes: 0 clean, 1 violation/negative finding, 2 usage
@@ -159,11 +160,10 @@ def cmd_verify(args) -> int:
 
 def cmd_fpdim(args) -> int:
     ring = load(args.ring, args).ring
-    dims = spectral.fpdims(ring)
-    payload = {"labels": list(ring.labels), "fpdims": dims.tolist(),
-               "ringFPdim": float(np.sum(dims ** 2))}
+    dims, total = spectral.fpdims(ring), spectral.ring_fpdim(ring)
+    payload = {"labels": list(ring.labels), "fpdims": dims.tolist(), "ringFPdim": total}
     lines = [f"{lab}: {_fnum(d)}" for lab, d in zip(ring.labels, dims)]
-    lines.append(f"FPdim(ring) = {_fnum(np.sum(dims ** 2))}")
+    lines.append(f"FPdim(ring) = {_fnum(total)}")
     _emit(args, payload, lines)
     return OK
 

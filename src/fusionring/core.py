@@ -64,6 +64,24 @@ class MalformedInput(FusionRingError):
     read at all."""
 
 
+def _derived(fn):
+    """Decorator for data derived from a frozen object: fn(obj) runs once per
+    object, its result kept in obj.__dict__ (as functools.cached_property
+    does) under fn's dotted qualified name, which no attribute can have. An
+    ndarray result is made read-only; a call that raises keeps nothing."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(obj):
+        if key not in obj.__dict__:
+            value = fn(obj)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            obj.__dict__[key] = value
+        return obj.__dict__[key]
+    return cached
+
+
 def _as_tensor(tensor) -> np.ndarray:
     arr = np.asarray(tensor)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
@@ -273,6 +291,7 @@ class FusionRing:
             masks = masks | (packed[:, :, w] << (64 * w))
         return tuple(map(tuple, masks.tolist()))
 
+    @_derived
     def is_commutative(self) -> bool:
         return bool((self.tensor == self.tensor.transpose(1, 0, 2)).all())
 
@@ -447,11 +466,12 @@ class CharacterTable:
             raise FusionRingError("column orthogonality fails")
 
 
+@_derived
 def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     """Character ring of the group: basis = irreducible characters,
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
     computed by column-weighted inner products. Duality is complex conjugation
-    of rows."""
+    of rows. Built once per table."""
     rows = table.rows
     w = np.array(table.class_sizes, dtype=float) / table.order
     vals = np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj())

@@ -12,8 +12,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (FusionRing, FusionRingError, MalformedInput, _factors, _Group,
-                   _is_int, _json_object, _scalar_matrix)
+from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
+                   _Group, _is_int, _json_object, _scalar_matrix)
 from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 
 __all__ = [
@@ -98,11 +98,11 @@ class ModularDatum:
         return np.array([r.value() for r in self.t])
 
 
+@_derived
 def verlinde_fusion(m: ModularDatum):
-    """Fusion ring from an S-matrix by the Verlinde formula.
-
-    Returns (ring, diagnostics). Duality comes from charge conjugation
-    (normalized S squared), snapped to a permutation.
+    """Fusion ring from an S-matrix by the Verlinde formula, built once per
+    datum: (ring, diagnostics), the diagnostics read-only. Duality comes from
+    charge conjugation (normalized S squared), snapped to a permutation.
     """
     m.validate()
     n = m.rank
@@ -134,11 +134,11 @@ def verlinde_fusion(m: ModularDatum):
             f"charge conjugation row {np.argmax(bad)} does not snap to a permutation")
     labels = [f"X{i}" for i in range(n)]
     ring = FusionRing.validated(labels, out.astype(np.int64), dual)
-    diagnostics = {
+    diagnostics = MappingProxyType({
         "globalDim": d,
-        "dims": [float(x) for x in m.dims],
+        "dims": tuple(float(x) for x in m.dims),
         "maxSnapError": float(err.max()),
-    }
+    })
     return ring, diagnostics
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError
+from .core import FusionRing, FusionRingError, _derived
 from .exact import EXACT_TOL, snap_int
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ring_fpdim",
     "characters",
     "formal_codegrees",
-    "codegree_object_dims",
     "induction_unit_profile",
     "spectral_report",
 ]
@@ -58,12 +57,21 @@ class Character:
         object.__setattr__(self, "values", v)
 
 
-def fpdim(ring: FusionRing, i: int) -> float:
-    """Perron eigenvalue of N_i, with (N_i)_{jk} = c_{ij}^k.
+@_derived
+def fpdims(ring: FusionRing) -> np.ndarray:
+    """Perron eigenvalue of each N_i, with (N_i)_{jk} = c_{ij}^k."""
+    return np.array([_perron(ring, i) for i in range(ring.rank)])
 
-    Power iteration on N_i + I (the shift keeps bipartite fusion graphs from
-    oscillating) to a 1e-12 relative step; dense eigvals if it stalls.
-    """
+
+def fpdim(ring: FusionRing, i: int) -> float:
+    """FPdim of basis element i, read from fpdims(ring)."""
+    return float(fpdims(ring)[i])
+
+
+def _perron(ring: FusionRing, i: int) -> float:
+    """Perron eigenvalue of N_i: power iteration on N_i + I (the shift keeps
+    bipartite fusion graphs from oscillating) to a 1e-12 relative step;
+    dense eigvals if it stalls."""
     m = ring.tensor[i].astype(float) + np.eye(ring.rank)
     x = np.full(ring.rank, 1.0 / np.sqrt(ring.rank))
     lam = np.inf
@@ -77,10 +85,6 @@ def fpdim(ring: FusionRing, i: int) -> float:
         lam = new
     ev = np.linalg.eigvals(ring.tensor[i].astype(float))
     return float(np.max(ev.real))
-
-
-def fpdims(ring: FusionRing) -> np.ndarray:
-    return np.array([fpdim(ring, i) for i in range(ring.rank)])
 
 
 def _is_eigenvector(m, d, lam) -> bool:
@@ -100,6 +104,7 @@ def ring_fpdim(ring: FusionRing) -> float:
     return float(np.sum(fpdims(ring) ** 2))
 
 
+@_derived
 def _casimir(ring: FusionRing) -> np.ndarray:
     """The Casimir matrix L = sum_j p_j N_j in float64 (int64 overflows near
     multiplicity 2^32), p the induction-unit profile: multiplication by
@@ -184,11 +189,6 @@ def formal_codegrees(ring: FusionRing) -> list:
     return sorted(out, key=float, reverse=True)
 
 
-def codegree_object_dims(ring: FusionRing) -> list:
-    """FPdim(ring) / f for each formal codegree f, in codegree order."""
-    return list(spectral_report(ring).codegree_dims)
-
-
 def induction_unit_profile(ring: FusionRing) -> np.ndarray:
     """Coefficient vector of sum_i b_i b_{i*}, i.e. entry j is
     sum_i c_{i,i*}^j. Satisfies sum_j profile_j FPdim_j = FPdim(ring)."""
@@ -215,10 +215,9 @@ class SpectralReport:
 
 def spectral_report(ring: FusionRing) -> SpectralReport:
     codegs = formal_codegrees(ring)
-    dims = fpdims(ring)
-    total = float(np.sum(dims ** 2))
+    total = ring_fpdim(ring)
     return SpectralReport(
-        fpdims=dims,
+        fpdims=fpdims(ring),
         ring_fpdim=total,
         codegrees=tuple(codegs),
         codegree_dims=tuple(total / float(f) for f in codegs),

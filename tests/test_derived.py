@@ -1,0 +1,119 @@
+"""Derived data of a frozen object (core._derived): FPdims, the Casimir
+matrix, commutativity and the character and Verlinde rings are computed
+once per object, kept read-only, and never kept after a raise."""
+
+import functools
+
+import numpy as np
+import pytest
+
+import fusionring as fr
+from fusionring import catalog, cli, spectral
+from fusionring.core import CharacterTable, FusionRing, NonIntegralMultiplicity
+from fusionring.exact import RootOfUnity
+from fusionring.nearintegral import character_kernel, construct
+from fusionring.premodular import ModularDatum, NonIntegralFusion
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """Catalog entries loaded anew for one test, so that no earlier test has
+    filled their rings' caches."""
+    monkeypatch.setattr(catalog, "_entries", functools.cache(catalog._entries.__wrapped__))
+
+
+@pytest.fixture
+def perron_calls(monkeypatch):
+    """Power iterations per ring object, as {id(ring): calls}; the rings
+    are kept alive so that no id is reused."""
+    calls, seen, perron = {}, [], spectral._perron
+
+    def counting(ring, i):
+        calls[id(ring)] = calls.get(id(ring), 0) + 1
+        seen.append(ring)
+        return perron(ring, i)
+    monkeypatch.setattr(spectral, "_perron", counting)
+    return calls
+
+
+def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, capsys):
+    ring, built = fr.entry_ring("A4"), []
+    casimir = spectral._casimir(ring)
+    for _ in range(2):
+        assert fr.spectral_report(ring).ring_fpdim == pytest.approx(12)
+        chars = fr.characters(ring)
+        assert fr.integral_subring(ring).indices == (0, 1, 2, 3)
+        assert character_kernel(ring, chars[1].values) == ((0, 1, 2), True)
+        built.append(construct(ring, 2))
+        fr.spectral_report(built[-1])
+        for cmd in ("fpdim", "codegrees"):
+            assert cli.run([cmd, "catalog:A4"]) == 0
+        fr.verify_catalog()
+    capsys.readouterr()
+    assert spectral._casimir(ring) is casimir
+    # verify_catalog reads the FPdims of each Verlinde ring
+    datum_rings = [fr.entry_ring(n) for n in fr.list_catalog()
+                   if fr.load_entry(n).kind == "modularDatum"]
+    assert perron_calls == {id(r): r.rank for r in [ring, *built, *datum_rings]}
+
+
+def test_cached_arrays_are_shared_and_read_only():
+    ring = fr.group_ring([2, 3])
+    casimir, dims = spectral._casimir(ring), spectral.fpdims(ring)
+    assert spectral._casimir(ring) is casimir and spectral.fpdims(ring) is dims
+    with pytest.raises(ValueError):
+        casimir[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        dims[0] = 2.0
+    assert spectral.fpdim(ring, 1) == dims[1]
+
+
+def test_equal_rings_keep_separate_caches(perron_calls):
+    a, b = fr.group_ring([6]), fr.group_ring([6])
+    assert a == b and a is not b
+    assert spectral.fpdims(a) is not spectral.fpdims(b)
+    assert spectral._casimir(a) is not spectral._casimir(b)
+    assert np.array_equal(spectral.fpdims(a), spectral.fpdims(b))
+    assert perron_calls == {id(a): 6, id(b): 6}
+
+
+def test_verlinde_ring_and_diagnostics_once_per_datum(fresh_catalog, monkeypatch, capsys):
+    entry = fr.load_entry("Z(Rep(S3))")
+    ring, info = fr.verlinde_fusion(entry.payload)
+    assert entry.ring is ring
+    assert fr.verlinde_fusion(entry.payload)[1] is info
+    assert info["dims"] == (1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0)
+    with pytest.raises(TypeError):
+        info["dims"] = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Verlinde ring was built again")
+    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    assert cli.run(["verlinde", "catalog:Z(Rep(S3))"]) == 0
+    assert "dims: 1, 1, 2, 2, 2, 2, 3, 3" in capsys.readouterr().out
+
+
+def test_gagola_reuses_the_character_ring(monkeypatch):
+    table = fr.table_from_json(fr.table_to_json(fr.load_entry("F5").payload))
+    ring = fr.character_table_to_fusion_ring(table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character ring was built again")
+    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    assert fr.gagola_analyze(table).kappa == 3
+    assert fr.character_table_to_fusion_ring(table) is ring
+
+
+def test_a_failure_is_not_cached():
+    table = CharacterTable(2, [[1, 1], [1, 0.5]], (1, 1))
+    datum = ModularDatum([[1, 1], [1, 0.5]], (RootOfUnity(0, 1), RootOfUnity(0, 1)))
+    for obj, build, error in ((table, fr.character_table_to_fusion_ring,
+                               NonIntegralMultiplicity),
+                              (datum, fr.verlinde_fusion, NonIntegralFusion)):
+        fields = set(vars(obj))
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                build(obj)
+            messages.add(str(exc.value))
+        assert len(messages) == 1 and set(vars(obj)) == fields

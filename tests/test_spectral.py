@@ -10,7 +10,7 @@ from fusionring.core import FusionRing, group_ring, product_ring
 from fusionring.exact import snap_int
 from fusionring.nearintegral import construct
 from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
-                                 codegree_object_dims, formal_codegrees, fpdim, fpdims,
+                                 formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
                                  spectral_report)
 from shared_rings import s3_group_ring
@@ -136,7 +136,7 @@ def test_codegrees_rep_a4():
 
 
 def test_codegree_dims_rep_s3():
-    assert codegree_object_dims(fr.entry_ring("S3")) == pytest.approx([1, 2, 3])
+    assert list(spectral_report(fr.entry_ring("S3")).codegree_dims) == pytest.approx([1, 2, 3])
 
 
 def test_codegrees_group_ring():
