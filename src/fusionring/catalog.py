@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (FusionRing, FusionRingError, character_table_to_fusion_ring,
+from .core import (FusionRing, FusionRingError, _derived, character_table_to_fusion_ring,
                    table_from_json)
 from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
@@ -58,7 +58,7 @@ def eval_dimension_expr(text: str) -> float:
 @dataclass(frozen=True)
 class ClassificationRow:
     """One row of the small-rank inventory: a named family with its total
-    FPdim and the list of simple-object dimensions, both symbolic."""
+    FPdim and simple-object dimensions, symbolic and evaluated once per row."""
 
     name: str
     family: str
@@ -68,9 +68,11 @@ class ClassificationRow:
     count: int
     count_unverified: bool = False
 
+    @_derived
     def fpdim_total(self) -> float:
         return eval_dimension_expr(self.fpdim_expr)
 
+    @_derived
     def fpdims(self) -> tuple:
         return tuple(eval_dimension_expr(e) for e in self.dim_exprs)
 

@@ -16,8 +16,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import catalog, nearintegral, premodular, spectral
 from .core import (FusionRingError, MalformedInput, ring_from_json, ring_to_json,
                    table_from_json, table_to_json, validate_tensor)
@@ -39,18 +37,10 @@ def _round12(obj):
     output is byte-identical across runs."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, complex):
-        return [_round12(obj.real), _round12(obj.imag)]
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return _round12(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
     return obj
 
 

@@ -13,7 +13,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
-                   _Group, _is_int, _json_object, _scalar_matrix)
+                   _Group, _is_int, _json_object, _pairing_dual, _scalar_matrix)
 from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
 
 __all__ = [
@@ -101,8 +101,9 @@ class ModularDatum:
 @_derived
 def verlinde_fusion(m: ModularDatum):
     """Fusion ring from an S-matrix by the Verlinde formula, built once per
-    datum: (ring, diagnostics), the diagnostics read-only. Duality comes from
-    charge conjugation (normalized S squared), snapped to a permutation.
+    datum: (ring, diagnostics), the diagnostics read-only. Duality, charge
+    conjugation, is read from the snapped pairing column N_ij^0
+    (core._pairing_dual); S row i must then be the conjugate of S row i*.
     """
     m.validate()
     n = m.rank
@@ -125,13 +126,11 @@ def verlinde_fusion(m: ModularDatum):
         if out[i, j, k] < 0:
             raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
         raise FusionOverflow(f"N[{i}][{j}][{k}] = {out[i, j, k]:.6g} does not fit in int64")
-    c = (s @ s).real
-    hits = np.abs(c - 1) < SNAP_TOL
-    dual = hits.argmax(axis=1)
-    bad = (hits.sum(axis=1) != 1) | ~(np.abs(m.s - m.s[dual].conj()) <= SNAP_TOL).all(axis=1)
+    dual = _pairing_dual(out)
+    bad = ~(np.abs(m.s - m.s[dual].conj()) <= SNAP_TOL).all(axis=1)
     if bad.any():
-        raise FusionRingError(
-            f"charge conjugation row {np.argmax(bad)} does not snap to a permutation")
+        i = int(np.argmax(bad))
+        raise FusionRingError(f"S row {i} is not the conjugate of S row {dual[i]}")
     labels = [f"X{i}" for i in range(n)]
     ring = FusionRing.validated(labels, out.astype(np.int64), dual)
     diagnostics = MappingProxyType({
@@ -156,6 +155,7 @@ def gauss_sums(dims, twists):
 
 def balancing_check(ring: FusionRing, m: ModularDatum) -> list:
     """All (i, j) where S[i][j] != theta_i^-1 theta_j^-1 sum_k c_{ij}^k d_k theta_k."""
+    m.validate()
     n = ring.rank
     if m.rank != n:
         raise FusionRingError("ring rank must match the datum")
@@ -400,7 +400,7 @@ def modular_datum_from_json(data) -> ModularDatum:
             isinstance(x, (int, float)) and abs(x) < 2 ** 63 for x in dims)):
         raise MalformedInput("'dims' must list one number below 2^63 per row of S")
     m = ModularDatum(s, tuple(RootOfUnity(num, den) for num, den in t))
-    if dims is not None and not np.allclose(dims, m.dims, atol=SNAP_TOL):
+    if dims is not None and not np.allclose(dims, m.dims, rtol=0, atol=SNAP_TOL):
         raise FusionRingError("explicit dims disagree with row 0 of S")
     return m
 

@@ -176,7 +176,12 @@ def formal_codegrees(ring: FusionRing) -> list:
     (Ostrik 2009). They are the squared singular values of its Cholesky
     factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
     this keeps a small codegree accurate next to a large one, as in
-    R(S, kappa) for a large kappa."""
+    R(S, kappa) for a large kappa. Computed once per ring, a new list per call."""
+    return list(_codegrees(ring))
+
+
+@_derived
+def _codegrees(ring: FusionRing) -> tuple:
     if not ring.is_commutative():
         raise NotCommutative("formal codegrees require a commutative fusion ring")
     casimir = _casimir(ring)
@@ -186,9 +191,10 @@ def formal_codegrees(ring: FusionRing) -> list:
     for f in np.linalg.svd(factor, compute_uv=False) ** 2:
         i = snap_int(float(f))
         out.append(i if i is not None else float(f))
-    return sorted(out, key=float, reverse=True)
+    return tuple(sorted(out, key=float, reverse=True))
 
 
+@_derived
 def induction_unit_profile(ring: FusionRing) -> np.ndarray:
     """Coefficient vector of sum_i b_i b_{i*}, i.e. entry j is
     sum_i c_{i,i*}^j. Satisfies sum_j profile_j FPdim_j = FPdim(ring)."""
@@ -214,12 +220,12 @@ class SpectralReport:
 
 
 def spectral_report(ring: FusionRing) -> SpectralReport:
-    codegs = formal_codegrees(ring)
+    codegs = _codegrees(ring)
     total = ring_fpdim(ring)
     return SpectralReport(
         fpdims=fpdims(ring),
         ring_fpdim=total,
-        codegrees=tuple(codegs),
+        codegrees=codegs,
         codegree_dims=tuple(total / float(f) for f in codegs),
         induction_unit=tuple(int(x) for x in induction_unit_profile(ring)),
     )

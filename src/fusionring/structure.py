@@ -159,9 +159,8 @@ def pointed_subring(ring: FusionRing) -> SubringHandle:
 
 
 def adjoint_subring(ring: FusionRing) -> SubringHandle:
-    """Fusion closure of the supports of all b_i b_{i*}."""
-    seed = ring.support[np.arange(ring.rank), list(ring.dual)].any(axis=0)
-    return closure(ring, np.flatnonzero(seed))
+    """Fusion closure of the supports of all b_i b_{i*} (the induction-unit profile)."""
+    return closure(ring, np.flatnonzero(spectral.induction_unit_profile(ring)))
 
 
 def integral_subring(ring: FusionRing) -> SubringHandle:

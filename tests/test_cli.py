@@ -485,3 +485,40 @@ def test_random_ring_json_never_escapes(data, command):
         code = cli.run([command, "-"])
     assert code in (0, 1, 3)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+def test_balance_rejects_an_invalid_datum(tmp_path, capsys):
+    ring, datum = tmp_path / "ring.json", tmp_path / "datum.json"
+    ring.write_text(json.dumps(ring_to_json(group_ring([1]))))
+    datum.write_text('{"S": [[2]], "T": [[0, 1]]}')
+    for command in (["verlinde", str(datum)], ["balance", str(ring), str(datum)]):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (1, "")
+        assert err == "FusionRingError: S[0][0] must be 1 (unnormalized convention)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "catalog:S3"],
+    ["fpdim", "catalog:A4"],
+    ["chars", "catalog:A4"],
+    ["codegrees", "catalog:S3"],
+    ["detect", "catalog:PSU(3,2)"],
+    ["construct", "--subring", "catalog:C2", "--kappa", "1"],
+    ["verlinde", "catalog:Z(Rep(S3))"],
+    ["balance", "catalog:Z(Rep(S3))", "catalog:Z(Rep(S3))"],
+    ["qforms", "C3xC3", "--classes"],
+    ["gagola", "catalog:Aut(D9)"],
+    ["cases", "--N", "8"],
+    ["catalog", "list"],
+    ["catalog", "verify"],
+    ["catalog", "show", "S3"],
+    ["catalog", "show", "Z(Rep(S3))"],
+    ["catalog", "show", "groups<=6classes"],
+    ["catalog", "show", "rank4/C(A1,8,q)_ad"],
+], ids=" ".join)
+def test_every_command_emits_plain_json(argv, capsys):
+    """_round12 passes only the types commands emit; a numpy scalar in a
+    payload would make json.dumps raise here."""
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    assert isinstance(json.loads(out), dict)

@@ -507,9 +507,9 @@ def loop_character_ring(table, tol=1e-9):
                 tensor[i, j, k] = m
     dual = []
     for i in range(r):
-        matches = [k for k in range(r) if np.allclose(rows[k], rows[i].conj(), atol=1e-8)]
+        matches = [k for k in range(r) if tensor[i, k, 0] == 1]
         if len(matches) != 1:
-            raise FusionRingError(f"conjugate of row {i} matches rows {matches}")
+            raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {matches}")])
         dual.append(matches[0])
     labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
     return FusionRing.validated(labels, tensor, dual)
@@ -585,6 +585,17 @@ def test_s3_character_ring_rules():
 def test_a4_duality_swaps_conjugate_linears():
     ring = character_table_to_fusion_ring(fr.load_entry("A4").payload)
     assert list(ring.dual) == [0, 2, 1, 3]
+
+
+def test_column_orthogonality_within_the_absolute_bound_only():
+    """S3 with column 1 scaled by 1 + 3e-6: its Gram entry misses |G|/|C|
+    = 3 by 1.8e-5, three times the bound SNAP_TOL |G|, which numpy's
+    default rtol would have widened to 3.6e-5."""
+    data = table_to_json(fr.load_entry("S3").payload)
+    for row in data["rows"]:
+        row[1] *= 1 + 3e-6
+    with pytest.raises(FusionRingError, match=r"^column orthogonality fails$"):
+        table_from_json(data)
 
 
 def test_table_json_round_trip():

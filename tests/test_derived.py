@@ -1,6 +1,7 @@
 """Derived data of a frozen object (core._derived): FPdims, the Casimir
-matrix, commutativity and the character and Verlinde rings are computed
-once per object, kept read-only, and never kept after a raise."""
+matrix, formal codegrees, the induction-unit profile, commutativity, the
+character and Verlinde rings and a classification row's dimensions are
+computed once per object, kept read-only, and never kept after a raise."""
 
 import functools
 
@@ -13,6 +14,7 @@ from fusionring.core import CharacterTable, FusionRing, NonIntegralMultiplicity
 from fusionring.exact import RootOfUnity
 from fusionring.nearintegral import character_kernel, construct
 from fusionring.premodular import ModularDatum, NonIntegralFusion
+from shared_rings import s3_group_ring
 
 
 @pytest.fixture
@@ -117,3 +119,63 @@ def test_a_failure_is_not_cached():
                 build(obj)
             messages.add(str(exc.value))
         assert len(messages) == 1 and set(vars(obj)) == fields
+
+
+def test_row_expressions_parsed_once_per_row(fresh_catalog, monkeypatch):
+    texts, parse = [], catalog.parse_zeta_expr
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+    monkeypatch.setattr(catalog, "parse_zeta_expr", counting)
+    for _ in range(2):
+        assert all(ok for _, ok, _ in fr.verify_catalog())
+    rows = [fr.load_entry(n).payload for n in fr.list_catalog()
+            if fr.load_entry(n).kind == "classificationRow"]
+    assert sorted(texts) == sorted(e for row in rows for e in (row.fpdim_expr, *row.dim_exprs))
+
+
+def test_one_svd_per_table_ring(fresh_catalog, monkeypatch, capsys):
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    tables = [n for n in fr.list_catalog() if fr.load_entry(n).kind == "characterTable"]
+    for name in tables:
+        assert cli.run(["codegrees", f"catalog:{name}"]) == 0
+    fr.verify_catalog()
+    capsys.readouterr()
+    assert len(calls) == len(tables)
+
+
+def test_formal_codegrees_returns_a_new_list_each_call():
+    ring = fr.group_ring([2, 3])
+    first = fr.formal_codegrees(ring)
+    second = fr.formal_codegrees(ring)
+    assert first == second == [6] * 6 and first is not second
+    first[0] = 0
+    first.append(1)
+    assert fr.formal_codegrees(ring) == second
+    assert fr.spectral_report(ring).codegrees == tuple(second)
+
+
+def test_noncommutative_codegrees_raise_every_call():
+    ring = s3_group_ring()
+    for _ in range(2):
+        for build in (fr.formal_codegrees, fr.spectral_report):
+            with pytest.raises(spectral.NotCommutative):
+                build(ring)
+    assert not any("codegrees" in key for key in vars(ring))
+
+
+def test_induction_unit_profile_once_per_ring():
+    ring = fr.entry_ring("A4")
+    profile = spectral.induction_unit_profile(ring)
+    assert spectral.induction_unit_profile(ring) is profile
+    assert profile.tolist() == [4, 1, 1, 2]  # 3 x 3 = 1 + 1' + 1'' + 2 x 3
+    with pytest.raises(ValueError):
+        profile[0] = 0
+    assert fr.adjoint_subring(ring).indices == (0, 1, 2, 3)
+    assert fr.adjoint_subring(fr.group_ring([4])).indices == (0,)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fusionring as fr
 from fusionring import premodular
 from fusionring.exact import RootOfUnity
-from fusionring.core import FusionRing, FusionRingError, MalformedInput, _Group
+from fusionring.core import AxiomViolation, FusionRing, FusionRingError, MalformedInput, _Group
 from fusionring.premodular import (FusionOverflow, GroupTooLarge, ModularDatum,
                                    NegativeFusion, NonIntegralFusion,
                                    QuadraticForm, balancing_check,
@@ -57,7 +57,7 @@ def test_balancing_breaks_under_twist_perturbation(name):
 
 def loop_verlinde_fusion(m, snap=1e-6):
     """Reference: the Verlinde ring snapped one cell at a time, with the
-    charge-conjugation dual found row by row."""
+    charge-conjugation dual read row by row from the pairing column."""
     m.validate()
     n = m.rank
     d = m.global_dim
@@ -78,13 +78,15 @@ def loop_verlinde_fusion(m, snap=1e-6):
         if r >= 2 ** 63:
             raise FusionOverflow(f"N[{i}][{j}][{k}] = {float(r):.6g} does not fit in int64")
         out[i, j, k] = r
-    c = (s @ s).real
     dual = []
     for i in range(n):
-        hits = [j for j in range(n) if abs(c[i, j] - 1) < 1e-6]
-        if len(hits) != 1 or not np.allclose(np.abs(m.s[i] - m.s[hits[0]].conj()), 0, atol=1e-6):
-            raise FusionRingError(f"charge conjugation row {i} does not snap to a permutation")
+        hits = [j for j in range(n) if out[i, j, 0] == 1]
+        if len(hits) != 1:
+            raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {hits}")])
         dual.append(hits[0])
+    for i in range(n):
+        if not np.allclose(np.abs(m.s[i] - m.s[dual[i]].conj()), 0, atol=1e-6):
+            raise FusionRingError(f"S row {i} is not the conjugate of S row {dual[i]}")
     ring = FusionRing.validated([f"X{i}" for i in range(n)], out, dual)
     return ring, {"maxSnapError": float(max_err)}
 
@@ -196,6 +198,22 @@ def test_modular_datum_checks():
     with pytest.raises(FusionRingError, match=r"^explicit dims disagree with row 0 of S$"):
         modular_datum_from_json({"S": [[1, 1], [1, -1]], "T": [[0, 1], [0, 1]],
                                  "dims": [1, 2]})
+
+
+def test_explicit_dims_within_the_absolute_bound_only():
+    """The dims bound is SNAP_TOL absolute: at d = 3 a defect of 2e-5 is
+    outside it, though numpy's default rtol would have let it pass."""
+    data = modular_datum_to_json(fr.load_entry("Z(Rep(S3))").payload)
+    data["dims"][-1] += 5e-7
+    assert modular_datum_from_json(data).rank == 8
+    data["dims"][-1] += 2e-5
+    with pytest.raises(FusionRingError, match=r"^explicit dims disagree with row 0 of S$"):
+        modular_datum_from_json(data)
+
+
+def test_balancing_validates_the_datum():
+    with pytest.raises(FusionRingError, match=r"^S\[0\]\[0\] must be 1 "):
+        balancing_check(fr.group_ring([1]), ModularDatum([[2]], (RootOfUnity(0, 1),)))
 
 
 def test_form_counts():
