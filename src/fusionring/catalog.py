@@ -108,7 +108,8 @@ class CatalogEntry:
     payload: object
     provenance: str
 
-    @functools.cached_property
+    @property
+    @_derived
     def ring(self) -> FusionRing:
         """The entry's fusion ring, validated, built on first use: as given for
         ring JSON, the character ring of a table, the Verlinde ring of a

@@ -4,8 +4,9 @@ Batch subcommands for the library's operations, save subring enumeration,
 gradings, integral subrings and near-integral codegrees. Ring, table and
 modular-datum inputs are JSON file paths, "-" for standard input, or
 catalog:<name> references; an extra directory of user entries can be added
-with --data-dir. Exit codes: 0 clean, 1 violation/negative finding, 2 usage
-error, 3 input error.
+with --data-dir. Each cmd_* returns (exit code, payload, text lines), and run
+alone writes stdout. Exit codes: 0 clean, 1 violation/negative finding,
+2 usage error, 3 input error.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ def _round12(obj):
 
 def _fnum(x: float) -> str:
     return f"{float(x):.12g}"
-
-
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(_round12(payload), sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,7 @@ def parse_group_spec(text: str):
 # subcommands
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, list]:
     entry = load(args.ring, args)
     if entry.kind == "ring":  # read unvalidated, so that every violation is listed
         ring = entry.payload
@@ -144,21 +137,19 @@ def cmd_verify(args) -> int:
     lines += [f"  [{a}] at {i}: {d}" for a, i, d in violations[:25]]
     if len(violations) > 25:
         lines.append(f"  ... and {len(violations) - 25} more")
-    _emit(args, payload, lines)
-    return OK if not violations else VIOLATION
+    return (VIOLATION if violations else OK), payload, lines
 
 
-def cmd_fpdim(args) -> int:
+def cmd_fpdim(args) -> tuple[int, dict, list]:
     ring = load(args.ring, args).ring
     dims, total = spectral.fpdims(ring), spectral.ring_fpdim(ring)
     payload = {"labels": list(ring.labels), "fpdims": dims.tolist(), "ringFPdim": total}
     lines = [f"{lab}: {_fnum(d)}" for lab, d in zip(ring.labels, dims)]
     lines.append(f"FPdim(ring) = {_fnum(total)}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_chars(args) -> int:
+def cmd_chars(args) -> tuple[int, dict, list]:
     ring = load(args.ring, args).ring
     chars = spectral.characters(ring)
     payload = {
@@ -174,11 +165,10 @@ def cmd_chars(args) -> int:
             for z in c.values)
         tag = " (FPdim)" if c.is_fpdim else ""
         lines.append(f"chi_{k}{tag}: [{vals}]  codegree {_fnum(c.codegree)}")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_codegrees(args) -> int:
+def cmd_codegrees(args) -> tuple[int, dict, list]:
     ring = load(args.ring, args).ring
     report = spectral.spectral_report(ring)
     payload = report.to_json()
@@ -188,17 +178,14 @@ def cmd_codegrees(args) -> int:
         "induction-unit profile: " + ", ".join(str(x) for x in payload["inductionUnitProfile"]),
         f"FPdim(ring) = {_fnum(payload['ringFPdim'])}",
     ]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> tuple[int, dict, list]:
     ring = load(args.ring, args).ring
     report = nearintegral.detect(ring)
     if report is None:
-        _emit(args, {"nearIntegral": False},
-              ["no near-integral structure found"])
-        return VIOLATION
+        return VIOLATION, {"nearIntegral": False}, ["no near-integral structure found"]
     payload = report.to_json()
     payload["nearIntegral"] = True
     payload["roots"] = [report.d_plus, report.d_minus]
@@ -212,23 +199,20 @@ def cmd_detect(args) -> int:
         + (" (d+ integral)" if report.d_plus_exact_integer else ""),
         f"dim(A_chi-) = {_fnum(payload['dimAChiMinus'])}",
     ]
-    for f in report.flags:
-        lines.append(f"flag: {f}")
-    _emit(args, payload, lines)
-    return OK
+    lines += [f"flag: {f}" for f in report.flags]
+    return OK, payload, lines
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[int, dict, list]:
     sub = load(args.subring, args).ring
     ring = nearintegral.construct(sub, args.kappa)
     payload = ring_to_json(ring)
     lines = [f"rank {ring.rank} ring with labels {list(ring.labels)}",
              json.dumps(payload)]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_verlinde(args) -> int:
+def cmd_verlinde(args) -> tuple[int, dict, list]:
     m = load(args.datum, args, "modularDatum").payload
     ring, info = premodular.verlinde_fusion(m)
     payload = dict(ring_to_json(ring))
@@ -240,11 +224,10 @@ def cmd_verlinde(args) -> int:
         f"max integrality error {_fnum(info['maxSnapError'])}",
         "dims: " + ", ".join(_fnum(d) for d in info["dims"]),
     ]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_balance(args) -> int:
+def cmd_balance(args) -> tuple[int, dict, list]:
     ring = load(args.ring, args).ring
     m = load(args.datum, args, "modularDatum").payload
     bad = premodular.balancing_check(ring, m)
@@ -260,11 +243,10 @@ def cmd_balance(args) -> int:
     lines += [f"  ({i},{j}) error {_fnum(e)}" for i, j, e in bad[:25]]
     lines.append(f"gauss sums: tau+ tau- = {_fnum((plus * minus).real)}"
                  f"{(plus * minus).imag:+.3g}i, global dim {_fnum(m.global_dim)}")
-    _emit(args, payload, lines)
-    return OK if not bad else VIOLATION
+    return (VIOLATION if bad else OK), payload, lines
 
 
-def cmd_qforms(args) -> int:
+def cmd_qforms(args) -> tuple[int, dict, list]:
     factors = parse_group_spec(args.group)
     # form_classes refuses a group above either of its bounds before any
     # QuadraticForm is built
@@ -275,21 +257,18 @@ def cmd_qforms(args) -> int:
     if args.classes:
         payload["numClasses"] = len(classes)
         lines.append(f"{len(classes)} classes under automorphisms")
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_gagola(args) -> int:
+def cmd_gagola(args) -> tuple[int, dict, list]:
     table = load(args.table, args, "characterTable").payload
     try:
         report = nearintegral.gagola_analyze(table)
     except FusionRingError as exc:
-        _emit(args, {"found": False, "reason": str(exc)}, [f"no Gagola character: {exc}"])
-        return VIOLATION
+        return VIOLATION, {"found": False, "reason": str(exc)}, [f"no Gagola character: {exc}"]
     if report is None:
-        _emit(args, {"found": False, "reason": "no qualifying class/row pair"},
-              ["no Gagola character found"])
-        return VIOLATION
+        return (VIOLATION, {"found": False, "reason": "no qualifying class/row pair"},
+                ["no Gagola character found"])
     payload = report.to_json()
     payload["found"] = True
     deg = int(round(table.rows[report.rho_row, 0].real))
@@ -298,27 +277,24 @@ def cmd_gagola(args) -> int:
         f"kappa = 2*{deg} - {table.order}/{deg} = {report.kappa}",
         f"vanishing on {report.vanishing_classes} nontrivial classes",
     ]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_cases(args) -> int:
+def cmd_cases(args) -> tuple[int, dict, list]:
     rows = premodular.braided_cases(args.N)
     payload = {"N": args.N,
                "cases": [{"kappa": k, "dim": d, "twistConstraint": t, "case": c}
                          for k, d, t, c in rows]}
     lines = [f"kappa = {k}: dim {d}, {t}  [{c}]" for k, d, t, c in rows]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[int, dict, list]:
     if args.action == "list":
         kinds = {n: catalog.load_entry(n).kind for n in catalog.list_catalog()}
         payload = {"entries": [{"name": n, "kind": k} for n, k in kinds.items()]}
         lines = [f"{k:20s} {n}" for n, k in kinds.items()]
-        _emit(args, payload, lines)
-        return OK
+        return OK, payload, lines
     if args.action == "verify":
         results = catalog.verify_catalog()
         bad = [r for r in results if not r[1]]
@@ -327,8 +303,7 @@ def cmd_catalog(args) -> int:
                    "failures": len(bad)}
         lines = [f"{'pass' if ok else 'FAIL'}  {n}: {d}" for n, ok, d in results]
         lines.append(f"{len(results)} entries, {len(bad)} failures")
-        _emit(args, payload, lines)
-        return OK if not bad else VIOLATION
+        return (VIOLATION if bad else OK), payload, lines
     # show
     if not args.name:
         raise InputProblem("catalog show needs an entry name")
@@ -348,8 +323,7 @@ def cmd_catalog(args) -> int:
                "provenance": entry.provenance, "payload": body}
     lines = [f"{entry.name} ({entry.kind}) - {entry.provenance}",
              json.dumps(_round12(body), sort_keys=True)]
-    _emit(args, payload, lines)
-    return OK
+    return OK, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +388,21 @@ _PARSER = build_parser()
 
 
 def run(argv) -> int:
+    """Run one command: write its payload (--format json) or its text lines
+    to stdout, or one error line to stderr, and return the exit code."""
     try:
         args = _PARSER.parse_args(argv)
     except InputProblemUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(_round12(payload), sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (InputProblem, MalformedInput, premodular.GroupTooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

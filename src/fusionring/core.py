@@ -66,9 +66,9 @@ class MalformedInput(FusionRingError):
 
 def _derived(fn):
     """Decorator for data derived from a frozen object: fn(obj) runs once per
-    object, its result kept in obj.__dict__ (as functools.cached_property
-    does) under fn's dotted qualified name, which no attribute can have. An
-    ndarray result is made read-only; a call that raises keeps nothing."""
+    object, its result kept in obj.__dict__ under fn's dotted qualified name,
+    which no attribute can have. An ndarray result is made read-only; a call
+    that raises keeps nothing. Under @property it reads as an attribute."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
@@ -282,14 +282,14 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    @functools.cached_property
+    @property
+    @_derived
     def support(self) -> np.ndarray:
         """Read-only boolean tensor: support[i, j, k] iff c_ij^k != 0."""
-        support = self.tensor != 0
-        support.setflags(write=False)
-        return support
+        return self.tensor != 0
 
-    @functools.cached_property
+    @property
+    @_derived
     def support_masks(self) -> tuple:
         """support_masks[i][j] is the support of b_i b_j as a bitmask: bit k
         is set iff c_ij^k != 0."""
@@ -349,10 +349,10 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
 
 
 def _factors(factors) -> tuple:
-    out = tuple(int(f) for f in factors)
-    if any(f < 1 for f in out):
-        raise FusionRingError(f"cyclic factor orders must be positive: {list(out)}")
-    return out
+    factors = list(factors)
+    if not all(_is_int(f) and f >= 1 for f in factors):
+        raise FusionRingError(f"cyclic factor orders must be positive integers: {factors}")
+    return tuple(int(f) for f in factors)
 
 
 @functools.lru_cache(maxsize=16)
@@ -390,12 +390,12 @@ def group_ring(spec) -> FusionRing:
     spec = list(spec)
     is_table = bool(spec) and isinstance(spec[0], (list, tuple))
     if is_table:
-        table = np.asarray(spec, dtype=np.int64)
-        n = table.shape[0]
-        if table.shape != (n, n):
+        n = len(spec)
+        if not all(isinstance(row, (list, tuple)) and len(row) == n for row in spec):
             raise FusionRingError("multiplication table must be square")
-        if ((table < 0) | (table >= n)).any():
+        if not all(_is_int(x) and 0 <= x < n for row in spec for x in row):
             raise FusionRingError(f"multiplication table entries must lie in range({n})")
+        table = np.array(spec, dtype=np.int64)
         labels = [f"g{i}" for i in range(n)]
         dual = [-1] * n
         for i, j in zip(*np.nonzero(table == 0)):
@@ -599,7 +599,8 @@ def _scalar_matrix(data: dict, key: str) -> np.ndarray:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """x is an int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def table_to_json(table: CharacterTable) -> dict:

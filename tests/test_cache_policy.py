@@ -2,7 +2,7 @@
 
 Data derived from a frozen object is kept in the object's __dict__ by one
 decorator, core._derived. This fails when another package function writes
-to a __dict__, and when functools.cache or lru_cache memoizes anything but
+to a __dict__ or uses functools.cached_property (which writes one), and when functools.cache or lru_cache memoizes anything but
 the helpers keyed by tuples or by nothing. A cache keyed on a ring would
 hash it, and FusionRing.__hash__ serialises the whole tensor (196 MB at
 rank 295).
@@ -37,6 +37,9 @@ def _is_dict(node) -> bool:
 
 
 def _writes_dict(node) -> bool:
+    if ((isinstance(node, ast.Name) and node.id == "cached_property")
+            or (isinstance(node, ast.Attribute) and node.attr == "cached_property")):
+        return True
     if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
         return _is_dict(node.value)
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -48,7 +51,7 @@ def _writes_dict(node) -> bool:
 def dict_writers(module: str, tree) -> list:
     """'scope line N' for each write to a __dict__ in tree: an item stored
     or deleted, a mutating method called, or the attribute itself bound,
-    on x.__dict__ or vars(x). scope is the top-level def or class holding
+    on x.__dict__ or vars(x), and each use of cached_property. scope is the top-level def or class holding
     it (see _scopes), the module outside them."""
     out, seen = [], set()
     for scope, node in _scopes(module, tree):
@@ -114,3 +117,11 @@ def test_guard_catches_memoizers():
                      "@functools.cached_property\ndef d(self):\n    pass\n"
                      "e = functools.cache(len)\n")
     assert memoized("m", tree) == ["m.a", "m.b", "m.c", "m line 16"]
+
+
+def test_guard_catches_cached_property():
+    tree = ast.parse("import functools\nfrom functools import cached_property\n"
+                     "class R:\n    @functools.cached_property\n    def a(self):\n"
+                     "        pass\n    @cached_property\n    def b(self):\n        pass\n"
+                     "c = functools.cached_property(len)\n")
+    assert dict_writers("m", tree) == ["m.R line 4", "m.R line 7", "m line 10"]
