@@ -383,11 +383,11 @@ def group_ring(spec) -> FusionRing:
     """Fusion ring of a finite abelian group given by its cyclic factor orders,
     or of an arbitrary finite group given by a multiplication table.
 
-    spec: list of ints (cyclic orders) or an n x n table of element indices
-    in range(n) with identity at index 0. Only a table, outside input, is
-    validated; cyclic orders give a group ring by construction.
+    spec: cyclic orders or an n x n table of element indices in range(n)
+    with identity at index 0, as lists or a numpy array. Only a table, outside
+    input, is validated; cyclic orders give a group ring by construction.
     """
-    spec = list(spec)
+    spec = spec.tolist() if isinstance(spec, np.ndarray) else list(spec)
     is_table = bool(spec) and isinstance(spec[0], (list, tuple))
     if is_table:
         n = len(spec)

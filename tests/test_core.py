@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
-from fusionring import core
+from fusionring import core, spectral
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity,
                              _associativity_violations, character_table_to_fusion_ring,
@@ -424,6 +424,19 @@ def test_validate_tensor_memory_is_cubic():
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * ring.tensor.nbytes, orders
+
+
+def test_fpdims_memory_is_a_few_chunks():
+    # The power iteration holds float copies of a chunk of matrices, about
+    # 1 MB, never one of the whole tensor: 34 MB for C162
+    ring = group_ring([162])
+    tracemalloc.start()
+    try:
+        spectral.fpdims(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_fuse_and_basis_vector():

@@ -26,15 +26,16 @@ def fresh_catalog(monkeypatch):
 
 @pytest.fixture
 def perron_calls(monkeypatch):
-    """Power iterations per ring object, as {id(ring): calls}; the rings
-    are kept alive so that no id is reused."""
-    calls, seen, perron = {}, [], spectral._perron
+    """FPdim computations per ring object, as {id(ring.tensor): calls}: each
+    is one batched power iteration over the ring's tensor. The tensors are
+    kept alive so that no id is reused."""
+    calls, seen, perron = {}, [], spectral._perron_values
 
-    def counting(ring, i):
-        calls[id(ring)] = calls.get(id(ring), 0) + 1
-        seen.append(ring)
-        return perron(ring, i)
-    monkeypatch.setattr(spectral, "_perron", counting)
+    def counting(tensor):
+        calls[id(tensor)] = calls.get(id(tensor), 0) + 1
+        seen.append(tensor)
+        return perron(tensor)
+    monkeypatch.setattr(spectral, "_perron_values", counting)
     return calls
 
 
@@ -56,7 +57,7 @@ def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, capsys):
     # verify_catalog reads the FPdims of each Verlinde ring
     datum_rings = [fr.entry_ring(n) for n in fr.list_catalog()
                    if fr.load_entry(n).kind == "modularDatum"]
-    assert perron_calls == {id(r): r.rank for r in [ring, *built, *datum_rings]}
+    assert perron_calls == {id(r.tensor): 1 for r in [ring, *built, *datum_rings]}
 
 
 def test_cached_arrays_are_shared_and_read_only():
@@ -76,7 +77,7 @@ def test_equal_rings_keep_separate_caches(perron_calls):
     assert spectral.fpdims(a) is not spectral.fpdims(b)
     assert spectral._casimir(a) is not spectral._casimir(b)
     assert np.array_equal(spectral.fpdims(a), spectral.fpdims(b))
-    assert perron_calls == {id(a): 6, id(b): 6}
+    assert perron_calls == {id(a.tensor): 1, id(b.tensor): 1}
 
 
 def test_verlinde_ring_and_diagnostics_once_per_datum(fresh_catalog, monkeypatch, capsys):

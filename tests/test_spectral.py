@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionring as fr
+from fusionring import spectral
 from fusionring.core import FusionRing, group_ring, product_ring
 from fusionring.exact import snap_int
 from fusionring.nearintegral import construct
@@ -44,6 +46,80 @@ def test_fpdim_ising():
 def test_fpdim_group_ring_all_one():
     for factors in ([2], [3], [2, 2], [6]):
         assert fpdims(group_ring(factors)) == pytest.approx(1.0)
+
+
+def loop_fpdims(ring) -> np.ndarray:
+    """FPdims as they were computed by one power iteration per basis element
+    (the batched path must match them bit for bit), kept as an oracle."""
+    out = []
+    for i in range(ring.rank):
+        m = ring.tensor[i].astype(float) + np.eye(ring.rank)
+        x = np.full(ring.rank, 1.0 / np.sqrt(ring.rank))
+        lam = np.inf
+        for _ in range(10000):
+            y = m @ x
+            new = float(x @ y)
+            x = y / np.linalg.norm(y)
+            if abs(new - lam) <= 1e-12 * max(1.0, abs(new)):
+                out.append(new - 1.0)
+                break
+            lam = new
+        else:
+            out.append(float(np.max(np.linalg.eigvals(ring.tensor[i].astype(float)).real)))
+    return np.array(out)
+
+
+RING_VALUED = [name for name in fr.list_catalog()
+               if fr.load_entry(name).kind in ("ring", "characterTable", "modularDatum")]
+LADDER = {
+    **{f"C{n}": lambda n=n: group_ring([n]) for n in (16, 32, 48)},
+    "C8xC8": lambda: group_ring([8, 8]),
+    "C2^6": lambda: group_ring([2] * 6),
+    "C4^3": lambda: group_ring([4] * 3),
+    "A4xA4xS3": lambda: product_ring(product_ring(fr.entry_ring("A4"), fr.entry_ring("A4")),
+                                     fr.entry_ring("S3")),
+    "R(C16,7)": lambda: construct(group_ring([16]), 7),
+    "R(C3,10^6)": lambda: construct(group_ring([3]), 10 ** 6),
+    "R(C1,10^8)": lambda: construct(group_ring([1]), 10 ** 8),
+    # rank 163: four matrices per 1 MB chunk, and 163 is not a multiple of 4
+    "R(C162,9)": lambda: construct(group_ring([162]), 9),
+}
+
+
+@pytest.mark.parametrize("name", RING_VALUED)
+def test_fpdims_match_loop_on_catalog(name):
+    ring = fr.entry_ring(name)
+    assert np.array_equal(fpdims(ring), loop_fpdims(ring))
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_fpdims_match_loop_on_ladder(name):
+    ring = LADDER[name]()
+    assert np.array_equal(fpdims(ring), loop_fpdims(ring))
+
+
+@pytest.mark.parametrize("name", ["Z(Rep(A4))", "C48"])
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_fpdims_match_loop_on_any_layout(name, layout):
+    # FusionRing keeps an int64 tensor as given: an F-order array, or a
+    # transposed view, which for a commutative ring is the same tensor
+    ring = fr.entry_ring(name) if name in RING_VALUED else LADDER[name]()
+    t = np.asfortranarray(ring.tensor) if layout == "fortran" else ring.tensor.transpose(1, 0, 2)
+    twin = FusionRing(ring.labels, t, ring.dual)
+    assert not twin.tensor.flags.c_contiguous
+    assert np.array_equal(fpdims(twin), loop_fpdims(twin))
+    assert np.array_equal(fpdims(twin), fpdims(ring))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(0, 10 ** 8),
+       st.integers(1, 2 ** 12))
+def test_fpdims_match_loop_on_random_rings(factors, kappa, chunk_bytes):
+    # small chunks: one to all matrices per stack, the last one short
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_PERRON_CHUNK_BYTES", chunk_bytes)
+        for ring in (group_ring(factors), construct(group_ring(factors), kappa)):
+            assert np.array_equal(fpdims(ring), loop_fpdims(ring))
 
 
 def test_ring_fpdim():
