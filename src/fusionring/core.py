@@ -384,12 +384,15 @@ def group_ring(spec) -> FusionRing:
     or of an arbitrary finite group given by a multiplication table.
 
     spec: cyclic orders or an n x n table of element indices in range(n)
-    with identity at index 0, as lists or a numpy array. Only a table, outside
-    input, is validated; cyclic orders give a group ring by construction.
+    with identity at index 0, as lists or a numpy array; a table's rows may be
+    1-D arrays. Only a table, outside input, is validated; cyclic orders give
+    a group ring by construction.
     """
     spec = spec.tolist() if isinstance(spec, np.ndarray) else list(spec)
-    is_table = bool(spec) and isinstance(spec[0], (list, tuple))
+    is_table = bool(spec) and (isinstance(spec[0], (list, tuple))
+                               or isinstance(spec[0], np.ndarray) and spec[0].ndim == 1)
     if is_table:
+        spec = [row.tolist() if isinstance(row, np.ndarray) else row for row in spec]
         n = len(spec)
         if not all(isinstance(row, (list, tuple)) and len(row) == n for row in spec):
             raise FusionRingError("multiplication table must be square")
@@ -531,10 +534,7 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
             raise MalformedInput(f"'{key}' must be a list")
     if not all(type(d) is int for d in dual or []):
         raise MalformedInput("'dual' must be a list of integers")
-    try:
-        tensor = np.asarray(data.get("tensor"))
-    except ValueError:  # ragged nesting
-        tensor = np.asarray(None)
+    tensor = _read_tensor(data.get("tensor"))
     if (tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.size == 0
             or tensor.dtype.kind not in "iufO"):
         raise MalformedInput("'tensor' must be a nonempty n x n x n array of numbers")
@@ -548,6 +548,27 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
     if validate:
         return FusionRing.validated(labels, tensor, dual)
     return FusionRing(labels, tensor, dual)
+
+
+def _read_tensor(value) -> np.ndarray:
+    """A ring JSON 'tensor' value as an array. A list of n lists of n lists
+    of n ints in range(256) is read in one typed pass; anything else by
+    np.asarray, as a 0-d array when its nesting is ragged. Both give the same
+    int64 ring, as np.asarray reads such a cube as int64."""
+    n = len(value) if type(value) is list else 0
+    # np.asarray reads an all-bool cube as dtype bool, which is malformed
+    if n and all(type(row) is list and len(row) == n
+                 and all(type(col) is list and len(col) == n for col in row)
+                 for row in value) and type(value[0][0][0]) is not bool:
+        try:
+            flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(value)))
+            return np.frombuffer(flat, np.uint8).astype(np.int64).reshape(n, n, n)
+        except (TypeError, ValueError):  # a float, an int outside range(256), ...
+            pass
+    try:
+        return np.asarray(value)
+    except ValueError:  # ragged nesting
+        return np.asarray(None)
 
 
 def table_from_json(data) -> CharacterTable:

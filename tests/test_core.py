@@ -1,5 +1,6 @@
 """Fusion ring axioms, group rings, character rings and JSON round trips."""
 
+import copy
 import itertools
 import json
 import math
@@ -23,9 +24,11 @@ TABLES = [name for name in fr.list_catalog()
           if fr.load_entry(name).kind == "characterTable"]
 
 
+FIB = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+
+
 def fib_ring():
-    tensor = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
-    return FusionRing.validated(["1", "tau"], tensor, [0, 1])
+    return FusionRing.validated(["1", "tau"], FIB, [0, 1])
 
 
 def ising_ring():
@@ -476,6 +479,11 @@ def test_ring_json_dual_recovery():
     '{"tensor": [[[1]]], "labels": 5}',
     '{"tensor": [[[1]]], "dual": 0}',
     '{"tensor": [[[1]]], "dual": [true]}',
+    '{"tensor": [[[true]]]}',
+    '{"tensor": [[[[1]]]]}',
+    '{"tensor": [[[]]]}',
+    '{"tensor": [[[1]], [[1]]]}',
+    '{"tensor": [[[1, 0], [0, 1]], [[0, 1], [1]]]}',
 ])
 def test_ring_from_json_rejects_malformed(data):
     with pytest.raises(MalformedInput):
@@ -488,15 +496,119 @@ def test_ring_from_json_rejects_malformed(data):
     (1j, NonIntegralMultiplicity),
     (-1.0, NonIntegralMultiplicity),
     (1.0, None),
+    (256, None),  # tau^2 = 1 + 256 tau
 ])
 def test_float_tensor_must_be_exact(entry, error):
     tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=type(entry))
     tensor[1, 1, 1] = entry
     if error is None:
-        assert FusionRing.validated(["1", "tau"], tensor, [0, 1]) == fib_ring()
+        want = FusionRing.validated(["1", "tau"], [[[1, 0], [0, 1]], [[0, 1], [1, int(entry)]]],
+                                    [0, 1])
+        assert FusionRing.validated(["1", "tau"], tensor, [0, 1]) == want
+        # JSON 1.0 and 256 miss the typed read and are read by np.asarray
+        back = ring_from_json(json.dumps({"labels": ["1", "tau"], "tensor": tensor.tolist()}))
+        assert back == want and back.tensor.dtype == np.int64
+        assert entry != 1 or want == fib_ring()
     else:
         with pytest.raises(error):
             FusionRing(["1", "tau"], tensor, [0, 1])
+
+
+def read_ring(tensor, validate=True):
+    """What ring_from_json makes of a 'tensor' value: the ring's labels,
+    dual, dtype, shape and bytes, or the exception class and message."""
+    try:
+        ring = ring_from_json({"tensor": tensor}, validate=validate)
+    except FusionRingError as exc:
+        return type(exc), str(exc)
+    return ring.labels, ring.dual, ring.tensor.dtype, ring.tensor.shape, ring.tensor.tobytes()
+
+
+def assert_reads_as_asarray(tensor, validate=True):
+    """A nested-list tensor reads as its np.asarray array does, which takes
+    the np.asarray path; a ragged one, which np.asarray refuses, reads as
+    a 0-d array, so as MalformedInput."""
+    try:
+        want = read_ring(np.asarray(tensor), validate)
+    except ValueError:
+        want = read_ring(np.asarray(None), validate)
+        assert want[0] is MalformedInput
+    assert read_ring(tensor, validate) == want
+    return want
+
+
+ODD_ENTRIES = [2 ** 63, -2 ** 63 - 1, -1, 256, 1.0, 1.5, 1e300, float("nan"), True, False,
+               None, "1", np.int64(1), np.uint8(1), np.bool_(True)]
+
+
+def with_entry(tensor, index, value):
+    out = copy.deepcopy(tensor)
+    i, j, k = index
+    out[i][j][k] = value
+    return out
+
+
+@pytest.mark.parametrize("tensor, ok", [
+    (FIB, True),
+    ([[[True]]], False),  # all-bool: dtype bool
+    ([[[False]]], False),
+    ([[[np.True_]]], False),
+    (with_entry(FIB, (0, 0, 0), True), True),  # bool first, then ints: int64
+    (with_entry(FIB, (1, 1, 1), True), True),
+    ([[[np.int64(1), 0], [0, 1]], [[0, np.uint8(1)], [1, np.uint8(1)]]], True),
+    ([[[np.uint8(1)]]], True),  # dtype uint8 from np.asarray
+    (ring_to_json(group_ring([2, 2]))["tensor"], True),
+    *((with_entry(FIB, (1, 1, 1), x), None) for x in ODD_ENTRIES),
+    *((with_entry(FIB, (0, 0, 0), x), None) for x in ODD_ENTRIES),
+    ([], False),
+    ([[[]]], False),
+    ([[[[1]]]], False),
+    ([[[1, 0], [0, 1]], [[0, 1]]], False),
+    ([[[1, 0], [0, 1]], [[0, 1], [1]]], False),
+    ([[[1, 0], [0, 1]], [[0, 1], [1, [1]]]], False),
+    ([[[1]], [[1]]], False),
+    ((((1,),),), True),  # a tuple is read by np.asarray
+])
+def test_typed_read_matches_asarray_cases(tensor, ok):
+    for validate in (True, False):
+        got = assert_reads_as_asarray(tensor, validate)
+        assert ok is None or (got[0] is not MalformedInput) == ok
+
+
+@st.composite
+def near_cube_tensors(draw):
+    """Cubes of rank 1-5, from a ring or filled with one value, some entries
+    replaced from ints in [-2, 300] and ODD_ENTRIES; then maybe one list
+    grown or shrunk at depth 1, 2 or 3, or leaves wrapped to a 4-deep list."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        tensor = ring_to_json(group_ring([n]))["tensor"]
+    else:
+        fill = draw(st.sampled_from([0, 1, True, False]))
+        tensor = [[[fill] * n for _ in range(n)] for _ in range(n)]
+    entries = st.one_of(st.integers(-2, 300), st.sampled_from(ODD_ENTRIES),
+                        st.integers(-2, 300).map(np.int64), st.integers(0, 255).map(np.uint8))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        tensor[i][j][k] = draw(entries)
+    depth = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    if depth == 4:
+        tensor = [[[[x] for x in col] if draw(st.booleans()) else col for col in row]
+                  for row in tensor]
+    elif depth is not None:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        target = [tensor, tensor[i], tensor[i][j]][depth - 1]
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[0]))
+    return tensor
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_cube_tensors(), st.booleans())
+def test_typed_read_matches_asarray(tensor, validate):
+    assert_reads_as_asarray(tensor, validate)
 
 
 def loop_character_ring(table, tol=1e-9):

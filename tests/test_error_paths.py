@@ -40,8 +40,10 @@ def test_numpy_integers_are_indices_and_orders():
     table = np.array([[0, 1], [1, 0]], dtype=np.int64)
     assert fr.group_ring([list(row) for row in table]) == fr.group_ring([[0, 1], [1, 0]])
     assert fr.group_ring([np.int64(3)]) == fr.group_ring([3])
-    # whole arrays: 2-D is a table, 1-D a list of orders
+    # a 2-D array, or a list or tuple of 1-D rows, is a table; 1-D, orders
     assert fr.group_ring(table) == fr.group_ring([[0, 1], [1, 0]])
+    assert fr.group_ring(list(table)) == fr.group_ring([[0, 1], [1, 0]])
+    assert fr.group_ring(tuple(table)) == fr.group_ring([[0, 1], [1, 0]])
     assert fr.group_ring(np.array([2, 3])) == fr.group_ring([2, 3])
     with pytest.raises(FusionRingError, match=r"entries must lie in range\(2\)"):
         fr.group_ring(np.array([[0, 1], [1, 0.9]]))
