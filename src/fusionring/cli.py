@@ -249,11 +249,11 @@ def cmd_balance(args) -> tuple[int, dict, list]:
 def cmd_qforms(args) -> tuple[int, dict, list]:
     factors = parse_group_spec(args.group)
     # form_classes refuses a group above either of its bounds before any
-    # QuadraticForm is built
+    # QuadraticForm is built; the forms are counted as rows of their table
     classes = premodular.form_classes(factors) if args.classes else None
-    forms = premodular.quadratic_forms(factors)
-    payload = {"factors": factors, "numForms": len(forms)}
-    lines = [f"{len(forms)} quadratic forms on " + " x ".join(f"C{n}" for n in factors)]
+    count = len(premodular._form_table(tuple(factors))[1])
+    payload = {"factors": factors, "numForms": count}
+    lines = [f"{count} quadratic forms on " + " x ".join(f"C{n}" for n in factors)]
     if args.classes:
         payload["numClasses"] = len(classes)
         lines.append(f"{len(classes)} classes under automorphisms")

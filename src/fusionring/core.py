@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,10 +350,16 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
 
 
 def _factors(factors) -> tuple:
+    """Each order read by operator.index (an int, a numpy integer or a 0-d
+    integer array, not a bool), as a tuple of ints >= 1."""
     factors = list(factors)
-    if not all(_is_int(f) and f >= 1 for f in factors):
+    try:
+        orders = tuple(operator.index(f) for f in factors if not isinstance(f, bool))
+    except TypeError:
+        orders = ()
+    if len(orders) < len(factors) or not all(f >= 1 for f in orders):
         raise FusionRingError(f"cyclic factor orders must be positive integers: {factors}")
-    return tuple(int(f) for f in factors)
+    return orders
 
 
 @functools.lru_cache(maxsize=16)

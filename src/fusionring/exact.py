@@ -1,9 +1,10 @@
-"""Exact scalars: roots of unity, and the one evaluator of scalar strings.
+"""Exact scalars: twists, and the one evaluator of scalar strings.
 
-Character tables, T-matrices and S-matrix entries only ever need Z-linear
-combinations of roots of unity; classification dimensions add sqrt, csc,
-qint and pi. A fraction-of-a-turn type plus one walker over Python's own
-parse tree covers both, with no symbolic algebra dependency.
+A twist is a RootOfUnity, a fraction of a turn in lowest terms (quadratic
+forms hold their values as an int table instead). Character tables, S-matrix
+entries and classification dimensions, which add sqrt, csc, qint and pi, are
+evaluated to complex floats by one walker over Python's own parse tree, with
+no symbolic algebra dependency.
 parse_zeta_expr states the grammar: it reads table and datum entries
 (parse_scalar) and catalog dimension expressions alike.
 """
@@ -16,10 +17,9 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RootOfUnity:
     """exp(2*pi*i * num/den), stored with num/den in lowest terms, 0 <= num < den."""
 
@@ -33,29 +33,8 @@ class RootOfUnity:
         object.__setattr__(self, "num", (self.num % self.den) // g)
         object.__setattr__(self, "den", self.den // g)
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        f = self.fraction + other.fraction
-        return RootOfUnity(f.numerator, f.denominator)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        f = self.fraction * k
-        return RootOfUnity(f.numerator, f.denominator)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.num, self.den)
-
-    conjugate = inverse
-
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.num / self.den)
-
-    @property
-    def order(self) -> int:
-        return self.den
 
 
 def quantum_integer(n: int, m: int) -> float:

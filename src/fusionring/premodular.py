@@ -184,9 +184,8 @@ def centralizer_profile(m: ModularDatum):
 #
 # G = C_{n_1} x ... x C_{n_k}; its elements are numbered in itertools.product
 # order. A form is its int table q over that numbering, read mod M: the entry
-# x stands for the root of unity exp(2 pi i x / M). Enumeration, classes and
-# verify read only tables; RootOfUnity values are made on demand, for key()
-# and JSON.
+# x stands for the root of unity exp(2 pi i x / M). Every form operation,
+# key(), == and JSON included, reads only the factors, the table and M.
 
 # Largest number of forms times |G| enumerated, i.e. of int64 entries in the
 # form table: 8 MB at the bound (C2^4, at 2^18 entries, takes 2 MB, plus one
@@ -226,8 +225,7 @@ class QuadraticForm:
     array over the elements of G in itertools.product order, reduced mod m
     and read-only. It is a quadratic form if q(g) = q(-g) and its associated
     bicharacter is bilinear; `verify` checks that, the constructor only the
-    table's length and 0 < m < 2^62. `values` maps every element tuple to
-    its RootOfUnity; `==` compares factors and values.
+    table's length and 0 < m < 2^62. `==` compares factors and key().
     """
 
     factors: tuple
@@ -248,16 +246,12 @@ class QuadraticForm:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
 
-    @property
-    def values(self) -> dict:
-        return dict(zip(itertools.product(*map(range, self.factors)), self.key()))
-
-    def key(self) -> tuple:
-        """The values as RootOfUnity, in element order; one RootOfUnity per
-        distinct value, as a form takes at most 2 exp(G) of them."""
-        q = self.q.tolist()
-        roots = {x: RootOfUnity(x, self.m) for x in set(q)}
-        return tuple(map(roots.__getitem__, q))
+    def key(self) -> bytes:
+        """The table and modulus divided by g = gcd(m, q...), as int64 bytes:
+        the values over their least common denominator, so k q over k m
+        has the same key."""
+        g = math.gcd(self.m, *self.q.tolist())
+        return np.append(self.q // g, self.m // g).tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -460,8 +454,10 @@ def form_from_json(data) -> QuadraticForm:
 
 
 def form_to_json(form: QuadraticForm) -> dict:
+    """Each value x / m in lowest terms, [x // g, m // g] with g = gcd(x, m)."""
+    g = np.gcd(form.q, form.m)
+    nums, dens = (form.q // g).tolist(), (form.m // g).tolist()
     return {
         "factors": list(form.factors),
-        "values": {key: [r.num, r.den]
-                   for key, r in zip(_element_index(form.factors), form.key())},
+        "values": {key: [x, d] for key, x, d in zip(_element_index(form.factors), nums, dens)},
     }

@@ -98,7 +98,7 @@ def test_criterion_05_verlinde_and_balancing(capsys):
         rng = np.random.default_rng(11)
         i = int(rng.integers(1, ring.rank))
         t = list(m.t)
-        t[i] = t[i] * RootOfUnity(1, 7)
+        t[i] = RootOfUnity(7 * t[i].num + t[i].den, 7 * t[i].den)  # t[i] times zeta_7
         assert len(fr.balancing_check(ring, ModularDatum(m.s, tuple(t)))) >= 1
     with capsys.disabled():
         _note(f"criterion 5 pass: Verlinde integral with global dims "

@@ -472,17 +472,23 @@ datum_json = st.fixed_dictionaries(
     optional={"dims": int_lists})
 
 
+# every command that reads one ring, table or datum from stdin
+STDIN_COMMANDS = [["verify", "-"], ["fpdim", "-"], ["chars", "-"], ["codegrees", "-"],
+                  ["detect", "-"], ["verlinde", "-"], ["gagola", "-"],
+                  ["construct", "--subring", "-", "--kappa", "1"]]
+
+
 @settings(max_examples=300, deadline=None)
-@given(ring_json | table_json | datum_json, st.sampled_from(["verify", "fpdim"]))
-@example({"order": 1, "rows": [[0]]}, "verify")  # a zero column
-@example({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}, "verify")
-def test_random_ring_json_never_escapes(data, command):
+@given(ring_json | table_json | datum_json, st.sampled_from(STDIN_COMMANDS))
+@example({"order": 1, "rows": [[0]]}, ["verify", "-"])  # a zero column
+@example({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}, ["verify", "-"])
+def test_random_ring_json_never_escapes(data, argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", io.StringIO(json.dumps(data)))
         mp.setattr("sys.stdout", out)
         mp.setattr("sys.stderr", err)
-        code = cli.run([command, "-"])
+        code = cli.run(argv)
     assert code in (0, 1, 3)
     assert len(err.getvalue().splitlines()) <= 1
 

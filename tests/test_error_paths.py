@@ -28,8 +28,9 @@ def test_group_ring_refuses_a_table_of_non_indices(table, message):
         fr.group_ring(table)
 
 
-@pytest.mark.parametrize("orders", [[2.5], ["3"], [True], [3, 0], [np.float64(2.0)]],
-                         ids=repr)
+@pytest.mark.parametrize("orders", [[2.5], ["3"], [True], [3, 0], [np.float64(2.0)],
+                                    [np.bool_(True)], [np.array(True)], [np.array(2.0)],
+                                    [np.array(3), np.array(0)]], ids=repr)
 def test_cyclic_orders_must_be_positive_integers(orders):
     for build in (fr.group_ring, fr.quadratic_forms):
         with pytest.raises(FusionRingError, match="must be positive integers"):
@@ -40,6 +41,9 @@ def test_numpy_integers_are_indices_and_orders():
     table = np.array([[0, 1], [1, 0]], dtype=np.int64)
     assert fr.group_ring([list(row) for row in table]) == fr.group_ring([[0, 1], [1, 0]])
     assert fr.group_ring([np.int64(3)]) == fr.group_ring([3])
+    # a 0-d integer array is an order, as operator.index reads it
+    assert fr.group_ring([np.array(2), np.array(3)]) == fr.group_ring([2, 3])
+    assert len(fr.quadratic_forms([np.array(3), np.uint8(3)])) == 27
     # a 2-D array, or a list or tuple of 1-D rows, is a table; 1-D, orders
     assert fr.group_ring(table) == fr.group_ring([[0, 1], [1, 0]])
     assert fr.group_ring(list(table)) == fr.group_ring([[0, 1], [1, 0]])

@@ -50,7 +50,7 @@ def test_balancing_breaks_under_twist_perturbation(name):
     for _ in range(5):
         i = int(rng.integers(1, ring.rank))
         t = list(m.t)
-        t[i] = t[i] * RootOfUnity(1, 5)  # multiply one twist by zeta_5
+        t[i] = RootOfUnity(5 * t[i].num + t[i].den, 5 * t[i].den)  # one twist times zeta_5
         broken = ModularDatum(m.s, tuple(t))
         assert len(balancing_check(ring, broken)) >= 1
 
@@ -144,7 +144,7 @@ def test_balancing_matches_loop():
     m = fr.load_entry("Z(Rep(S3))").payload
     ring, _ = verlinde_fusion(m)
     t = list(m.t)
-    t[3] = t[3] * RootOfUnity(1, 5)
+    t[3] = RootOfUnity(5 * t[3].num + t[3].den, 5 * t[3].den)  # times zeta_5
     broken = ModularDatum(m.s, tuple(t))
     d, theta = broken.dims, broken.twist_values()
     rhs = np.einsum("ijk,k->ij", ring.tensor.astype(float), d * theta)
@@ -271,9 +271,11 @@ def test_form_is_its_table():
     form = QuadraticForm([2], [4, 5], 4)
     assert form.factors == (2,) and form.m == 4 and form.q.tolist() == [0, 1]
     assert not form.q.flags.writeable
-    assert form.values == {(0,): RootOfUnity(0, 1), (1,): RootOfUnity(1, 4)}
-    # == compares values, not the modulus they are written over
-    assert form == QuadraticForm((2,), [0, 2], 8)
+    assert form_to_json(form)["values"] == {"0": [0, 1], "1": [1, 4]}
+    # ==, key() and JSON read the values, not the modulus they are written over
+    rescaled = QuadraticForm((2,), [0, 2], 8)
+    assert form == rescaled and form.key() == rescaled.key()
+    assert form_to_json(rescaled) == form_to_json(form)
     assert form != QuadraticForm((2,), [0, 3], 4)
     assert form != QuadraticForm((2, 1), [0, 1], 4)
     for factors, q, m in [((2,), [0, 1, 0], 4), ((2,), [0, 1], 0),
@@ -327,13 +329,19 @@ def test_form_from_json_rejects_non_form(data, message):
 # Test-only references: the triple loop over Fractions of a turn that the
 # integer-array verify replaced, and the exhaustive check on the int table.
 
-def _oracle_is_form(factors, values, exhaustive=True) -> bool:
+def _turns(form) -> dict:
+    """Each element tuple's value as a Fraction of a turn in [0, 1)."""
+    elems = itertools.product(*[range(f) for f in form.factors])
+    return {g: Fraction(x, form.m) for g, x in zip(elems, form.q.tolist())}
+
+
+def _oracle_is_form(factors, q, exhaustive=True) -> bool:
+    """q: element tuple -> Fraction of a turn in [0, 1)."""
     elems = list(itertools.product(*[range(f) for f in factors]))
 
     def add(g, h):
         return tuple((x + y) % f for x, y, f in zip(g, h, factors))
 
-    q = {g: values[g].fraction for g in elems}
     if q[elems[0]] != 0:
         return False
     if any(q[g] != q[tuple(-x % f for x, f in zip(g, factors))] for g in elems):
@@ -355,7 +363,8 @@ def _table_is_form(grp, form) -> bool:
 
 def _form_json(factors, values) -> dict:
     return {"factors": list(factors),
-            "values": {",".join(str(x) for x in g): [r.num, r.den] for g, r in values.items()}}
+            "values": {",".join(str(x) for x in g): [r.numerator, r.denominator]
+                       for g, r in values.items()}}
 
 
 small_groups = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
@@ -366,7 +375,7 @@ small_groups = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
 @given(small_groups)
 def test_forms_pass_oracle_and_closed_count(factors):
     forms = quadratic_forms(factors)
-    assert all(_oracle_is_form(factors, f.values) for f in forms)
+    assert all(_oracle_is_form(factors, _turns(f)) for f in forms)
     count = math.prod(n if n % 2 else 2 * n for n in factors)
     count *= math.prod(math.gcd(a, b) for a, b in itertools.combinations(factors, 2))
     assert len(forms) == count
@@ -378,18 +387,18 @@ def test_forms_pass_oracle_and_closed_count(factors):
 def test_perturbed_form_rejected(factors, data):
     forms = quadratic_forms(factors)
     form = forms[data.draw(st.integers(0, len(forms) - 1))]
-    values = form.values
+    values = _turns(form)
     g = list(values)[data.draw(st.integers(1, len(values) - 1))]
     den = data.draw(st.integers(2, 4 * math.lcm(*factors)))
-    delta = RootOfUnity(data.draw(st.integers(1, den - 1)), den)
+    delta = Fraction(data.draw(st.integers(1, den - 1)), den)
     for h in {g, tuple(-x % f for x, f in zip(g, factors))}:
-        values[h] = values[h] * delta
+        values[h] = (values[h] + delta) % 1
     ok = _oracle_is_form(factors, values)
     assert _oracle_is_form(factors, values, exhaustive=False) == ok
     # delta on {g, -g} can give another form (on C2, or for g of order 3),
     # which must read back; every other perturbation must be refused
     if ok:
-        assert form_from_json(_form_json(factors, values)).values == values
+        assert _turns(form_from_json(_form_json(factors, values))) == values
         return
     with pytest.raises(FusionRingError) as err:
         form_from_json(_form_json(factors, values))
@@ -405,9 +414,8 @@ def test_form_times_nonreal_character_rejected(factors, data):
     a = [data.draw(st.integers(0, n - 1)) for n in factors]
     assume(any(2 * x % n for x, n in zip(a, factors)))
     values = {}
-    for g, r in form.values.items():
-        turn = sum((Fraction(x * y, n) for x, y, n in zip(a, g, factors)), Fraction(0))
-        values[g] = r * RootOfUnity(turn.numerator, turn.denominator)
+    for g, r in _turns(form).items():
+        values[g] = (r + sum(Fraction(x * y, n) for x, y, n in zip(a, g, factors))) % 1
     assert not _oracle_is_form(factors, values)
     with pytest.raises(FusionRingError, match="!= q"):
         form_from_json(_form_json(factors, values))
@@ -477,13 +485,21 @@ def test_braided_cases_huge_n_is_immediate():
 @pytest.mark.parametrize("factors", ordered_factor_lists(16), ids=str)
 def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
     # every row of the form table is a form by construction: none is checked
-    # and no RootOfUnity is made while it is built (form_classes too, on the
-    # groups where it is quick), and each passes the exhaustive check on its
-    # table afterwards (test_form_json_round_trip runs verify on each)
-    monkeypatch.setattr(premodular, "_check_form", refuse)
+    # while it is built (form_classes too, on the groups where it is quick),
+    # and each passes the exhaustive check on its table afterwards
+    # (test_form_json_round_trip runs verify on each)
     monkeypatch.setattr(premodular, "RootOfUnity", refuse)
-    forms = quadratic_forms(factors)
-    classes = form_classes(factors) if math.prod(factors) <= 8 else []
+    with monkeypatch.context() as mp:
+        mp.setattr(premodular, "_check_form", refuse)
+        forms = quadratic_forms(factors)
+        classes = form_classes(factors) if math.prod(factors) <= 8 else []
+    # no form operation makes a RootOfUnity either: key(), ==, the JSON round
+    # trip and form_nondegenerate, on the classes and about 50 forms per group
+    for form in classes + forms[::len(forms) // 50 or 1]:
+        rescaled = QuadraticForm(form.factors, 3 * form.q, 3 * form.m)
+        assert rescaled.key() == form.key() and rescaled == form
+        assert form_from_json(form_to_json(form)) == form
+        form_nondegenerate(form)
     monkeypatch.undo()
     grp = _Group(tuple(factors))
     assert all(_table_is_form(grp, form) for form in forms + classes)
