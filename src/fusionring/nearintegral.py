@@ -22,7 +22,7 @@ import numpy as np
 from .core import (CharacterTable, FusionRing, FusionRingError,
                    character_table_to_fusion_ring)
 from .exact import EXACT_TOL, SNAP_TOL, snap_int
-from .structure import ClosureViolation, SubringHandle, _first_escape
+from .structure import ClosureViolation, SubringHandle
 from . import spectral
 
 __all__ = [
@@ -121,11 +121,12 @@ def detect(ring: FusionRing):
     """Find the near-integral structure of a ring, or return None.
 
     Scans self-dual non-unit rho in index order for the first with
-    x * rho = d_x rho, d_x = c_{rho rho}^x >= 1, on its fusion-closed
-    complement S; then kappa = c_{rho rho}^rho and N = sum d_x^2. No FPdim
-    is computed (module docstring); the integer tests, implied by the
-    closure on a fusion ring, are kept for unvalidated tensors.
-    """
+    x * rho = d_x rho, d_x = c_{rho rho}^x >= 1, and its complement S
+    closed: c_ij^rho = 0 for i, j in S. Then kappa = c_{rho rho}^rho and
+    N = sum d_x^2. No FPdim is computed (module docstring); the integer
+    tests, implied by the closure on a fusion ring, are kept for unvalidated
+    tensors. The one flag is the categorification screen; kappa >= N with
+    d+ integral cannot occur, as kappa^2 + 4N = m^2 forces m >= kappa + 2."""
     n = ring.rank
     for rho in range(1, n):
         if ring.dual[rho] != rho:
@@ -135,20 +136,17 @@ def detect(ring: FusionRing):
         rows = ring.tensor[comp, rho]
         dims = sq[comp]
         if (rows[:, comp].any() or (rows[:, rho] != dims).any() or (dims < 1).any()
-                or _first_escape(ring.support, comp) is not None):
+                or ring.tensor[:, :, rho][np.ix_(comp, comp)].any()):
             continue
         kappa = int(sq[rho])
         big_n = sum(int(d) ** 2 for d in dims)
         d_plus, d_minus = roots_dpm(kappa, big_n)
         disc = kappa * kappa + 4 * big_n
         exact = math.isqrt(disc) ** 2 == disc
-        flags = []
-        if not exact and kappa % big_n != 0:
-            flags.append("categorification-screen: d+ irrational and N does not divide kappa")
-        if exact and kappa >= big_n:
-            flags.append(f"kappa = {kappa} >= N = {big_n} with d+ integral")
+        flags = () if exact or kappa % big_n == 0 else (
+            "categorification-screen: d+ irrational and N does not divide kappa",)
         return NearIntegralReport(tuple(comp), rho, kappa, big_n,
-                                  d_plus, d_minus, exact, tuple(flags))
+                                  d_plus, d_minus, exact, flags)
     return None
 
 
@@ -201,11 +199,11 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     report.subring_indices. Raises ExtensionObstructed if the extension is
     not a character.
     """
-    n = ring.rank
-    v = np.zeros(n, dtype=complex)
-    for pos, i in enumerate(report.subring_indices):
-        v[i] = sub_values[pos]
-    v[report.rho_index] = 0.0
+    sub_values = np.asarray(sub_values, dtype=complex)
+    if sub_values.shape != (len(report.subring_indices),):
+        raise FusionRingError("extend_character expects one value per subring basis element")
+    v = np.zeros(ring.rank, dtype=complex)
+    v[list(report.subring_indices)] = sub_values
     prod = np.einsum("ijk,k->ij", ring.tensor.astype(float), v)
     err = float(np.abs(prod - np.outer(v, v)).max())
     if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
@@ -239,10 +237,12 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
 def character_kernel(ring: FusionRing, values):
     """Indices where a character equals FPdim, plus whether that set is a
     fusion subring. Returns (indices, is_subring)."""
-    dims = spectral.fpdims(ring)
     values = np.asarray(values, dtype=complex)
-    kernel = tuple(i for i in range(ring.rank)
-                   if abs(values[i] - dims[i]) <= SNAP_TOL * max(1.0, dims[i]))
+    if values.shape != (ring.rank,):
+        raise FusionRingError("character_kernel expects one value per basis element")
+    dims = spectral.fpdims(ring)
+    near = np.abs(values - dims) <= SNAP_TOL * np.maximum(1.0, dims)
+    kernel = tuple(np.flatnonzero(near).tolist())
     try:
         SubringHandle(kernel).verify(ring)
     except ClosureViolation:
@@ -257,33 +257,23 @@ def dim_a_chi_minus(report: NearIntegralReport) -> float:
 
 
 def gagola_analyze(table: CharacterTable):
-    """Look for a Gagola character: a class x != identity and a unique row
-    rho with rho(x) != rho(1), all other rows agreeing with their degree on
-    x. Returns a GagolaReport or None.
-
-    kappa = 2 deg(rho) - |G| / deg(rho); checked to be a nonnegative integer
-    and to equal the self-coupling c_{rho rho}^rho of the character ring.
-    """
-    rows = table.rows
-    r = table.num_classes
-    for x in range(1, r):
-        differs = [i for i in range(r) if abs(rows[i, x] - rows[i, 0]) > EXACT_TOL]
-        if len(differs) != 1:
-            continue
-        rho = differs[0]
-        deg = int(round(rows[rho, 0].real))
-        if table.order % deg != 0:
-            raise NotNearIntegral(f"degree {deg} does not divide |G| = {table.order}")
-        kappa = 2 * deg - table.order // deg
-        if kappa < 0:
-            raise NotNearIntegral(f"kappa = {kappa} is negative for row {rho}")
-        vanishing = int(sum(1 for v in rows[rho] if abs(v) <= EXACT_TOL))
-        ring = character_table_to_fusion_ring(table)
-        if int(ring.tensor[rho, rho, rho]) != kappa:
-            raise NotNearIntegral(
-                f"kappa = {kappa} but c_rho,rho^rho = {int(ring.tensor[rho, rho, rho])}")
-        return GagolaReport(rho, kappa, vanishing)
-    return None
+    """Look for a Gagola character: the first class x != identity with a
+    unique row rho where rho(x) != rho(1), all other rows agreeing with
+    their degree on x. Returns a GagolaReport or None, with
+    kappa = 2 deg(rho) - |G| / deg(rho), which on a validated table is
+    c_{rho rho}^rho >= 0 by column orthogonality (a property test checks
+    it). Building the ring checks what validate leaves out."""
+    differs = np.abs(table.rows - table.rows[:, :1]) > EXACT_TOL
+    single = differs.sum(axis=0) == 1
+    if not single.any():
+        return None
+    rho = int(differs[:, single.argmax()].argmax())
+    deg = int(round(table.rows[rho, 0].real))
+    if table.order % deg != 0:
+        raise NotNearIntegral(f"degree {deg} does not divide |G| = {table.order}")
+    character_table_to_fusion_ring(table)
+    return GagolaReport(rho, 2 * deg - table.order // deg,
+                        int((np.abs(table.rows[rho]) <= EXACT_TOL).sum()))
 
 
 def extraspecial_kappa(p: int, n: int):

@@ -37,7 +37,7 @@ class SubringHandle:
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
+        object.__setattr__(self, "indices", tuple(sorted({int(i) for i in self.indices})))
 
     @property
     def rank(self) -> int:

@@ -1,8 +1,9 @@
 """Rings and helpers used in more than one test module."""
 
+import cmath
 import math
 
-from fusionring.core import group_ring
+from fusionring.core import CharacterTable, group_ring
 
 
 def refuse(*args, **kwargs):
@@ -31,6 +32,19 @@ def s3_group_ring():
             r, s = (ra - rb) % 3, 1 - sb
         return s * 3 + r
     return group_ring([[mul(a, b) for b in range(6)] for a in range(6)])
+
+
+def agl1_table(p: int) -> CharacterTable:
+    """Character table of AGL(1, p), x -> ax + b over F_p (p prime), in
+    closed form. Classes: the identity, the p - 1 translations, and for
+    j = 1..p-2 the p maps with a = g^j for a generator g of F_p^*. Rows: the
+    p - 1 characters lambda_k(g^j) = exp(2 pi i kj / (p - 1)), trivial on
+    translations, then the one of degree p - 1, which is -1 on translations
+    and 0 elsewhere."""
+    linear = [[1, 1] + [cmath.exp(2j * cmath.pi * k * j / (p - 1)) for j in range(1, p - 1)]
+              for k in range(p - 1)]
+    return CharacterTable.from_rows(p * (p - 1), linear + [[p - 1, -1] + [0] * (p - 2)],
+                                    [1, p - 1] + [p] * (p - 2))
 
 
 # Scalar strings that table and datum entries must refuse: a division by

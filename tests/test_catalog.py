@@ -1,11 +1,14 @@
 """Built-in data: loading, verification, classification-row consistency."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring.catalog import (ClassificationRow, UnknownEntry, entry_ring,
+from fusionring import catalog, spectral
+from fusionring.catalog import (CatalogEntry, ClassificationRow, UnknownEntry, entry_ring,
                                 eval_dimension_expr, list_catalog, load_entry,
                                 verify_catalog)
 from fusionring.exact import quantum_integer
@@ -109,6 +112,50 @@ def test_verify_catalog_all_pass():
 
 def test_verify_catalog_deterministic():
     assert verify_catalog() == verify_catalog()
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """Catalog entries loaded anew for one test, so that nothing it stubs or
+    adds stays in the shared entries or their caches."""
+    monkeypatch.setattr(catalog, "_entries", functools.cache(catalog._entries.__wrapped__))
+
+
+@pytest.mark.parametrize("module, name, stub, entry, detail", [
+    (spectral, "formal_codegrees", lambda ring: [4], "S3",
+     "codegree 4 of S3 does not divide |G| = 6"),
+    (catalog, "balancing_check", lambda ring, m: [()], "Z(Rep(S3))",
+     "Z(Rep(S3)): 1 balancing violations"),
+    (catalog, "gauss_sums", lambda dims, twists: (0, 0), "Z(Rep(S3))",
+     "Z(Rep(S3)): Gauss sum product misses global dim"),
+    (spectral, "fpdims", lambda ring: np.zeros(ring.rank), "Z(Rep(S3))",
+     "Z(Rep(S3)): FPdims disagree with S-matrix row 0"),
+], ids=["codegree", "balancing", "gauss-sums", "fpdims"])
+def test_verify_catalog_reports_a_failed_check(module, name, stub, entry, detail, monkeypatch,
+                                               fresh_catalog):
+    monkeypatch.setattr(module, name, stub)
+    results = {n: (ok, d) for n, ok, d in verify_catalog()}
+    assert results[entry] == (False, "FusionRingError: " + detail)
+
+
+def test_verify_catalog_reports_bad_entries(fresh_catalog):
+    entries = catalog._entries()
+    entries["groups<=6classes"] = CatalogEntry(
+        "groups<=6classes", "groupList", ({"order": 0, "numCentralInvolutive": 1},), "")
+    entries["zz-ring"] = CatalogEntry("zz-ring", "ring", entry_ring("S3"), "")
+    results = {n: (ok, d) for n, ok, d in verify_catalog()}
+    assert results["groups<=6classes"] == (
+        False, "FusionRingError: implausible group record {'order': 0, 'numCentralInvolutive': 1}")
+    assert results["zz-ring"] == (False, "FusionRingError: unknown entry kind ring")
+    assert sum(not ok for ok, _ in results.values()) == 2
+
+
+def test_duplicate_classification_row_is_refused(monkeypatch):
+    read = catalog._read
+    monkeypatch.setattr(catalog, "_read", lambda fname: read(fname) * 2
+                        if fname == "classification_rows.json" else read(fname))
+    with pytest.raises(fr.FusionRingError, match="^duplicate classification row "):
+        catalog._entries.__wrapped__()
 
 
 def test_fault_injection_detected():

@@ -291,12 +291,36 @@ def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_
     (["fpdim", "catalog:groups<=6classes"], None, 1,
      "FusionRingError: entry 'groups<=6classes' of kind groupList is not ring-valued"),
     (["catalog", "show", "nope"], None, 3, "input error: unknown catalog entry 'nope'"),
+    (["catalog", "show"], None, 3, "input error: catalog show needs an entry name"),
+    (["cases", "--N", "x"], None, 2, "usage error: argument --N: invalid int value: 'x'"),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, [1, 0, 0]]]}', 3,
+     "input error: 'rows' has an unreadable entry: complex pair must have length 2: [1, 0, 0]"),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, 1e19]]}', 3,
+     "input error: 'rows' entries must have modulus below 2^63"),
 ])
 def test_input_kind_messages(argv, stdin, want, message, capsys, monkeypatch):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (want, "", message + "\n")
+
+
+ALL_ONES = json.dumps({"tensor": [[[1] * 4] * 4] * 4, "dual": [0, 1, 2, 3]})
+
+
+def test_many_violations_are_cut_short(capsys, monkeypatch):
+    # the all-ones rank-4 tensor breaks 36 axiom instances: verify lists 25
+    # and counts the rest, an AxiomViolation message names 8
+    monkeypatch.setattr("sys.stdin", io.StringIO(ALL_ONES))
+    code, out, err = run(capsys, "verify", "-")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 27)
+    assert (lines[0], lines[-1]) == ("rank 4 ring: 36 violations", "  ... and 11 more")
+    monkeypatch.setattr("sys.stdin", io.StringIO(ALL_ONES))
+    code, out, err = run(capsys, "fpdim", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("AxiomViolation: unit at (0, 0, 1): c[0][0][1] = 1; ")
+    assert err.endswith("; ... and 28 more\n") and err.count("\n") == 1
 
 
 def test_non_text_file_is_input_error(tmp_path, capsys):

@@ -19,7 +19,7 @@ from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, No
                                      gagola_analyze, near_integral_codegrees,
                                      roots_dpm, subring_on)
 from fusionring.structure import SubringHandle, _first_escape, enumerate_subrings
-from shared_rings import refuse
+from shared_rings import agl1_table, refuse
 
 
 def test_roots():
@@ -146,6 +146,32 @@ def test_extend_character():
         extend_character(ring, report, chars[0].values)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2], ids=["short", "full", "long", "long2"])
+def test_value_vectors_need_one_value_per_basis_element(extra):
+    # R(C2, 1): S = {1, g} and rho = 2
+    ring = construct(group_ring([2]), 1)
+    report = detect(ring)
+    sign = [1, -1, 99, 98][:2 + extra]
+    dims = (spectral.fpdims(ring).tolist() + [5, 6])[:3 + extra]
+    if extra == 0:
+        assert extend_character(ring, report, sign).tolist() == [1, -1, 0]
+        assert character_kernel(ring, dims) == ((0, 1, 2), True)
+        return
+    with pytest.raises(FusionRingError,
+                       match="^extend_character expects one value per subring basis element$"):
+        extend_character(ring, report, sign)
+    with pytest.raises(FusionRingError,
+                       match="^character_kernel expects one value per basis element$"):
+        character_kernel(ring, dims)
+
+
+def test_character_kernel_of_a_non_character_need_not_be_closed():
+    # [1, 0, 2] agrees with FPdim on {1, chi2} of Rep(S3), which is not
+    # closed (chi2^2 = 1 + sign + chi2); the vector is not checked to be a
+    # character, and its kernel is reported open
+    assert character_kernel(fr.entry_ring("S3"), [1, 0, 2]) == ((0, 2), False)
+
+
 def test_subring_on_rejects_open_sets():
     ring = fr.entry_ring("S3")
     with pytest.raises(fr.FusionRingError):
@@ -167,6 +193,50 @@ def test_gagola_rho_is_largest_degree():
     table = fr.load_entry("PSU(3,2)").payload
     report = gagola_analyze(table)
     assert int(round(table.rows[report.rho_row, 0].real)) == 8
+
+
+AGL_PRIMES = (3, 5, 7, 11, 13)
+
+
+def test_gagola_kappa_is_the_self_coupling():
+    # gagola_analyze neither refuses kappa = 2d - |G|/d < 0 nor compares it
+    # with c_{rho rho}^rho: on a validated table column orthogonality gives
+    # both; checked on the catalog tables and on AGL(1, p)
+    tables = {name: fr.load_entry(name).payload for name in _catalog_tables()}
+    tables.update({f"AGL(1,{p})": agl1_table(p) for p in AGL_PRIMES})
+    for name, table in tables.items():
+        report = gagola_analyze(table)
+        rho = report.rho_row
+        assert report.kappa >= 0, name
+        ring = core.character_table_to_fusion_ring(table)
+        assert report.kappa == ring.tensor[rho, rho, rho], name
+    assert len(tables) == 16
+
+
+@pytest.mark.parametrize("p", AGL_PRIMES)
+def test_agl1_is_near_integral(p):
+    # the degree p - 1 character of AGL(1, p) vanishes off the identity and
+    # the translations: kappa = 2(p - 1) - p = p - 2 and N = p - 1
+    table = agl1_table(p)
+    report = gagola_analyze(table)
+    assert (report.rho_row, report.kappa, report.vanishing_classes) == (p - 1, p - 2, p - 2)
+    near = detect(core.character_table_to_fusion_ring(table))
+    assert (near.rho_index, near.kappa, near.big_n) == (p - 1, p - 2, p - 1)
+
+
+def test_integral_d_plus_forces_kappa_below_n():
+    # detect has no "kappa >= N with d+ integral" flag: kappa^2 + 4N = m^2
+    # with N >= 1 gives m > kappa and m = kappa mod 2, so m = kappa + 2t and
+    # N = t (kappa + t) > kappa; checked for N <= 500 and kappa <= 1000
+    kappa = np.arange(1001)[:, None]
+    big_n = np.arange(1, 501)[None, :]
+    disc = kappa * kappa + 4 * big_n
+    root = np.rint(np.sqrt(disc)).astype(np.int64)
+    square = root * root == disc
+    pairs = {(int(k), int(n)) for k, n in zip(*np.nonzero(square))}
+    assert {(k, n + 1) for k, n in pairs} == {
+        (k, t * (k + t)) for k in range(1001) for t in range(1, 23) if t * (k + t) <= 500}
+    assert (kappa < big_n)[square].all()
 
 
 def test_extraspecial_31():
@@ -217,6 +287,8 @@ def test_extraspecial_rejects_bad_p():
         extraspecial_kappa(4, 1)
     with pytest.raises(ValueError):
         extraspecial_kappa(2, 1)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        extraspecial_kappa(3, 0)
 
 
 def test_near_integral_codegrees_s3():

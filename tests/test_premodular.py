@@ -113,13 +113,15 @@ def nudged(m, a, b, delta):
     # below the snap width: maxSnapError is a defect of about 3e-8 whose
     # last bit depends on how |N - round(N)| is rounded
     nudged(fr.load_entry("Z(Rep(A4))").payload, 1, 1, 3e-7),
+    # integral fusion, but S[6][7] = -3 - 2e-6 i leaves row 6 off its conjugate
+    nudged(fr.load_entry("Z(Rep(S3))").payload, 6, 7, -2e-6j),
     ModularDatum([[1, 1], [1, -3]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1
     ModularDatum([[1, 1], [1, -3.4]], (RootOfUnity(0, 1),) * 2),  # N[0][0][1] = -1.2
     ModularDatum([[1, 1], [1, 1]], (RootOfUnity(0, 1),) * 2),  # two charge conjugates
     # N[1][1][1] = 1e300 would wrap in int64
     ModularDatum([[1, 1e-300], [1e-300, 1]], (RootOfUnity(0, 1), RootOfUnity(1, 4))),
-], ids=[*sorted(DOUBLES), "sub-snap", "negative", "negative-non-integer", "two-conjugates",
-        "overflow"])
+], ids=[*sorted(DOUBLES), "sub-snap", "row-not-conjugate", "negative", "negative-non-integer",
+        "two-conjugates", "overflow"])
 def test_verlinde_matches_loop(m):
     assert verlinde_outcome(verlinde_fusion, m) == verlinde_outcome(loop_verlinde_fusion, m)
 
@@ -267,6 +269,12 @@ def test_form_json_round_trip():
             assert back.key() == form.key()
 
 
+@pytest.mark.parametrize("big_n", [0, -3])
+def test_braided_cases_need_positive_n(big_n):
+    with pytest.raises(ValueError, match="^N must be positive$"):
+        fr.braided_cases(big_n)
+
+
 def test_form_is_its_table():
     form = QuadraticForm([2], [4, 5], 4)
     assert form.factors == (2,) and form.m == 4 and form.q.tolist() == [0, 1]
@@ -278,6 +286,7 @@ def test_form_is_its_table():
     assert form_to_json(rescaled) == form_to_json(form)
     assert form != QuadraticForm((2,), [0, 3], 4)
     assert form != QuadraticForm((2, 1), [0, 1], 4)
+    assert form.__eq__(form.key()) is NotImplemented and form != form.key()
     for factors, q, m in [((2,), [0, 1, 0], 4), ((2,), [0, 1], 0),
                           ((2,), [0, 1], 1 << 62), ((0,), [], 4)]:
         with pytest.raises(FusionRingError):

@@ -139,6 +139,14 @@ def test_codegrees_noncommutative_raises():
         formal_codegrees(s3_group_ring())
 
 
+def test_characters_of_the_zero_tensor_raise_degenerate_spectrum():
+    # every matrix of this unvalidated ring is 0, so no eigenspace splits
+    ring = FusionRing(["a", "b"], np.zeros((2, 2, 2), dtype=np.int64), [0, 1])
+    with pytest.raises(spectral.DegenerateSpectrum,
+                       match="^joint eigenspace of dimension 2 never split$"):
+        characters(ring)
+
+
 def test_characters_first_is_fpdim():
     ring = fr.entry_ring("S3")
     chars = characters(ring)

@@ -70,6 +70,13 @@ def test_handle_verify_names_first_escaping_product():
         SubringHandle((0, 2)).verify(fr.entry_ring("S3"))
 
 
+def test_handle_drops_repeated_indices():
+    handle = SubringHandle((0, 1, 1))
+    assert (handle.indices, handle.rank) == ((0, 1), 2)
+    ring = group_ring([2, 2])
+    assert fr.subring_on(ring, [0, 1, 1]) == fr.subring_on(ring, [0, 1])
+
+
 def test_pointed_subring():
     assert pointed_subring(fr.entry_ring("A4")).indices == (0, 1, 2)
     assert pointed_subring(ising_ring()).indices == (0, 1)
