@@ -248,10 +248,10 @@ def cmd_balance(args) -> tuple[int, dict, list]:
 
 def cmd_qforms(args) -> tuple[int, dict, list]:
     factors = parse_group_spec(args.group)
-    # form_classes refuses a group above either of its bounds before any
-    # QuadraticForm is built; the forms are counted as rows of their table
+    # form_classes refuses a group above the bound of 2^20 form values before
+    # any QuadraticForm is built; the forms are counted as rows of their table
     classes = premodular.form_classes(factors) if args.classes else None
-    count = len(premodular._form_table(tuple(factors))[1])
+    count = len(premodular._form_table(tuple(factors))[2])
     payload = {"factors": factors, "numForms": count}
     lines = [f"{count} quadratic forms on " + " x ".join(f"C{n}" for n in factors)]
     if args.classes:

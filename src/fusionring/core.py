@@ -365,7 +365,8 @@ def _factors(factors) -> tuple:
 @functools.lru_cache(maxsize=16)
 class _Group:
     """Index tables of G, elements numbered in itertools.product order:
-    add[i, j] and neg[i] are element numbers, gens[f] that of generator f.
+    add[i, j] and neg[i] are element numbers, gens[f] that of generator f,
+    and aut_gens, built on first use, permutations generating Aut(G).
     Built once per factor tuple and shared, so every array is read-only."""
 
     def __init__(self, factors: tuple):
@@ -384,6 +385,38 @@ class _Group:
     def number(self, coords: np.ndarray) -> np.ndarray:
         """Element numbers of coordinate vectors (last axis), reduced mod G."""
         return (coords % self.mods) @ self.strides
+
+    @property
+    @_derived
+    def aut_gens(self) -> np.ndarray:
+        """Generators of Aut(G), one row each: the element number of phi(g)
+        at g's number. They are the unit scalings g_i -> u g_i, u over
+        _unit_generators(n_i), and the shears g_i -> g_i + c g_j (i != j)
+        with c = n_j / gcd(n_i, n_j), the least c for which c g_j has order
+        dividing n_i, kept when c g_j != 0."""
+        n, k = self.mods.tolist(), len(self.mods)
+        entries = [(i, i, u) for i in range(k) for u in _unit_generators(n[i])]
+        entries += [(i, j, c) for i, j in itertools.permutations(range(k), 2)
+                    if (c := n[j] // math.gcd(n[i], n[j])) % n[j]]
+        images = np.tile(np.eye(k, dtype=np.int64), (len(entries), 1, 1))
+        for image, (i, j, c) in zip(images, entries):
+            image[i, j] = c  # g_i -> g_i + c g_j, or c g_i when i = j
+        return self.number(self.coords @ images)
+
+
+def _unit_generators(n: int) -> list:
+    """A generating set of (Z/n)^x: each unit, in increasing order, that
+    the units before it do not generate."""
+    gens, reached = [], {1 % n}
+    for u in range(2, n):
+        if math.gcd(u, n) == 1 and u not in reached:
+            gens.append(u)
+            grown, power = set(reached), u
+            while power not in reached:  # <reached, u> is the union of reached u^t
+                grown.update(h * power % n for h in reached)
+                power = power * u % n
+            reached = grown
+    return gens
 
 
 def group_ring(spec) -> FusionRing:

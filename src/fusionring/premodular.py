@@ -272,9 +272,10 @@ def form_nondegenerate(form: QuadraticForm) -> bool:
 
 
 def _form_table(factors: tuple):
-    """(M, Q): every quadratic form on G as one row of the int matrix
-    Q mod M = 2 exp(G), in quadratic_forms order; GroupTooLarge
-    first if their number times |G| exceeds _MAX_FORM_VALUES.
+    """(M, orders, Q): every quadratic form on G as one row of the int
+    matrix Q mod M = 2 exp(G), in quadratic_forms order, and the order of
+    each coefficient; GroupTooLarge first if their number times |G|
+    exceeds _MAX_FORM_VALUES.
 
     q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts steps
     of 1/n_i (n_i odd) or 1/(2 n_i) (n_i even) and c_ij steps of
@@ -294,7 +295,7 @@ def _form_table(factors: tuple):
     basis = np.array([(m // d) * mono for d, mono in zip(orders, monomials)],
                      dtype=np.int64).reshape(len(orders), len(x))
     coeffs = np.array(list(itertools.product(*[range(d) for d in orders])), dtype=np.int64)
-    return m, (coeffs @ basis) % m
+    return m, orders, (coeffs @ basis) % m
 
 
 def quadratic_forms(factors) -> list:
@@ -309,46 +310,43 @@ def quadratic_forms(factors) -> list:
     which also bounds their number).
     """
     factors = _factors(factors)
-    m, table = _form_table(factors)
+    m, _, table = _form_table(factors)
     return [QuadraticForm(factors, q, m) for q in table]
-
-
-def _automorphisms(factors) -> np.ndarray:
-    """Brute-force automorphisms of the abelian group, one row each: the
-    element number of phi(g) at g's number."""
-    factors = _factors(factors)
-    order = math.prod(factors)
-    if order > 64:
-        raise GroupTooLarge(f"|G| = {order} exceeds the brute-force bound 64")
-    grp = _Group(factors)
-    orders = [math.lcm(*[f // math.gcd(x, f) for x, f in zip(g, factors)])
-              for g in grp.elements]
-    # images of generators must have the right order; then check bijectivity
-    candidates = [[i for i, o in enumerate(orders) if o == f] for f in factors]
-    autos = []
-    for images in itertools.product(*candidates):
-        perm = grp.number(grp.coords @ grp.coords[list(images)])
-        if np.bincount(perm, minlength=order).all():
-            autos.append(perm)
-    return np.array(autos, dtype=np.int64).reshape(len(autos), order)
 
 
 def form_classes(factors) -> list:
     """Orbit representatives of quadratic_forms(factors) under group
     automorphisms, each the first of its orbit in enumeration order.
     Raises GroupTooLarge above the bound of quadratic_forms, before any
-    form is enumerated, and for |G| > 64."""
+    form is enumerated. Each generator phi of Aut(G) (_Group.aut_gens)
+    moves each table row q to the row of q o phi, read back from its values
+    at e_i and e_i + e_j. Each row's label, at first its own number, falls
+    to the least label of its images and then to its label's label until
+    none moves: the rows left with their own number head their orbits."""
     factors = _factors(factors)
-    m, table = _form_table(factors)
-    autos = _automorphisms(factors)
-    seen = set()
-    reps = []
-    for q in table:
-        if q.tobytes() in seen:
-            continue
-        reps.append(QuadraticForm(factors, q, m))
-        seen.update(moved.tobytes() for moved in q[autos])
-    return reps
+    m, orders, table = _form_table(factors)
+    grp, k = _Group(factors), len(factors)
+    first, second = np.array(list(itertools.combinations(range(k), 2)),
+                             dtype=np.int64).reshape(-1, 2).T
+    points = np.concatenate([grp.gens, grp.add[grp.gens[first], grp.gens[second]]])
+    steps = m // np.array(orders, dtype=np.int64)
+    radix = np.array([math.prod(orders[t + 1:]) for t in range(len(orders))], dtype=np.int64)
+    moves = []
+    for perm in grp.aut_gens:
+        v = table[:, perm[points]]  # q o phi at e_i, then at e_i + e_j
+        v[:, k:] -= v[:, first] + v[:, second]
+        moves.append((v % m // steps) @ radix)
+    label = np.arange(len(table))
+    while True:  # each move permutes the rows, so forward steps reach a whole orbit
+        low = label
+        for move in moves:
+            low = np.minimum(low, low[move])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    return [QuadraticForm(factors, table[r], m)
+            for r in np.flatnonzero(label == np.arange(len(label)))]
 
 
 def braided_cases(big_n: int) -> list:

@@ -11,6 +11,15 @@ def refuse(*args, **kwargs):
     raise AssertionError("not to be called")
 
 
+def cyclic_form_class_count(n: int) -> int:
+    """Classes of quadratic forms on C_n: q(x) = a x^2 / d with a in Z/d,
+    d = n (n odd) or 2n (n even), and x -> u x for a unit u moves a to
+    a u^2, so the classes are the orbits of Z/d under the squared units."""
+    d = n if n % 2 else 2 * n
+    squares = {u * u % d for u in range(1, n + 1) if math.gcd(u, n) == 1}
+    return len({frozenset(a * s % d for s in squares) for a in range(d)})
+
+
 def ordered_factor_lists(bound: int, start=()) -> list:
     """Every list of cyclic orders >= 2, in every order, with product at
     most bound; the empty list first."""

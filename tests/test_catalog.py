@@ -143,11 +143,20 @@ def test_verify_catalog_reports_bad_entries(fresh_catalog):
     entries["groups<=6classes"] = CatalogEntry(
         "groups<=6classes", "groupList", ({"order": 0, "numCentralInvolutive": 1},), "")
     entries["zz-ring"] = CatalogEntry("zz-ring", "ring", entry_ring("S3"), "")
+    # a ring payload is read unvalidated; entry.ring checks the axioms
+    tensor = fr.group_ring([2]).tensor.copy()
+    tensor[1, 1, 0] = 2
+    entries["zz-broken-ring"] = CatalogEntry(
+        "zz-broken-ring", "ring", fr.FusionRing(["1", "x"], tensor, [0, 1]), "")
+    entries["zz-other"] = CatalogEntry("zz-other", "other", None, "")
     results = {n: (ok, d) for n, ok, d in verify_catalog()}
     assert results["groups<=6classes"] == (
         False, "FusionRingError: implausible group record {'order': 0, 'numCentralInvolutive': 1}")
-    assert results["zz-ring"] == (False, "FusionRingError: unknown entry kind ring")
-    assert sum(not ok for ok, _ in results.values()) == 2
+    assert results["zz-ring"] == (True, "rank 3 fusion ring, axioms hold")
+    ok, detail = results["zz-broken-ring"]
+    assert not ok and detail.startswith("AxiomViolation: dual-pairing at (1, 1, 0)")
+    assert results["zz-other"] == (False, "FusionRingError: unknown entry kind other")
+    assert sum(not ok for ok, _ in results.values()) == 3
 
 
 def test_duplicate_classification_row_is_refused(monkeypatch):

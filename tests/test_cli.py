@@ -16,7 +16,7 @@ from fusionring.core import (FusionRingError, group_ring, ring_from_json, ring_t
                              table_to_json, validate_tensor)
 from fusionring.nearintegral import construct, gagola_analyze
 from fusionring.premodular import modular_datum_to_json
-from shared_rings import HOSTILE_SCALARS, scalar_id
+from shared_rings import HOSTILE_SCALARS, cyclic_form_class_count, scalar_id
 
 
 S3_TABLE_JSON = json.dumps(table_to_json(catalog.load_entry("S3").payload))
@@ -61,12 +61,20 @@ def test_qforms_product_spec(capsys):
 
 
 def test_qforms_classes_group_too_large_is_input_error(capsys):
+    # classes come from generators of Aut(G), so only the form table's
+    # bound of 2^20 values refuses a group: C65 (65 forms) is classified
+    # and C726 (2 * 726^2 forms times |G| = 726 values) is refused
     start = time.perf_counter()
-    code, out, err = run(capsys, "qforms", "C65", "--classes")
+    code, out, _ = run(capsys, "--format", "json", "qforms", "C65", "--classes")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["numClasses"] == cyclic_form_class_count(65)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qforms", "C726", "--classes")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert err.count("\n") == 1 and "64" in err
+    assert err.count("\n") == 1 and "bound of 1048576 form values" in err
 
 
 def test_verify_ok_and_violation(tmp_path, capsys):

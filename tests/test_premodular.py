@@ -1,5 +1,6 @@
 """Verlinde fusion, balancing, Gauss sums, quadratic forms, braided cases."""
 
+import functools
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
-from fusionring import premodular
+from fusionring import core, premodular
 from fusionring.exact import RootOfUnity
 from fusionring.core import AxiomViolation, FusionRing, FusionRingError, MalformedInput, _Group
 from fusionring.premodular import (FusionOverflow, GroupTooLarge, ModularDatum,
@@ -21,7 +22,7 @@ from fusionring.premodular import (FusionOverflow, GroupTooLarge, ModularDatum,
                                    form_to_json, gauss_sums,
                                    modular_datum_from_json, modular_datum_to_json,
                                    quadratic_forms, verlinde_fusion)
-from shared_rings import ordered_factor_lists, refuse
+from shared_rings import cyclic_form_class_count, ordered_factor_lists, refuse
 
 DOUBLES = {"Z(Rep(S3))": 36.0, "Z(Rep(A4))": 144.0}
 
@@ -442,6 +443,81 @@ def test_class_counts_c4xc2_both_orders():
     assert len(form_classes([4, 2])) == len(form_classes([2, 4])) == 30
 
 
+@functools.cache
+def _brute_automorphisms(factors: tuple) -> np.ndarray:
+    """Test-only oracle: every automorphism of G, one row each (the element
+    number of phi(g) at g's number), from every tuple of generator images
+    of the right orders that gives a bijection."""
+    grp, order = _Group(factors), math.prod(factors)
+    orders = [math.lcm(*[f // math.gcd(x, f) for x, f in zip(g, factors)])
+              for g in grp.elements]
+    candidates = [[i for i, o in enumerate(orders) if o == f] for f in factors]
+    autos = []
+    for images in itertools.product(*candidates):
+        perm = grp.number(grp.coords @ grp.coords[list(images)])
+        if np.bincount(perm, minlength=order).all():
+            autos.append(perm)
+    return np.array(autos, dtype=np.int64).reshape(len(autos), order)
+
+
+def _closure(gens: np.ndarray, order: int) -> set:
+    """Every product of the permutation rows gens, as row bytes."""
+    frontier = np.arange(order).reshape(1, order)
+    seen = {frontier[0].tobytes()}
+    while len(frontier):
+        moved = np.unique(gens[:, frontier].reshape(-1, order), axis=0)
+        frontier = np.array([p for p in moved if p.tobytes() not in seen],
+                            dtype=np.int64).reshape(-1, order)
+        seen.update(p.tobytes() for p in frontier)
+    return seen
+
+
+ORACLE_GROUPS = ordered_factor_lists(16) + [[1], [1, 1], [1, 3], [3, 1], [2, 1, 2]]
+
+
+@pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
+def test_aut_generators_generate_aut(factors):
+    factors = tuple(factors)
+    gens = _Group(factors).aut_gens
+    assert not gens.flags.writeable
+    brute = _brute_automorphisms(factors)
+    assert _closure(gens, math.prod(factors)) == {p.tobytes() for p in brute}
+
+
+@pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
+def test_form_classes_match_brute_force(factors):
+    # the greedy scan over the form table with every automorphism: each
+    # form not yet seen is a representative, and its whole orbit is seen
+    m, _, table = premodular._form_table(tuple(factors))
+    autos = _brute_automorphisms(tuple(factors))
+    seen, reps = set(), []
+    for q in table:
+        if q.tobytes() not in seen:
+            reps.append(QuadraticForm(factors, q, m).key())
+            seen.update(moved.tobytes() for moved in q[autos])
+    assert [form.key() for form in form_classes(factors)] == reps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 12, 16, 25, 27, 30, 49, 64, 65, 97, 105,
+                               128, 210, 243, 256, 360, 512, 720, 724, 1001, 1023])
+def test_cyclic_class_counts(n):
+    assert len(form_classes([n])) == cyclic_form_class_count(n)
+
+
+def test_pointed_classes_by_order():
+    # the abelian groups of orders 1-6, by invariant factors (each divides
+    # the next): the pointed braided classes C(G, q) of rank |G| <= 6
+    groups = [f for f in ordered_factor_lists(6)
+              if all(b % a == 0 for a, b in zip(f, f[1:]))]
+    classes, nondegenerate = [0] * 6, [0] * 6
+    for factors in groups:
+        found = form_classes(factors)
+        classes[math.prod(factors) - 1] += len(found)
+        nondegenerate[math.prod(factors) - 1] += sum(map(form_nondegenerate, found))
+    assert classes == [1, 4, 3, 18, 3, 12]
+    assert nondegenerate == [1, 2, 2, 9, 2, 4]
+
+
 def test_braided_cases_8():
     rows = braided_cases(8)
     kappas = {r[0]: r for r in rows}
@@ -494,14 +570,13 @@ def test_braided_cases_huge_n_is_immediate():
 @pytest.mark.parametrize("factors", ordered_factor_lists(16), ids=str)
 def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
     # every row of the form table is a form by construction: none is checked
-    # while it is built (form_classes too, on the groups where it is quick),
-    # and each passes the exhaustive check on its table afterwards
-    # (test_form_json_round_trip runs verify on each)
+    # while it is built (form_classes too), and each passes the exhaustive
+    # check on its table afterwards (test_form_json_round_trip runs verify on each)
     monkeypatch.setattr(premodular, "RootOfUnity", refuse)
     with monkeypatch.context() as mp:
         mp.setattr(premodular, "_check_form", refuse)
         forms = quadratic_forms(factors)
-        classes = form_classes(factors) if math.prod(factors) <= 8 else []
+        classes = form_classes(factors)
     # no form operation makes a RootOfUnity either: key(), ==, the JSON round
     # trip and form_nondegenerate, on the classes and about 50 forms per group
     for form in classes + forms[::len(forms) // 50 or 1]:
@@ -520,7 +595,7 @@ def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
 @pytest.mark.parametrize("factors", [[2] * 5, [2] * 6, [64, 64], [1024]])
 def test_form_enumeration_bounded_before_it_starts(factors, monkeypatch):
     monkeypatch.setattr(premodular, "_Group", refuse)
-    monkeypatch.setattr(premodular, "_automorphisms", refuse)
+    monkeypatch.setattr(core, "_unit_generators", refuse)
     for enumerate_forms in (quadratic_forms, form_classes):
         with pytest.raises(GroupTooLarge, match="exceed the bound of 1048576 form values"):
             enumerate_forms(factors)
