@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (FusionRing, FusionRingError, _derived, character_table_to_fusion_ring,
-                   table_from_json)
+from .core import (FusionRing, FusionRingError, MalformedInput, _derived,
+                   character_table_to_fusion_ring, table_from_json)
 from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
                          verlinde_fusion)
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 
-class UnknownEntry(FusionRingError):
-    pass
+class UnknownEntry(MalformedInput):
+    """Raised when no built-in entry has the name asked for."""
 
 
 def eval_dimension_expr(text: str) -> float:
@@ -173,7 +173,7 @@ def list_catalog() -> list:
 def load_entry(name: str) -> CatalogEntry:
     entries = _entries()
     if name not in entries:
-        raise UnknownEntry(f"no catalog entry named {name!r}")
+        raise UnknownEntry(f"unknown catalog entry {name!r}")
     return entries[name]
 
 

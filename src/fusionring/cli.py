@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -23,10 +24,6 @@ from .core import (FusionRingError, MalformedInput, ring_from_json, ring_to_json
 from .exact import EXACT_TOL
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
-
-
-class InputProblem(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +63,7 @@ _WANTED = {"characterTable": ("character table", "character-table JSON with a 'r
 
 
 def load(spec: str, args, want=None) -> catalog.CatalogEntry:
-    """The CatalogEntry an input spec names; InputProblem if want is given
+    """The CatalogEntry an input spec names; MalformedInput if want is given
     and the kind is another. catalog:NAME is the built-in entry, or else
     NAME.json in --data-dir. A path or "-" (stdin) is JSON, whose key tells
     its kind before it is read: an unvalidated ring, a table or a datum."""
@@ -77,10 +74,10 @@ def load(spec: str, args, want=None) -> catalog.CatalogEntry:
         except catalog.UnknownEntry:
             spec = os.path.join(args.data_dir or "", name + ".json")
             if not (args.data_dir and os.path.exists(spec)):
-                raise InputProblem(f"unknown catalog entry {name!r}") from None
+                raise
         else:
             if want not in (None, entry.kind):
-                raise InputProblem(f"{name} is a {entry.kind}, not a {_WANTED[want][0]}")
+                raise MalformedInput(f"{name} is a {entry.kind}, not a {_WANTED[want][0]}")
             return entry
     try:
         if spec == "-":
@@ -89,17 +86,17 @@ def load(spec: str, args, want=None) -> catalog.CatalogEntry:
             with open(spec) as fh:
                 data = json.load(fh)
     except OSError as exc:
-        raise InputProblem(f"cannot read {spec}: {exc}")
+        raise MalformedInput(f"cannot read {spec}: {exc}")
     except ValueError as exc:  # bad JSON, or bytes that are not text
-        raise InputProblem(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
+        raise MalformedInput(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
     key = next((k for k in _JSON_KINDS if isinstance(data, dict) and k in data), None)
     if key is None:
-        raise InputProblem(
+        raise MalformedInput(
             "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
             "'rows' (character table) or 'S' (modular datum)")
     kind, read = _JSON_KINDS[key]
     if want not in (None, kind):
-        raise InputProblem(f"expected {_WANTED[want][1]}")
+        raise MalformedInput(f"expected {_WANTED[want][1]}")
     return catalog.CatalogEntry(spec, kind, read(data), "input JSON")
 
 
@@ -109,7 +106,7 @@ def parse_group_spec(text: str):
     for p in text.split("x"):
         m = re.fullmatch(r"C(\d+)", p.strip())
         if not m or int(m.group(1)) < 1:
-            raise InputProblem(
+            raise MalformedInput(
                 f"bad group spec {text!r}; use products of cyclic factors like C9 or C3xC3")
         factors.append(int(m.group(1)))
     return factors
@@ -248,10 +245,9 @@ def cmd_balance(args) -> tuple[int, dict, list]:
 
 def cmd_qforms(args) -> tuple[int, dict, list]:
     factors = parse_group_spec(args.group)
-    # form_classes refuses a group above the bound of 2^20 form values before
-    # any QuadraticForm is built; the forms are counted as rows of their table
+    # counted, and refused above 2^20 form values, before any table is built
+    count = math.prod(premodular._form_orders(tuple(factors)))
     classes = premodular.form_classes(factors) if args.classes else None
-    count = len(premodular._form_table(tuple(factors))[2])
     payload = {"factors": factors, "numForms": count}
     lines = [f"{count} quadratic forms on " + " x ".join(f"C{n}" for n in factors)]
     if args.classes:
@@ -306,11 +302,8 @@ def cmd_catalog(args) -> tuple[int, dict, list]:
         return (VIOLATION if bad else OK), payload, lines
     # show
     if not args.name:
-        raise InputProblem("catalog show needs an entry name")
-    try:
-        entry = catalog.load_entry(args.name)
-    except catalog.UnknownEntry:
-        raise InputProblem(f"unknown catalog entry {args.name!r}") from None
+        raise MalformedInput("catalog show needs an entry name")
+    entry = catalog.load_entry(args.name)
     if entry.kind == "characterTable":
         body = table_to_json(entry.payload)
     elif entry.kind == "modularDatum":
@@ -341,12 +334,8 @@ def _positive_int(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputProblemUsage(message)
-
-
-class InputProblemUsage(Exception):
-    pass
+    def error(self, message):  # run reports it: exit 2, one stderr line
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +381,7 @@ def run(argv) -> int:
     to stdout, or one error line to stderr, and return the exit code."""
     try:
         args = _PARSER.parse_args(argv)
-    except InputProblemUsage as exc:
+    except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -403,7 +392,7 @@ def run(argv) -> int:
             for line in lines:
                 print(line)
         return code
-    except (InputProblem, MalformedInput, premodular.GroupTooLarge) as exc:
+    except MalformedInput as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except FusionRingError as exc:

@@ -87,19 +87,15 @@ def _as_tensor(tensor) -> np.ndarray:
     arr = np.asarray(tensor)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise FusionRingError(f"structure tensor must be n x n x n, got shape {arr.shape}")
-    if arr.dtype == object:
-        flat = arr.ravel()
-        if not all(isinstance(v, (int, np.integer)) for v in flat):
-            raise NonIntegralMultiplicity("structure constants must be integers")
-        if any(v < 0 for v in flat):
-            raise NonIntegralMultiplicity("structure constants must be nonnegative")
-        return arr
-    # a float entry must be an exact integer inside the int64 range
-    exact = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and (arr == np.rint(arr)).all()
-                                       and (np.abs(arr) < 2.0 ** 63).all())
+    if arr.dtype == object:  # Python ints of any size, kept as they are
+        exact = all(map(_is_int, arr.ravel()))
+    else:  # a float entry must be an exact integer inside the int64 range
+        exact = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and (arr == np.rint(arr)).all()
+                                           and (np.abs(arr) < 2.0 ** 63).all())
     if not exact:
         raise NonIntegralMultiplicity("structure constants must be integers")
-    arr = arr.astype(np.int64, copy=False)  # an int64 input is kept, not copied
+    if arr.dtype != object:
+        arr = arr.astype(np.int64, copy=False)  # an int64 input is kept, not copied
     if (arr < 0).any():
         raise NonIntegralMultiplicity("structure constants must be nonnegative")
     return arr
@@ -264,7 +260,9 @@ class FusionRing:
         arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(self, "dual", tuple(int(d) for d in self.dual))
+        if not all(map(_is_int, self.dual)):
+            raise MalformedInput("dual must list integers")
+        object.__setattr__(self, "dual", tuple(map(operator.index, self.dual)))
         n = arr.shape[0]
         if len(self.labels) != n or len(self.dual) != n:
             raise MalformedInput("labels, tensor and dual must agree on rank")
@@ -330,8 +328,8 @@ class FusionRing:
         return (self.labels == other.labels and self.dual == other.dual
                 and bool((self.tensor == other.tensor).all()))
 
-    def __hash__(self):
-        return hash((self.labels, self.dual, self.tensor.tobytes()))
+    def __hash__(self):  # the tensor's bytes are pointers when its dtype is object
+        return hash((self.labels, self.dual))
 
 
 def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
@@ -350,16 +348,12 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
 
 
 def _factors(factors) -> tuple:
-    """Each order read by operator.index (an int, a numpy integer or a 0-d
-    integer array, not a bool), as a tuple of ints >= 1."""
+    """Cyclic factor orders as a tuple of ints >= 1; FusionRingError unless
+    each is an integer by _is_int and at least 1."""
     factors = list(factors)
-    try:
-        orders = tuple(operator.index(f) for f in factors if not isinstance(f, bool))
-    except TypeError:
-        orders = ()
-    if len(orders) < len(factors) or not all(f >= 1 for f in orders):
+    if not all(_is_int(f) and f >= 1 for f in factors):
         raise FusionRingError(f"cyclic factor orders must be positive integers: {factors}")
-    return orders
+    return tuple(map(operator.index, factors))
 
 
 @functools.lru_cache(maxsize=16)
@@ -440,9 +434,6 @@ def group_ring(spec) -> FusionRing:
             raise FusionRingError(f"multiplication table entries must lie in range({n})")
         table = np.array(spec, dtype=np.int64)
         labels = [f"g{i}" for i in range(n)]
-        dual = [-1] * n
-        for i, j in zip(*np.nonzero(table == 0)):
-            dual[i] = int(j)
     else:
         grp = _Group(_factors(spec))
         table, dual = grp.add, grp.neg
@@ -451,8 +442,8 @@ def group_ring(spec) -> FusionRing:
     n = len(labels)
     tensor = np.zeros((n, n, n), dtype=np.int64)
     tensor[np.arange(n)[:, None], np.arange(n), table] = 1
-    if is_table:
-        return FusionRing.validated(labels, tensor, dual)
+    if is_table:  # the dual of g is the h with g h = e, once per row
+        return FusionRing.validated(labels, tensor, _pairing_dual(tensor))
     return FusionRing(labels, tensor, dual)
 
 
@@ -476,7 +467,9 @@ class CharacterTable:
             raise FusionRingError("character table must be square")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
+        if not (_is_int(self.order) and all(map(_is_int, self.class_sizes))):
+            raise FusionRingError("the order and the class sizes must be integers")
+        object.__setattr__(self, "class_sizes", tuple(map(operator.index, self.class_sizes)))
 
     @classmethod
     def from_rows(cls, order: int, rows, class_sizes=None) -> "CharacterTable":
@@ -572,7 +565,7 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
     for key, value in (("labels", labels), ("dual", dual)):
         if value is not None and not isinstance(value, list):
             raise MalformedInput(f"'{key}' must be a list")
-    if not all(type(d) is int for d in dual or []):
+    if not all(map(_is_int, dual or [])):
         raise MalformedInput("'dual' must be a list of integers")
     tensor = _read_tensor(data.get("tensor"))
     if (tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.size == 0
@@ -660,8 +653,10 @@ def _scalar_matrix(data: dict, key: str) -> np.ndarray:
 
 
 def _is_int(x) -> bool:
-    """x is an int or a numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """The one integer test for outside input: an int, a numpy integer or a
+    0-d integer array (what operator.index reads), never a bool."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "iu")
 
 
 def table_to_json(table: CharacterTable) -> dict:

@@ -15,11 +15,12 @@ a character, so d = FPdim on S, and FPdim(rho) is the positive root d+.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CharacterTable, FusionRing, FusionRingError,
+from .core import (CharacterTable, FusionRing, FusionRingError, _is_int,
                    character_table_to_fusion_ring)
 from .exact import EXACT_TOL, SNAP_TOL, snap_int
 from .structure import ClosureViolation, SubringHandle
@@ -151,10 +152,12 @@ def detect(ring: FusionRing):
 
 
 def construct(sub: FusionRing, kappa: int) -> FusionRing:
-    """Build R(S, kappa) from a validated integral fusion ring S and
-    kappa >= 0. The result is not checked: its axioms are those of S and
-    sum_k c_ij^k d_k = d_i d_j for the FPdims d of S, which is certified in
-    integers on the snapped FPdims (NotNearIntegral when it fails)."""
+    """Build R(S, kappa) from a validated integral fusion ring S and an
+    integer (core._is_int) kappa >= 0. The result is not checked: its
+    axioms are those of S and sum_k c_ij^k d_k = d_i d_j for the FPdims d
+    of S, certified in integers on the snapped FPdims (else NotNearIntegral)."""
+    if not _is_int(kappa):
+        raise FusionRingError(f"kappa must be an integer, got {kappa!r}")
     if not 0 <= kappa < 2 ** 63:
         raise FusionRingError("kappa must be nonnegative" if kappa < 0
                               else f"kappa = {kappa} does not fit in int64")
@@ -280,7 +283,10 @@ def extraspecial_kappa(p: int, n: int):
     """(kappa, N, d+) for the extraspecial family: kappa = p^n (p-2),
     N = p^{2n} (p-1), d+ = p^n (p-1). The quadratic identity
     d+^2 - kappa d+ - N = 0 holds exactly in integers."""
-    if p < 3 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if not (_is_int(p) and _is_int(n)):
+        raise ValueError(f"p and n must be integers, got {p!r} and {n!r}")
+    p, n = operator.index(p), operator.index(n)
+    if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be an odd prime")
     if n < 1:
         raise ValueError("n must be positive")

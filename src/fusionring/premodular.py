@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -50,8 +51,8 @@ class FusionOverflow(FusionRingError):
     pass
 
 
-class GroupTooLarge(FusionRingError):
-    pass
+class GroupTooLarge(MalformedInput):
+    """Raised when a group has more quadratic form values than the bound."""
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,9 @@ class QuadraticForm:
 
     def __post_init__(self):
         factors = _factors(self.factors)
-        m = int(self.m)
-        if not 0 < m < 1 << 62:  # b and the additivity check add up to 2m in int64
-            raise FusionRingError(f"form modulus must lie in (0, 2^62), got {m}")
+        if not (_is_int(self.m) and 0 < self.m < 1 << 62):  # b and its check add up to 2m
+            raise FusionRingError(f"form modulus must be an integer in (0, 2^62), got {self.m!r}")
+        m = operator.index(self.m)
         q = np.asarray(self.q, dtype=np.int64) % m
         if q.shape != (math.prod(factors),):
             raise FusionRingError(f"a form on |G| = {math.prod(factors)} elements needs as "
@@ -271,11 +272,22 @@ def form_nondegenerate(form: QuadraticForm) -> bool:
     return len({row.tobytes() for row in b}) == len(b)
 
 
+def _form_orders(factors: tuple) -> list:
+    """The orders of the coefficients a_i, then c_ij (i < j), of the forms of
+    _form_table; GroupTooLarge if the forms times |G| exceed _MAX_FORM_VALUES."""
+    orders = ([n if n % 2 else 2 * n for n in factors]
+              + [math.gcd(a, b) for a, b in itertools.combinations(factors, 2)])
+    count, order = math.prod(orders), math.prod(factors)
+    if count * order > _MAX_FORM_VALUES:
+        raise GroupTooLarge(f"{count} quadratic forms on |G| = {order} exceed the bound "
+                            f"of {_MAX_FORM_VALUES} form values")
+    return orders
+
+
 def _form_table(factors: tuple):
     """(M, orders, Q): every quadratic form on G as one row of the int
     matrix Q mod M = 2 exp(G), in quadratic_forms order, and the order of
-    each coefficient; GroupTooLarge first if their number times |G|
-    exceeds _MAX_FORM_VALUES.
+    each coefficient (_form_orders, which bounds their number).
 
     q(g) = sum_i a_i g_i^2 + sum_{i<j} c_ij g_i g_j, where a_i counts steps
     of 1/n_i (n_i odd) or 1/(2 n_i) (n_i even) and c_ij steps of
@@ -283,12 +295,7 @@ def _form_table(factors: tuple):
     under g_i -> g_i + n_i, q is even, and b is bilinear."""
     k = len(factors)
     pairs = list(itertools.combinations(range(k), 2))
-    orders = ([n if n % 2 else 2 * n for n in factors]
-              + [math.gcd(factors[i], factors[j]) for i, j in pairs])
-    count, order = math.prod(orders), math.prod(factors)
-    if count * order > _MAX_FORM_VALUES:
-        raise GroupTooLarge(f"{count} quadratic forms on |G| = {order} exceed the bound "
-                            f"of {_MAX_FORM_VALUES} form values")
+    orders = _form_orders(factors)
     m = 2 * math.lcm(*factors)
     x = _Group(factors).coords
     monomials = [x[:, i] * x[:, i] for i in range(k)] + [x[:, i] * x[:, j] for i, j in pairs]
@@ -355,6 +362,9 @@ def braided_cases(big_n: int) -> list:
     (kappa, dim, twist constraint, tag). Besides kappa = 0, case-2 holds
     iff N = 2 kappa^2 and case-3 iff 4N = 3 kappa^2; no N has both, since
     8/3 is not the square of a rational."""
+    if not _is_int(big_n):
+        raise ValueError(f"N must be an integer, got {big_n!r}")
+    big_n = operator.index(big_n)
     if big_n < 1:
         raise ValueError("N must be positive")
     out = [(0, 2 * big_n, "theta_rho in {zeta(4,1), zeta(4,3)} or theta_rho**16 = 1",

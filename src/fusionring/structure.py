@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError
+from .core import FusionRing, FusionRingError, _is_int
 from .exact import snap_int
 from . import spectral
 
@@ -34,16 +35,28 @@ class ClosureViolation(FusionRingError):
 
 @dataclass(frozen=True)
 class SubringHandle:
+    """Basis indices, sorted without repeats; ClosureViolation unless each
+    is an integer by core._is_int. verify checks them against a ring."""
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted({int(i) for i in self.indices})))
+        indices = tuple(self.indices)
+        if not all(map(_is_int, indices)):
+            raise ClosureViolation(f"subring indices must be integers, got {indices}")
+        object.__setattr__(self, "indices", tuple(sorted(set(map(operator.index, indices)))))
 
     @property
     def rank(self) -> int:
         return len(self.indices)
 
+    def _check_range(self, ring: FusionRing) -> None:
+        """ClosureViolation naming the first index outside range(ring.rank)."""
+        for i in self.indices:
+            if not 0 <= i < ring.rank:
+                raise ClosureViolation(f"index {i} is not in range({ring.rank})")
+
     def verify(self, ring: FusionRing) -> None:
+        self._check_range(ring)
         if 0 not in self.indices:
             raise ClosureViolation("handle must contain the unit")
         for i in self.indices:
@@ -71,8 +84,11 @@ def _first_escape(support: np.ndarray, indices):
 
 def closure(ring: FusionRing, seed) -> SubringHandle:
     """Smallest fusion-closed, dual-closed subset containing the unit and
-    the seed indices (see _closure_mask)."""
-    return _handle(_closure_mask(ring, seed))
+    the seed indices (see _closure_mask). ClosureViolation unless each seed
+    index is an integer (core._is_int) in range(ring.rank)."""
+    handle = SubringHandle(seed)
+    handle._check_range(ring)
+    return _handle(_closure_mask(ring, handle.indices))
 
 
 def _handle(mask: int) -> SubringHandle:
@@ -90,7 +106,7 @@ def _closure_mask(ring: FusionRing, seed) -> int:
     words containing x and y) and dual-closed (the dual of a word is a word
     in the duals)."""
     masks = ring.support_masks
-    gens = {int(g) for g in seed}
+    gens = set(seed)
     rows = [masks[g] for g in gens | {ring.dual[g] for g in gens}]
     reached = 1
     queue = [0]

@@ -4,8 +4,8 @@ Data derived from a frozen object is kept in the object's __dict__ by one
 decorator, core._derived. This fails when another package function writes
 to a __dict__ or uses functools.cached_property (which writes one), and when functools.cache or lru_cache memoizes anything but
 the helpers keyed by tuples or by nothing. A cache keyed on a ring would
-hash it, and FusionRing.__hash__ serialises the whole tensor (196 MB at
-rank 295).
+keep every ring it saw alive (a 196 MB tensor at rank 295), and a lookup by
+an equal but distinct ring compares the whole tensors (FusionRing.__eq__).
 """
 
 import ast
