@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EXACT_TOL, SNAP_TOL, _scalar_to_json, parse_scalar, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, _is_int, _scalar_to_json, parse_scalar, snap_int
 
 __all__ = [
     "FusionRingError",
@@ -589,15 +589,16 @@ def _read_tensor(value) -> np.ndarray:
     np.asarray, as a 0-d array when its nesting is ragged. Both give the same
     int64 ring, as np.asarray reads such a cube as int64."""
     n = len(value) if type(value) is list else 0
-    # np.asarray reads an all-bool cube as dtype bool, which is malformed
-    if n and all(type(row) is list and len(row) == n
-                 and all(type(col) is list and len(col) == n for col in row)
-                 for row in value) and type(value[0][0][0]) is not bool:
-        try:
-            flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(value)))
-            return np.frombuffer(flat, np.uint8).astype(np.int64).reshape(n, n, n)
-        except (TypeError, ValueError):  # a float, an int outside range(256), ...
-            pass
+    if n and set(map(type, value)) == {list} and set(map(len, value)) == {n}:
+        cols = list(itertools.chain.from_iterable(value))
+        # np.asarray reads an all-bool cube as dtype bool, which is malformed
+        if (set(map(type, cols)) == {list} and set(map(len, cols)) == {n}
+                and type(cols[0][0]) is not bool):
+            try:  # bytes() of a list takes its fast path
+                flat = b"".join(map(bytes, cols))
+                return np.frombuffer(flat, np.uint8).astype(np.int64).reshape(n, n, n)
+            except (TypeError, ValueError):  # a float, an int outside range(256), ...
+                pass
     try:
         return np.asarray(value)
     except ValueError:  # ragged nesting
@@ -650,13 +651,6 @@ def _scalar_matrix(data: dict, key: str) -> np.ndarray:
     if not (np.abs(matrix) < 2 ** 63).all():
         raise MalformedInput(f"'{key}' entries must have modulus below 2^63")
     return matrix
-
-
-def _is_int(x) -> bool:
-    """The one integer test for outside input: an int, a numpy integer or a
-    0-d integer array (what operator.index reads), never a bool."""
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            or isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "iu")
 
 
 def table_to_json(table: CharacterTable) -> dict:

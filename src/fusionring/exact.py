@@ -1,4 +1,5 @@
-"""Exact scalars: twists, and the one evaluator of scalar strings.
+"""Exact scalars: the one integer test, twists, and the one evaluator of
+scalar strings.
 
 A twist is a RootOfUnity, a fraction of a turn in lowest terms (quadratic
 forms hold their values as an int table instead). Character tables, S-matrix
@@ -18,6 +19,15 @@ import operator
 import reprlib
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def _is_int(x) -> bool:
+    """The one integer test for outside input: an int, a numpy integer or a
+    0-d integer array (what operator.index reads), never a bool."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "iu")
+
 
 @dataclass(frozen=True)
 class RootOfUnity:
@@ -27,6 +37,8 @@ class RootOfUnity:
     den: int
 
     def __post_init__(self):
+        if not (_is_int(self.num) and _is_int(self.den)):
+            raise ValueError(f"a root of unity needs integers, got {self.num!r}/{self.den!r}")
         if self.den <= 0:
             raise ValueError("denominator must be positive")
         g = math.gcd(self.num % self.den, self.den)
@@ -39,8 +51,10 @@ class RootOfUnity:
 
 def quantum_integer(n: int, m: int) -> float:
     """Quantum integer [n]_m = sin(n*pi/m)/sin(pi/m), the positive evaluation
-    used for Frobenius-Perron dimensions."""
-    n, m = int(n), int(m)
+    used for Frobenius-Perron dimensions. n and m must be integers (_is_int)."""
+    if not (_is_int(n) and _is_int(m)):
+        raise ValueError(f"quantum integer needs integers, got [{n!r}]_{m!r}")
+    n, m = operator.index(n), operator.index(m)
     if not (1 <= n < m):
         raise ValueError(f"quantum integer needs 1 <= n < m, got [{n}]_{m}")
     return math.sin(n * math.pi / m) / math.sin(math.pi / m)

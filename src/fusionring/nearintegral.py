@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CharacterTable, FusionRing, FusionRingError, _is_int,
-                   character_table_to_fusion_ring)
-from .exact import EXACT_TOL, SNAP_TOL, snap_int
+from .core import CharacterTable, FusionRing, FusionRingError, character_table_to_fusion_ring
+from .exact import EXACT_TOL, SNAP_TOL, _is_int, snap_int
 from .structure import ClosureViolation, SubringHandle
 from . import spectral
 
@@ -153,16 +152,17 @@ def detect(ring: FusionRing):
 
 def construct(sub: FusionRing, kappa: int) -> FusionRing:
     """Build R(S, kappa) from a validated integral fusion ring S and an
-    integer (core._is_int) kappa >= 0. The result is not checked: its
+    integer (exact._is_int) kappa >= 0. The result is not checked: its
     axioms are those of S and sum_k c_ij^k d_k = d_i d_j for the FPdims d
-    of S, certified in integers on the snapped FPdims (else NotNearIntegral)."""
+    of S, certified in integers on the FPdims of spectral._perron_dims
+    snapped to integers (else NotNearIntegral)."""
     if not _is_int(kappa):
         raise FusionRingError(f"kappa must be an integer, got {kappa!r}")
     if not 0 <= kappa < 2 ** 63:
         raise FusionRingError("kappa must be nonnegative" if kappa < 0
                               else f"kappa = {kappa} does not fit in int64")
     n = sub.rank
-    dims = [snap_int(d) for d in spectral.fpdims(sub)]
+    dims = [snap_int(d) for d in spectral._perron_dims(sub)]
     if None in dims or min(dims) < 1:
         raise NotNearIntegral("the subring must have positive integer dimensions")
     if not spectral._is_eigenvector(sub.tensor, dims, dims):

@@ -14,8 +14,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
-                   _Group, _is_int, _json_object, _pairing_dual, _scalar_matrix)
-from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _scalar_to_json
+                   _Group, _json_object, _pairing_dual, _scalar_matrix)
+from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _is_int, _scalar_to_json
 
 __all__ = [
     "NonIntegralFusion",
@@ -226,7 +226,8 @@ class QuadraticForm:
     array over the elements of G in itertools.product order, reduced mod m
     and read-only. It is a quadratic form if q(g) = q(-g) and its associated
     bicharacter is bilinear; `verify` checks that, the constructor only the
-    table's length and 0 < m < 2^62. `==` compares factors and key().
+    table's integer dtype, its length and 0 < m < 2^62. `==` compares
+    factors and key().
     """
 
     factors: tuple
@@ -238,7 +239,10 @@ class QuadraticForm:
         if not (_is_int(self.m) and 0 < self.m < 1 << 62):  # b and its check add up to 2m
             raise FusionRingError(f"form modulus must be an integer in (0, 2^62), got {self.m!r}")
         m = operator.index(self.m)
-        q = np.asarray(self.q, dtype=np.int64) % m
+        q = np.asarray(self.q)
+        if q.dtype.kind not in "iu":  # a float table would be truncated
+            raise FusionRingError(f"form values must be integers, got dtype {q.dtype}")
+        q = np.remainder(q, m, dtype=np.int64)
         if q.shape != (math.prod(factors),):
             raise FusionRingError(f"a form on |G| = {math.prod(factors)} elements needs as "
                                   f"many values, got shape {q.shape}")

@@ -97,6 +97,20 @@ def _perron_values(tensor: np.ndarray) -> np.ndarray:
     return out
 
 
+@_derived
+def _perron_dims(ring: FusionRing) -> np.ndarray:
+    """FPdims to about 1e-12 relative, from one eigh: d_i = x^T N_i x for the
+    unit Perron vector x of S = sum_i N_i, whose signs cancel in the
+    Rayleigh quotient. S is symmetric (S_jk = sum_i c_ij^k = S_kj by
+    Frobenius reciprocity) and each entry is >= 1, so its top eigenvector is
+    simple and proportional to the FPdims. Callers snap these to integers
+    and certify them exactly (_is_eigenvector), so the floats need only be
+    close; fpdims keeps _perron_values, whose bits the CLI prints."""
+    tensor = ring.tensor.astype(float)
+    x = np.linalg.eigh(tensor.sum(axis=0))[1][:, -1]
+    return (tensor @ x) @ x
+
+
 def _is_eigenvector(m, d, lam) -> bool:
     """Whether m d = lam d holds exactly: m a nonnegative integer matrix or a
     stack of them, d a positive integer vector, lam an integer or one per

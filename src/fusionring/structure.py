@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError, _is_int
-from .exact import snap_int
+from .core import FusionRing, FusionRingError
+from .exact import _is_int, snap_int
 from . import spectral
 
 __all__ = [
@@ -36,7 +36,7 @@ class ClosureViolation(FusionRingError):
 @dataclass(frozen=True)
 class SubringHandle:
     """Basis indices, sorted without repeats; ClosureViolation unless each
-    is an integer by core._is_int. verify checks them against a ring."""
+    is an integer by exact._is_int. verify checks them against a ring."""
     indices: tuple
 
     def __post_init__(self):
@@ -85,7 +85,7 @@ def _first_escape(support: np.ndarray, indices):
 def closure(ring: FusionRing, seed) -> SubringHandle:
     """Smallest fusion-closed, dual-closed subset containing the unit and
     the seed indices (see _closure_mask). ClosureViolation unless each seed
-    index is an integer (core._is_int) in range(ring.rank)."""
+    index is an integer (exact._is_int) in range(ring.rank)."""
     handle = SubringHandle(seed)
     handle._check_range(ring)
     return _handle(_closure_mask(ring, handle.indices))
@@ -183,12 +183,12 @@ def integral_subring(ring: FusionRing) -> SubringHandle:
     """Maximal subring of basis elements with integer FPdim, certified in
     integers. Those elements form a subring: in d_i d_j = sum_k c_ij^k d_k,
     each Galois conjugate of d_k has modulus at most d_k. So x joins the
-    elements found when the snapped FPdims d are positive integers on
-    C = closure(found + x) with N_x d = d_x d there (spectral._is_eigenvector):
-    C is fusion-closed, and a positive eigenvector of N_x on it belongs to
-    its Perron eigenvalue FPdim(x). Integer FPdims pass, FPdim being a
-    character."""
-    dims = [snap_int(d) for d in spectral.fpdims(ring)]
+    elements found when the FPdims d of spectral._perron_dims, snapped to
+    integers, are positive integers on C = closure(found + x) with
+    N_x d = d_x d there (spectral._is_eigenvector): C is fusion-closed, and
+    a positive eigenvector of N_x on it belongs to its Perron eigenvalue
+    FPdim(x). Integer FPdims pass, FPdim being a character."""
+    dims = [snap_int(d) for d in spectral._perron_dims(ring)]
     found, gens = 1, ()
     for x in range(1, ring.rank):
         if found >> x & 1 or dims[x] is None:

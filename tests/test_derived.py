@@ -10,7 +10,7 @@ import pytest
 
 import fusionring as fr
 from fusionring import catalog, cli, spectral
-from fusionring.core import CharacterTable, FusionRing, NonIntegralMultiplicity
+from fusionring.core import CharacterTable, FusionRing, NonIntegralMultiplicity, _derived
 from fusionring.exact import RootOfUnity
 from fusionring.nearintegral import character_kernel, construct
 from fusionring.premodular import ModularDatum, NonIntegralFusion
@@ -39,8 +39,26 @@ def perron_calls(monkeypatch):
     return calls
 
 
-def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, capsys):
+@pytest.fixture
+def eigenvector_calls(monkeypatch):
+    """spectral._perron_dims computations per ring object, as
+    {id(ring.tensor): calls}: each is one eigh, counted inside the
+    once-per-ring cache. The tensors are kept alive so that no id is reused."""
+    calls, seen, dims = {}, [], spectral._perron_dims.__wrapped__
+
+    @functools.wraps(dims)
+    def counting(ring):
+        calls[id(ring.tensor)] = calls.get(id(ring.tensor), 0) + 1
+        seen.append(ring.tensor)
+        return dims(ring)
+    monkeypatch.setattr(spectral, "_perron_dims", _derived(counting))
+    return calls
+
+
+def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, eigenvector_calls,
+                                          capsys):
     ring, built = fr.entry_ring("A4"), []
+    sub = fr.group_ring([2, 3])  # read by construct and integral_subring alone
     casimir = spectral._casimir(ring)
     for _ in range(2):
         assert fr.spectral_report(ring).ring_fpdim == pytest.approx(12)
@@ -49,6 +67,8 @@ def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, capsys):
         assert character_kernel(ring, chars[1].values) == ((0, 1, 2), True)
         built.append(construct(ring, 2))
         fr.spectral_report(built[-1])
+        assert fr.integral_subring(sub).indices == tuple(range(6))
+        assert construct(sub, 3).rank == 7
         for cmd in ("fpdim", "codegrees"):
             assert cli.run([cmd, "catalog:A4"]) == 0
         fr.verify_catalog()
@@ -58,6 +78,8 @@ def test_fpdims_and_casimir_once_per_ring(fresh_catalog, perron_calls, capsys):
     datum_rings = [fr.entry_ring(n) for n in fr.list_catalog()
                    if fr.load_entry(n).kind == "modularDatum"]
     assert perron_calls == {id(r.tensor): 1 for r in [ring, *built, *datum_rings]}
+    # construct and integral_subring run no power iteration: one eigh per ring
+    assert eigenvector_calls == {id(ring.tensor): 1, id(sub.tensor): 1}
 
 
 def test_cached_arrays_are_shared_and_read_only():

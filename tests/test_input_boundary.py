@@ -1,5 +1,5 @@
 """One input boundary: core.MalformedInput is the one class of bad input, the
-CLI's exit 3, and core._is_int the one test of an integer from outside."""
+CLI's exit 3, and exact._is_int the one test of an integer from outside."""
 
 import ast
 import inspect
@@ -13,6 +13,7 @@ import fusionring as fr
 from fusionring import catalog, cli, core, premodular
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity, _is_int)
+from fusionring.exact import RootOfUnity, quantum_integer
 from fusionring.premodular import GroupTooLarge, QuadraticForm
 from fusionring.structure import ClosureViolation, SubringHandle, closure
 
@@ -291,3 +292,44 @@ def test_ring_json_dual_message_unchanged(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"tensor": [[[1]]], "dual": [0.5]}'))
     assert cli.run(["fpdim", "-"]) == 3
     assert capsys.readouterr().err == "input error: 'dual' must be a list of integers\n"
+
+
+@pytest.mark.parametrize("n, m", [(2.5, 5), (2.0, 5), (True, 5), (2, 5.0), (2, np.float64(5)),
+                                  (np.bool_(True), 5), ("2", 5)], ids=repr)
+def test_quantum_integer_refuses_non_integers(n, m):
+    # 2.5 was truncated to 2
+    with pytest.raises(ValueError, match="needs integers"):
+        quantum_integer(n, m)
+
+
+def test_quantum_integer_reads_numpy_integers():
+    assert quantum_integer(np.int64(2), np.uint8(5)) == quantum_integer(2, 5)
+    assert quantum_integer(np.array(3), 8) == quantum_integer(3, 8)
+
+
+@pytest.mark.parametrize("num, den", [(2.5, 4), (1, 4.0), (True, 4), (1, True),
+                                      (np.float64(1), 4), (1, "4")], ids=repr)
+def test_root_of_unity_refuses_non_integers(num, den):
+    # (2.5, 4) raised a bare TypeError from math.gcd
+    with pytest.raises(ValueError, match="needs integers"):
+        RootOfUnity(num, den)
+
+
+def test_root_of_unity_reads_numpy_integers():
+    assert RootOfUnity(np.int64(6), np.int64(4)) == RootOfUnity(1, 2)
+    assert RootOfUnity(np.uint8(3), np.array(4)) == RootOfUnity(3, 4)
+
+
+@pytest.mark.parametrize("q", [[0, 1.5], [0.0, 1.0], np.array([0, 1.5]), [False, True],
+                               [0, 2 ** 70], ["0", "1"]], ids=repr)
+def test_form_table_must_have_an_integer_dtype(q):
+    # [0, 1.5] was read as [0, 1]
+    with pytest.raises(FusionRingError, match="form values must be integers"):
+        QuadraticForm((2,), q, 4)
+
+
+@pytest.mark.parametrize("q", [[0, 5], np.array([0, 5], dtype=np.uint8),
+                               np.array([4, 1], dtype=np.int32)], ids=repr)
+def test_form_table_reads_integer_dtypes(q):
+    form = QuadraticForm((2,), q, 4)
+    assert form.q.dtype == np.int64 and form.q.tolist() == [0, 1]

@@ -498,7 +498,7 @@ def test_construct_is_unchecked_and_matches_validated_oracle(monkeypatch):
 
 def test_construct_rejects_dimensions_that_are_not_a_character(monkeypatch):
     # [1, 1, 3] are integers but chi2^2 = 1 + chi1 + chi2 gives 5 != 9
-    monkeypatch.setattr(spectral, "fpdims", lambda ring: np.array([1.0, 1.0, 3.0]))
+    monkeypatch.setattr(spectral, "_perron_dims", lambda ring: np.array([1.0, 1.0, 3.0]))
     with pytest.raises(NotNearIntegral, match=r"\[1, 1, 3\] of the subring are not a character"):
         construct(fr.entry_ring("S3"), 1)
 

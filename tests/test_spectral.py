@@ -10,7 +10,7 @@ import fusionring as fr
 from fusionring import spectral
 from fusionring.core import FusionRing, group_ring, product_ring
 from fusionring.exact import snap_int
-from fusionring.nearintegral import construct
+from fusionring.nearintegral import NotNearIntegral, construct
 from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
@@ -366,3 +366,54 @@ def test_eigenvector_certificate_does_not_wrap():
     ring = group_ring([2, 3])
     assert _is_eigenvector(ring.tensor, [1] * 6, [1] * 6)
     assert not _is_eigenvector(ring.tensor, [1] * 6, [1] * 5 + [2])
+
+
+KAPPAS = (0, 1, 7, 10 ** 4, 10 ** 6, 10 ** 8, 2 ** 40)
+EIGENVECTOR_RINGS = {
+    **{f"catalog:{name}": lambda name=name: fr.entry_ring(name) for name in RING_VALUED},
+    **LADDER,
+    **{f"R({s},{k})": lambda s=s, k=k: construct(fr.entry_ring(s), k)
+       for s in ("S3", "A4") for k in KAPPAS},
+    **{f"R(C3,{k})": lambda k=k: construct(group_ring([3]), k) for k in KAPPAS},
+}
+
+
+def _built_or_refused(sub):
+    try:
+        return construct(sub, 1)
+    except NotNearIntegral:
+        return "refused"
+
+
+@pytest.mark.parametrize("name", EIGENVECTOR_RINGS)
+def test_perron_dims_match_the_power_iteration(name):
+    # _perron_values (fpdims) is the reference: the Rayleigh quotients agree
+    # with it, snap to the same integers wherever integral_subring or
+    # construct certifies them, and give the same handle and ring
+    ring = EIGENVECTOR_RINGS[name]()
+    got, want = spectral._perron_dims(ring), fpdims(ring)
+    assert np.all(np.abs(got - want) <= 1e-11 * want)
+    new = [snap_int(float(d)) for d in got]
+    old = [snap_int(float(d)) for d in want]
+    handle, built = fr.integral_subring(ring), _built_or_refused(ring)
+    assert all(new[i] == old[i] is not None for i in handle.indices)
+    if built != "refused":
+        assert new == old
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_perron_dims", fpdims)
+        assert fr.integral_subring(ring) == handle
+        assert _built_or_refused(ring) == built
+
+
+@pytest.mark.parametrize("sub", ["C1", "C3", "S3"])
+def test_irrational_fpdim_is_refused_either_way(sub):
+    # FPdim(rho) of R(S, 2^40) is irrational but within an ulp of 2^40: the
+    # power iteration's float is 2^40 exactly, the Rayleigh quotient's may be
+    # a neighbour that does not snap; construct refuses it either way
+    s = fr.entry_ring(sub) if sub == "S3" else group_ring([int(sub[1:])])
+    ring = construct(s, 2 ** 40)
+    assert snap_int(float(fpdims(ring)[-1])) == 2 ** 40
+    assert abs(spectral._perron_dims(ring)[-1] - 2 ** 40) <= 2.0 ** -10
+    with pytest.raises(NotNearIntegral):
+        construct(ring, 0)
+    assert fr.integral_subring(ring).indices == tuple(range(s.rank))
