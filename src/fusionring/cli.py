@@ -30,16 +30,42 @@ OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
 # output formatting
 
 
-def _round12(obj):
-    """Recursively normalize floats to 12 significant digits so machine
-    output is byte-identical across runs."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+_quote = json.encoder.encode_basestring_ascii
+_JSON_NAMES = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _to_json(obj, indent=None) -> str:
+    """json.dumps(obj, sort_keys=True, indent=indent) with every float
+    first rounded to 12 significant digits, so machine output is
+    byte-identical across runs. Takes str-keyed dicts, lists, tuples, str,
+    int, float, bool and None; a list of ints is written with one join."""
+    step = " " * (indent or 0)
+
+    def write(x, pad):
+        if isinstance(x, str):
+            return _quote(x)
+        if isinstance(x, float):
+            text = repr(float(f"{x:.12g}"))
+            return _JSON_NAMES.get(text, text)
+        if x is None or isinstance(x, bool):
+            return _JSON_NAMES[x]
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if not isinstance(x, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = pad + step
+        head, sep, tail = (("", ", ", "") if indent is None
+                           else ("\n" + inner, ",\n" + inner, "\n" + pad))
+        if isinstance(x, dict):
+            return "{" + head + sep.join(f"{_quote(k)}: {write(x[k], inner)}"
+                                         for k in sorted(x)) + tail + "}"
+        parts = map(str, x) if set(map(type, x)) == {int} else (write(v, inner) for v in x)
+        return "[" + head + sep.join(parts) + tail + "]"
+
+    return write(obj, "")
 
 
 def _fnum(x: float) -> str:
@@ -315,7 +341,7 @@ def cmd_catalog(args) -> tuple[int, dict, list]:
     payload = {"name": entry.name, "kind": entry.kind,
                "provenance": entry.provenance, "payload": body}
     lines = [f"{entry.name} ({entry.kind}) - {entry.provenance}",
-             json.dumps(_round12(body), sort_keys=True)]
+             _to_json(body)]
     return OK, payload, lines
 
 
@@ -387,7 +413,7 @@ def run(argv) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.format == "json":
-            print(json.dumps(_round12(payload), sort_keys=True, indent=2))
+            print(_to_json(payload, 2))
         else:
             for line in lines:
                 print(line)

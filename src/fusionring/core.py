@@ -172,11 +172,12 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
     return violations + associativity
 
 
-# Rank from which _associativity_violations first checks a generating set's
-# slabs. Below it the peeling rounds cost more than the whole slab loop: on
-# the catalog character rings (rank 2-11) they take 40-290 us against
-# 27-150 us for all n slabs. At rank 16 the two are about even, and at rank
-# 32-64 the certificate is 5-18x faster (group rings, A4xA4xS3).
+# Rank from which _associativity_violations checks a generating set's slabs
+# one at a time instead of all n slabs in one stacked product per side. On
+# the catalog character rings (rank 2-11) the stacked check takes 5-20 us
+# against 45-280 us for the peeling rounds and their slabs; at rank 15-16
+# both take 140-240 us, and at rank 32-64 the certificate is 21-29x faster
+# (group rings; float32, one BLAS thread, best of 7).
 _CERTIFY_MIN_RANK = 16
 
 
@@ -211,20 +212,23 @@ def _associativity_violations(tensor: np.ndarray) -> list:
     """Every (i, j, k, m) with sum_t c_ij^t c_tk^m != sum_t c_jk^t c_it^m,
     in C order, each with both sides in its message.
 
-    One basis index i at a time: two n x n^2 matrix products give the slab
-    [j, k, m] of both sides, i.e. of (b_i b_j) b_k and b_i (b_j b_k), so
-    memory stays O(n^3). Every partial sum is an integer of modulus at most
-    max|c|^2 * n, so the products are exact in float32 below 2^24 and in
-    float64 below 2^53; above that bound they run on Python ints.
+    Slab i, the [j, k, m] of both sides, i.e. of (b_i b_j) b_k and
+    b_i (b_j b_k), is two n x n^2 matrix products. Every partial sum is an
+    integer of modulus at most max|c|^2 * n, so the products are exact in
+    float32 below 2^24 and in float64 below 2^53; above that bound they run
+    on Python ints. Below rank _CERTIFY_MIN_RANK the n slabs of each side
+    are one stacked product, n^4 entries (200 KB in float32 at rank 15),
+    compared at once.
 
     Slab i holds iff b_i lies in the left nucleus {x : (xy)z = x(yz) for all
     y, z}, and the left nucleus of any bilinear product is a subalgebra:
     with b_s, b_t in it, so is b_s b_t = sum_k c_st^k b_k, and so is b_k if
     every other basis element of that support is (over Q, as c_st^k != 0).
     So from rank _CERTIFY_MIN_RANK on, the slabs of a generating set found
-    that way (_generators) are checked first, and if all hold the ring is
-    associative. If one fails, every slab is checked; only that full loop
-    reports violations, so the list is the same either way.
+    that way (_generators) are checked one at a time, so memory stays
+    O(n^3), and if all hold the ring is associative. If a check fails, the
+    slabs are checked one at a time; only that loop reports violations, so
+    the list is the same either way.
     """
     n = tensor.shape[0]
     bound = max(int(tensor.max(initial=0)), -int(tensor.min(initial=0))) ** 2 * n
@@ -235,7 +239,10 @@ def _associativity_violations(tensor: np.ndarray) -> list:
     def slab(i):
         return (t[i] @ by_row).reshape(n, n, n), (by_pair @ t[i]).reshape(n, n, n)
 
-    if n >= _CERTIFY_MIN_RANK and all(np.array_equal(*slab(i)) for i in _generators(tensor)):
+    if n < _CERTIFY_MIN_RANK:
+        if np.array_equal((t @ by_row).ravel(), (by_pair @ t).ravel()):
+            return []
+    elif all(np.array_equal(*slab(i)) for i in _generators(tensor)):
         return []
     out = []
     for i in range(n):

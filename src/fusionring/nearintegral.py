@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CharacterTable, FusionRing, FusionRingError, character_table_to_fusion_ring
-from .exact import EXACT_TOL, SNAP_TOL, _is_int, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, _is_int
 from .structure import ClosureViolation, SubringHandle
 from . import spectral
 
@@ -155,18 +155,18 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     integer (exact._is_int) kappa >= 0. The result is not checked: its
     axioms are those of S and sum_k c_ij^k d_k = d_i d_j for the FPdims d
     of S, certified in integers on the FPdims of spectral._perron_dims
-    snapped to integers (else NotNearIntegral)."""
+    rounded to integers (else NotNearIntegral): that one check decides, so
+    an irrational FPdim within an ulp of an integer is refused the same way
+    as any other."""
     if not _is_int(kappa):
         raise FusionRingError(f"kappa must be an integer, got {kappa!r}")
     if not 0 <= kappa < 2 ** 63:
         raise FusionRingError("kappa must be nonnegative" if kappa < 0
                               else f"kappa = {kappa} does not fit in int64")
     n = sub.rank
-    dims = [snap_int(d) for d in spectral._perron_dims(sub)]
-    if None in dims or min(dims) < 1:
-        raise NotNearIntegral("the subring must have positive integer dimensions")
+    dims = [int(d) for d in np.rint(spectral._perron_dims(sub))]
     if not spectral._is_eigenvector(sub.tensor, dims, dims):
-        raise NotNearIntegral(f"the snapped FPdims {dims} of the subring are not a character")
+        raise NotNearIntegral(f"the rounded FPdims {dims} of the subring are not a character")
     rho = n
     t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     t[:n, :n, :n] = sub.tensor

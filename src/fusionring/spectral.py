@@ -1,9 +1,12 @@
 """Frobenius-Perron dimensions, characters and formal codegrees.
 
-Both characters and formal codegrees start from the Casimir matrix L, whose
-eigenspaces are the codegree classes: formal codegrees are its eigenvalues,
-and characters are the joint eigenvectors found by refining its eigenspaces
-with the Hermitian parts of the fusion matrices. Both are deterministic.
+Formal codegrees are the eigenvalues of the Casimir matrix L = sum_j p_j N_j
+(Ostrik 2009). Characters are the joint eigenvectors of the fusion
+matrices: one eigh of a fixed generic Hermitian combination H of them
+separates them all unless two of its eigenvalues nearly meet, and the
+Hermitian parts of the single fusion matrices refine what it leaves whole.
+L is such a combination too, so H loses nothing by coming first. Both are
+deterministic: the weights of H are fixed irrationals, not a seed.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ def characters(ring: FusionRing) -> list:
     _hermitian_sequence. Starting from the identity, each block of dimension
     > 1 is split by eigh of the next matrix restricted to it, cut where
     eigenvalues differ by more than 1e-8 times the matrix's norm (a later
-    matrix refines a cut too coarse). chi(b_i) is the Rayleigh quotient
+    matrix refines a cut too coarse); on every catalog ring the first
+    matrix leaves no block to refine. chi(b_i) is the Rayleigh quotient
     v^H N_i v (unlike v_i / v_0, accurate when the codegree 1/|v_0|^2 is
     large), real when every imaginary part is below EXACT_TOL (see exact). The
     FPdim character maximizes sum_i Re chi(b_i), as |chi(b_i)| <= FPdim(b_i).
@@ -184,14 +188,31 @@ def characters(ring: FusionRing) -> list:
 
 
 def _hermitian_sequence(ring: FusionRing, tensor: np.ndarray):
-    """L, then N_i + N_i^T and, when i != i*, i(N_i - N_i^T): commuting
+    """H, then N_i + N_i^T and, when i != i*, i(N_i - N_i^T): commuting
     Hermitian matrices (N_i is normal, N_{i*} = N_i^T) that together separate
-    the characters."""
-    yield _casimir(ring)
-    for i in range(1, ring.rank):
+    the characters. H is the generic combination
+    sum_i w_i (N_i + N_i^T) + sum_{i != i*} w'_i i(N_i - N_i^T) of the rest,
+    its weights sqrt(p) mod 1 over the first 2n primes p."""
+    n = ring.rank
+    weights = _sqrt_prime_fractions(2 * n).reshape(2, n)
+    weights[1, np.array(ring.dual) == np.arange(n)] = 0.0
+    sym, anti = (weights @ tensor.reshape(n, n * n)).reshape(2, n, n)
+    h = sym + sym.T
+    yield h + 1j * (anti - anti.T) if anti.any() else h
+    for i in range(1, n):
         yield tensor[i] + tensor[i].T
         if ring.dual[i] != i:
             yield 1j * (tensor[i] - tensor[i].T)
+
+
+def _sqrt_prime_fractions(count: int) -> np.ndarray:
+    """sqrt(p) mod 1 over the first count primes p, sieved below
+    count (ln count + ln ln count), which exceeds the count-th prime."""
+    limit = max(16, int(count * (np.log(count + 1) + np.log(np.log(count + 3)))))
+    composite = np.zeros(limit, dtype=bool)
+    for p in range(2, int(limit ** 0.5) + 1):
+        composite[p * p::p] = True
+    return np.sqrt(np.flatnonzero(~composite)[2:count + 2]) % 1.0
 
 
 def formal_codegrees(ring: FusionRing) -> list:

@@ -555,8 +555,8 @@ def test_balance_rejects_an_invalid_datum(tmp_path, capsys):
     ["catalog", "show", "rank4/C(A1,8,q)_ad"],
 ], ids=" ".join)
 def test_every_command_emits_plain_json(argv, capsys):
-    """_round12 passes only the types commands emit; a numpy scalar in a
-    payload would make json.dumps raise here."""
+    """_to_json writes only the types commands emit; a numpy integer or
+    bool in a payload would make it raise here."""
     code, out, err = run(capsys, "--format", "json", *argv)
     assert (code, err) == (0, "")
     assert isinstance(json.loads(out), dict)

@@ -10,9 +10,12 @@ import ast
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionring import cli
 from fusionring.core import group_ring, ring_to_json
@@ -40,8 +43,8 @@ GOLDEN = [
      "5b5abf57173f3a1d9db40ce332ac30fd9146c5a1300894ac24765ffffec59c75",
      "b190f0c1f7d91ca4918fa6b3f185ba4be498bd2ec7e4eebaf56e8fd9fcd9ee13"),
     ("chars catalog:A4", None,
-     "8d413681338b184d221ce3821197684b31f7f0e26c4ecc521c365cbd342e93b0",
-     "6a200ffdbf808d6444c49b32b9fe7256629afb1a58571ddde6955d855b8cca42"),
+     "0492b77254e1fcf149848dfa29ea4011bc6d10883dc9b4e182912f1b63f9ba1c",
+     "9ede11e24fa7974b4ad96e3138fb0f90d68aa3a5349cd5395cb3ed825911febb"),
     ("codegrees catalog:S3", None,
      "8b29e56c3246e6d31d0d3a42bbec444b339a3721caa29377b1322d8c0cef39a9",
      "c2eb1c8db44c14d90e75f092f7ffdc9eeed2cec3fd5f1a366d8fb3394fca0798"),
@@ -165,3 +168,40 @@ def test_golden_cases_reach_every_command():
     commands = {cli._PARSER.parse_args(argv.split(" ")).func.__name__
                 for argv, _, _, _ in GOLDEN}
     assert commands == {name for name in vars(cli) if name.startswith("cmd_")}
+
+
+def _round12(obj):
+    """The rule cli._to_json must follow: each float rounded to 12
+    significant digits, tuples as lists, before json.dumps."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, 1e-300, -1e-300, 0.1 + 0.2, 1 / 3])
+JSON_STRINGS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "\u2603😀"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.integers(), min_size=1, max_size=4)
+                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    want = _round12(value)
+    assert cli._to_json(value, 2) == json.dumps(want, sort_keys=True, indent=2)
+    assert cli._to_json(value) == json.dumps(want, sort_keys=True)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for value in ({"a": np.int64(1)}, [np.bool_(True)], {1, 2}):
+        with pytest.raises(TypeError):
+            cli._to_json(value, 2)

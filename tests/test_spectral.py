@@ -15,7 +15,7 @@ from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
                                  spectral_report)
-from shared_rings import s3_group_ring
+from shared_rings import agl1_table, s3_group_ring
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -209,6 +209,56 @@ def test_characters_deligne_square(group, log_kappa):
     got = sorted((c.codegree for c in chars), reverse=True)
     assert got == pytest.approx([float(f) for f in formal_codegrees(ring)], rel=1e-9)
     assert sum(1 / c.codegree for c in chars) == pytest.approx(1.0, rel=1e-12)
+
+
+def _casimir_first_sequence(ring, tensor):
+    """_hermitian_sequence as it was before its generic first matrix: the
+    Casimir matrix L first, then the same per-index matrices."""
+    yield spectral._casimir(ring)
+    for i in range(1, ring.rank):
+        yield tensor[i] + tensor[i].T
+        if ring.dual[i] != i:
+            yield 1j * (tensor[i] - tensor[i].T)
+
+
+def assert_same_characters(got, want):
+    """Same order and FPdim flag, values within 1e-12 of each character's
+    largest |value|."""
+    assert [c.is_fpdim for c in got] == [c.is_fpdim for c in want]
+    for a, b in zip(got, want, strict=True):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+
+CHARACTER_ORACLE_RINGS = {
+    **{f"catalog:{name}": lambda name=name: fr.entry_ring(name) for name in COMMUTATIVE_CATALOG},
+    **{f"AGL(1,{p})": lambda p=p: fr.character_table_to_fusion_ring(agl1_table(p))
+       for p in (5, 7, 13)},
+    "R(C3,10^6)": LADDER["R(C3,10^6)"],
+    "C2^6": LADDER["C2^6"],  # 684 eigh calls with L first
+}
+
+
+@pytest.mark.parametrize("name", CHARACTER_ORACLE_RINGS)
+def test_characters_match_the_casimir_first_sequence(name, monkeypatch):
+    ring = CHARACTER_ORACLE_RINGS[name]()
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    got = characters(ring)
+    assert len(calls) == 1  # the generic first matrix splits every character
+    monkeypatch.setattr(spectral, "_hermitian_sequence", _casimir_first_sequence)
+    want = characters(ring)
+    assert_same_characters(got, want)
+
+
+@pytest.mark.parametrize("name", ["A4", "SmallGroup(32,7)", "Z(Rep(A4))"])
+def test_single_matrices_refine_what_the_first_leaves_whole(name, monkeypatch):
+    # with zero weights the first matrix is 0 and splits nothing, so
+    # N_i + N_i^T and i(N_i - N_i^T) (A4 has a dual pair) separate them all
+    ring = fr.entry_ring(name)
+    want = characters(ring)
+    monkeypatch.setattr(spectral, "_sqrt_prime_fractions", np.zeros)
+    got = characters(ring)
+    assert_same_characters(got, want)
 
 
 def test_codegrees_rep_s3():
@@ -409,11 +459,13 @@ def test_perron_dims_match_the_power_iteration(name):
 def test_irrational_fpdim_is_refused_either_way(sub):
     # FPdim(rho) of R(S, 2^40) is irrational but within an ulp of 2^40: the
     # power iteration's float is 2^40 exactly, the Rayleigh quotient's may be
-    # a neighbour that does not snap; construct refuses it either way
+    # a neighbour; construct rounds it and refuses it by its one exact check,
+    # with the same message whichever float it got
     s = fr.entry_ring(sub) if sub == "S3" else group_ring([int(sub[1:])])
     ring = construct(s, 2 ** 40)
     assert snap_int(float(fpdims(ring)[-1])) == 2 ** 40
     assert abs(spectral._perron_dims(ring)[-1] - 2 ** 40) <= 2.0 ** -10
-    with pytest.raises(NotNearIntegral):
+    with pytest.raises(NotNearIntegral, match=r", 1099511627776\] of the subring are not "
+                                              r"a character$"):
         construct(ring, 0)
     assert fr.integral_subring(ring).indices == tuple(range(s.rank))
