@@ -113,7 +113,7 @@ class CatalogEntry:
     def ring(self) -> FusionRing:
         """The entry's fusion ring, validated, built on first use: as given for
         ring JSON, the character ring of a table, the Verlinde ring of a
-        modular datum. FusionRingError, not cached, for the other kinds."""
+        modular datum. MalformedInput, not cached, for the other kinds."""
         if self.kind == "ring":
             return FusionRing.validated(self.payload.labels, self.payload.tensor,
                                         self.payload.dual)
@@ -121,7 +121,7 @@ class CatalogEntry:
             return character_table_to_fusion_ring(self.payload)
         if self.kind == "modularDatum":
             return verlinde_fusion(self.payload)[0]
-        raise FusionRingError(f"entry {self.name!r} of kind {self.kind} is not ring-valued")
+        raise MalformedInput(f"entry {self.name!r} of kind {self.kind} is not ring-valued")
 
 
 def _read(fname: str):

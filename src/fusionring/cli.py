@@ -19,8 +19,8 @@ import re
 import sys
 
 from . import catalog, nearintegral, premodular, spectral
-from .core import (FusionRingError, MalformedInput, ring_from_json, ring_to_json,
-                   table_from_json, table_to_json, validate_tensor)
+from .core import (FusionRingError, MalformedInput, _json_object, ring_from_json,
+                   ring_to_json, table_from_json, table_to_json, validate_tensor)
 from .exact import EXACT_TOL
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -105,17 +105,19 @@ def load(spec: str, args, want=None) -> catalog.CatalogEntry:
             if want not in (None, entry.kind):
                 raise MalformedInput(f"{name} is a {entry.kind}, not a {_WANTED[want][0]}")
             return entry
+    source = "stdin" if spec == "-" else spec
     try:
         if spec == "-":
-            data = json.load(sys.stdin)
+            text = sys.stdin.read()
         else:
             with open(spec) as fh:
-                data = json.load(fh)
+                text = fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {spec}: {exc}")
-    except ValueError as exc:  # bad JSON, or bytes that are not text
-        raise MalformedInput(f"{'stdin' if spec == '-' else spec} is not valid JSON: {exc}")
-    key = next((k for k in _JSON_KINDS if isinstance(data, dict) and k in data), None)
+    except ValueError as exc:  # bytes that are not text
+        raise MalformedInput(f"{source} is not valid JSON: {exc}")
+    data = _json_object(text, source)
+    key = next((k for k in _JSON_KINDS if k in data), None)
     if key is None:
         raise MalformedInput(
             "cannot tell what this JSON is; expected keys 'tensor' (fusion ring), "
@@ -130,11 +132,12 @@ def parse_group_spec(text: str):
     """'C9' or 'C3xC3' -> list of cyclic factor orders."""
     factors = []
     for p in text.split("x"):
-        m = re.fullmatch(r"C(\d+)", p.strip())
-        if not m or int(m.group(1)) < 1:
+        m = re.fullmatch(r"C0*([1-9]\d*)", p.strip())  # an order >= 1
+        try:
+            factors.append(int(m.group(1) if m else ""))
+        except ValueError:  # no match, or more digits than int() reads
             raise MalformedInput(
                 f"bad group spec {text!r}; use products of cyclic factors like C9 or C3xC3")
-        factors.append(int(m.group(1)))
     return factors
 
 

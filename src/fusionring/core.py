@@ -3,7 +3,7 @@
 A fusion ring of rank n is stored as a basis label list, an n x n x n
 nonnegative integer structure tensor c[i][j][k] (the multiplicity of basis
 element k in the product of basis elements i and j), and a duality
-permutation. Index 0 is always the unit.
+permutation, read from the pairing column when omitted. Index 0 is the unit.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _derived(fn):
 
 def _as_tensor(tensor) -> np.ndarray:
     arr = np.asarray(tensor)
-    if arr.ndim != 3 or len(set(arr.shape)) != 1:
-        raise FusionRingError(f"structure tensor must be n x n x n, got shape {arr.shape}")
+    if arr.ndim != 3 or len(set(arr.shape)) != 1 or not arr.size:  # index 0 is the unit
+        raise FusionRingError(f"structure tensor must be n x n x n, n >= 1, got shape {arr.shape}")
     if arr.dtype == object:  # Python ints of any size, kept as they are
         exact = all(map(_is_int, arr.ravel()))
     else:  # a float entry must be an exact integer inside the int64 range
@@ -101,16 +101,16 @@ def _as_tensor(tensor) -> np.ndarray:
     return arr
 
 
-def _pairing_dual(tensor) -> list:
-    """Duality read from the pairing column, as c_ij^0 = delta_{j, i*} in a
-    fusion ring: dual(i) is the one j with c_ij^0 = 1, else AxiomViolation."""
-    pairs = _as_tensor(tensor)[:, :, 0] == 1
-    bad = np.flatnonzero(pairs.sum(axis=1) != 1)
-    if bad.size:
-        i = int(bad[0])
-        hits = np.flatnonzero(pairs[i]).tolist()
-        raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {hits}")])
-    return np.nonzero(pairs)[1].tolist()
+def _pairing_dual(tensor: np.ndarray) -> list:
+    """dual(i), read from a checked tensor's pairing column as c_ij^0 =
+    delta_{j, i*}: the one j with c_ij^0 = 1, else AxiomViolation."""
+    pairs = tensor[:, :, 0] == 1
+    rows, dual = np.nonzero(pairs)  # rows in order, so one hit each iff 0..n-1
+    if rows.tolist() == list(range(len(pairs))):
+        return dual.tolist()
+    i = int(np.flatnonzero(pairs.sum(axis=1) != 1)[0])
+    hits = np.flatnonzero(pairs[i]).tolist()
+    raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {hits}")])
 
 
 def validate_tensor(tensor: np.ndarray, dual) -> list:
@@ -260,16 +260,17 @@ def _associativity_violations(tensor: np.ndarray) -> list:
 class FusionRing:
     labels: tuple
     tensor: np.ndarray = field(repr=False)
-    dual: tuple
+    dual: tuple = None  # read from the pairing column when not given
 
     def __post_init__(self):
         arr = _as_tensor(self.tensor)
         arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
+        dual = _pairing_dual(arr) if self.dual is None else self.dual
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        if not all(map(_is_int, self.dual)):
+        if not all(map(_is_int, dual)):
             raise MalformedInput("dual must list integers")
-        object.__setattr__(self, "dual", tuple(map(operator.index, self.dual)))
+        object.__setattr__(self, "dual", tuple(map(operator.index, dual)))
         n = arr.shape[0]
         if len(self.labels) != n or len(self.dual) != n:
             raise MalformedInput("labels, tensor and dual must agree on rank")
@@ -277,7 +278,7 @@ class FusionRing:
             raise MalformedInput("labels must be distinct")
 
     @classmethod
-    def validated(cls, labels, tensor, dual) -> "FusionRing":
+    def validated(cls, labels, tensor, dual=None) -> "FusionRing":
         ring = cls(labels, tensor, dual)
         bad = validate_tensor(ring.tensor, ring.dual)
         if bad:
@@ -350,8 +351,7 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
         ta, tb = ta.astype(object), tb.astype(object)
     t = np.einsum("ijk,abc->iajbkc", ta, tb).reshape(n * m, n * m, n * m)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
-    dual = [a.dual[i] * m + b.dual[j] for i in range(n) for j in range(m)]
-    return FusionRing(labels, t, dual)
+    return FusionRing(labels, t)
 
 
 def _factors(factors) -> tuple:
@@ -361,6 +361,11 @@ def _factors(factors) -> tuple:
     if not all(_is_int(f) and f >= 1 for f in factors):
         raise FusionRingError(f"cyclic factor orders must be positive integers: {factors}")
     return tuple(map(operator.index, factors))
+
+
+def _place_values(orders) -> np.ndarray:
+    """prod(orders[t + 1:]) at each t, as int64, by one reverse cumulative product."""
+    return np.cumprod([1, *orders[::-1]], dtype=np.int64)[-2::-1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -375,8 +380,7 @@ class _Group:
         n, k = len(self.elements), len(factors)
         self.coords = np.array(self.elements, dtype=np.int64).reshape(n, k)
         self.mods = np.array(factors, dtype=np.int64)
-        self.strides = np.array([math.prod(factors[i + 1:]) for i in range(k)],
-                                dtype=np.int64)
+        self.strides = _place_values(factors)
         self.add = self.number(self.coords[:, None, :] + self.coords[None, :, :])
         self.neg = self.number(-self.coords)
         self.gens = self.number(np.eye(k, dtype=np.int64))
@@ -443,15 +447,15 @@ def group_ring(spec) -> FusionRing:
         labels = [f"g{i}" for i in range(n)]
     else:
         grp = _Group(_factors(spec))
-        table, dual = grp.add, grp.neg
+        table = grp.add
         labels = ["e" if not any(e) else "+".join(f"{x}g{i}" for i, x in enumerate(e) if x)
                   for e in grp.elements]
     n = len(labels)
     tensor = np.zeros((n, n, n), dtype=np.int64)
     tensor[np.arange(n)[:, None], np.arange(n), table] = 1
     if is_table:  # the dual of g is the h with g h = e, once per row
-        return FusionRing.validated(labels, tensor, _pairing_dual(tensor))
-    return FusionRing(labels, tensor, dual)
+        return FusionRing.validated(labels, tensor)
+    return FusionRing(labels, tensor)
 
 
 @dataclass(frozen=True)
@@ -526,24 +530,24 @@ def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     """Character ring of the group: basis = irreducible characters,
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
     computed by column-weighted inner products. The dual of chi_i, the
-    complex conjugate row, is read from the snapped pairing column
-    (_pairing_dual). Built once per table."""
+    complex conjugate row, is read from the snapped pairing column by the
+    ring itself (_pairing_dual). Built once per table."""
     rows = table.rows
     w = np.array(table.class_sizes, dtype=float) / table.order
     vals = np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj())
     tensor = np.rint(vals.real)
     ok = ((np.abs(vals.imag) <= EXACT_TOL) & (np.abs(vals.real - tensor) <= EXACT_TOL)
-          & (tensor >= 0))
+          & (tensor >= 0) & (tensor < 2 ** 63))
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]
         val = vals[i, j, k]
         if abs(val.imag) > EXACT_TOL:
-            raise NonIntegralMultiplicity(
-                f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
-        raise NonIntegralMultiplicity(
-            f"<chi_{i} chi_{j}, chi_{k}> = {val.real} is not a nonnegative integer")
+            raise NonIntegralMultiplicity(f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
+        fault = ("is not a nonnegative integer" if tensor[i, j, k] < 2 ** 63
+                 else "does not fit in int64")
+        raise NonIntegralMultiplicity(f"<chi_{i} chi_{j}, chi_{k}> = {val.real} {fault}")
     labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
-    return FusionRing.validated(labels, tensor.astype(np.int64), _pairing_dual(tensor))
+    return FusionRing.validated(labels, tensor.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +584,8 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
         raise MalformedInput("'tensor' must be a nonempty n x n x n array of numbers")
     if tensor.dtype == object or not (-2 ** 63 <= tensor.min() and tensor.max() < 2 ** 63):
         raise MalformedInput("'tensor' entries must be finite numbers inside the int64 range")
-    n = tensor.shape[0]
     if labels is None:
-        labels = [f"X{i}" for i in range(n)]
-    if dual is None:
-        dual = _pairing_dual(tensor)
+        labels = [f"X{i}" for i in range(tensor.shape[0])]
     if validate:
         return FusionRing.validated(labels, tensor, dual)
     return FusionRing(labels, tensor, dual)
@@ -636,7 +637,7 @@ def _json_object(data, kind: str) -> dict:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
             raise MalformedInput(f"{kind} JSON does not parse: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedInput(f"{kind} JSON must be an object")

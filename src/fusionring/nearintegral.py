@@ -111,10 +111,7 @@ def subring_on(ring: FusionRing, indices) -> FusionRing:
 def _restrict(ring: FusionRing, idx) -> FusionRing:
     """subring_on for sorted indices already known to be fusion-closed."""
     idx = list(idx)
-    pos = {b: a for a, b in enumerate(idx)}
-    return FusionRing([ring.labels[i] for i in idx],
-                      ring.tensor[np.ix_(idx, idx, idx)],
-                      [pos[ring.dual[i]] for i in idx])
+    return FusionRing([ring.labels[i] for i in idx], ring.tensor[np.ix_(idx, idx, idx)])
 
 
 def detect(ring: FusionRing):
@@ -177,9 +174,7 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     while rho_label in sub.labels:
         rho_label = f"rho{k}"
         k += 1
-    labels = list(sub.labels) + [rho_label]
-    dual = list(sub.dual) + [rho]
-    return FusionRing(labels, t, dual)
+    return FusionRing(list(sub.labels) + [rho_label], t)
 
 
 def distinguished_characters(ring: FusionRing, report: NearIntegralReport):

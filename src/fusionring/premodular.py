@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
-                   _Group, _json_object, _pairing_dual, _scalar_matrix)
+                   _Group, _json_object, _pairing_dual, _place_values, _scalar_matrix)
 from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _is_int, _scalar_to_json
 
 __all__ = [
@@ -341,7 +341,7 @@ def form_classes(factors) -> list:
                              dtype=np.int64).reshape(-1, 2).T
     points = np.concatenate([grp.gens, grp.add[grp.gens[first], grp.gens[second]]])
     steps = m // np.array(orders, dtype=np.int64)
-    radix = np.array([math.prod(orders[t + 1:]) for t in range(len(orders))], dtype=np.int64)
+    radix = _place_values(orders)
     moves = []
     for perm in grp.aut_gens:
         v = table[:, perm[points]]  # q o phi at e_i, then at e_i + e_j

@@ -1,9 +1,32 @@
 """Rings and helpers used in more than one test module."""
 
+import ast
 import cmath
 import math
 
 from fusionring.core import CharacterTable, group_ring
+
+
+def references(module: str, tree, names) -> list:
+    """'module.qualified.name' of each function or method in tree (or the
+    module itself, for top-level code) that reads a name or attribute in
+    names, once each, in source order."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names):
+            if not isinstance(node.ctx, ast.Store):
+                name = ".".join([module] + scope)
+                if name not in out:
+                    out.append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return out
 
 
 def refuse(*args, **kwargs):

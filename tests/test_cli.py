@@ -266,13 +266,15 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verify", "-"], '{"order": 2}', 3),
     (["gagola", "-"], '{"tensor": [[[1]]]}', 3),
     (["verlinde", "-"], '{"order": 2, "rows": [[1, 1], [1, 1]]}', 3),
-    (["fpdim", "catalog:groups<=6classes"], None, 1),
+    (["fpdim", "catalog:groups<=6classes"], None, 3),
     (["--data-dir", "{tmp}", "fpdim", "catalog:S3-table"], None, 0),
     (["catalog", "show", "nope"], None, 3),
     (["qforms", "C2xC2xC2xC2xC2xC2"], None, 3),
     (["qforms", "C2xC2xC2xC2xC2xC2", "--classes"], None, 3),
     (["verify", "-"], '{"tensor": [[[1,0],[0,1]],[[0,1],[1,0]]], "dual": [0]}', 3),
     (["verify", "-"], '{"tensor": [[[1,0],[0,1]],[[0,1],[1,0]]], "labels": ["a", "a"]}', 3),
+    (["qforms", "C" + "9" * 5000, "--classes"], None, 3),  # more digits than int() reads
+    (["codegrees", "catalog:rank4/C(A1,5,q)_ad x Rep(C2,nu)"], None, 3),  # no ring
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:
@@ -296,8 +298,8 @@ def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_
     # the kind is decided before the (invalid) table is read
     (["verlinde", "-"], '{"order": 2, "rows": [[1, 1], [1, 1]]}', 3,
      "input error: expected modular-datum JSON with an 'S' key"),
-    (["fpdim", "catalog:groups<=6classes"], None, 1,
-     "FusionRingError: entry 'groups<=6classes' of kind groupList is not ring-valued"),
+    (["fpdim", "catalog:groups<=6classes"], None, 3,
+     "input error: entry 'groups<=6classes' of kind groupList is not ring-valued"),
     (["catalog", "show", "nope"], None, 3, "input error: unknown catalog entry 'nope'"),
     (["catalog", "show"], None, 3, "input error: catalog show needs an entry name"),
     (["cases", "--N", "x"], None, 2, "usage error: argument --N: invalid int value: 'x'"),

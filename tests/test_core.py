@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
-from fusionring import core, spectral
+from fusionring import core, premodular, spectral
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity,
                              _associativity_violations, character_table_to_fusion_ring,
@@ -101,6 +101,15 @@ def test_group_tables_built_once_and_read_only():
     for arr in (grp.coords, grp.mods, grp.strides, grp.add, grp.neg, grp.gens):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+
+
+@pytest.mark.parametrize("factors", [(), (16,), (32,), (48,), (8, 8), (9,), (3, 3), (4, 2),
+                                     (2, 3, 5, 7)])
+def test_place_values_are_the_products_of_later_orders(factors):
+    for orders in (factors, premodular._form_orders(factors)):
+        got = core._place_values(orders)
+        assert got.dtype == np.int64
+        assert got.tolist() == [math.prod(orders[t + 1:]) for t in range(len(orders))]
 
 
 @pytest.mark.parametrize("table", [[[0, 5], [5, 0]], [[0, -1], [-1, 0]]])
@@ -659,6 +668,12 @@ def test_character_ring_matches_loop(table):
     ring = outcome(character_table_to_fusion_ring, table)
     assert ring == outcome(loop_character_ring, table)
     assert ring[0] != "ok" or ring[1].tensor.dtype == np.int64
+
+
+@pytest.mark.parametrize("degree", [2 ** 21, 2 ** 64])  # c_00^0 = 2^63, 2^192
+def test_character_ring_refuses_a_multiplicity_past_int64(degree):
+    with pytest.raises(NonIntegralMultiplicity, match=r"= \S+ does not fit in int64$"):
+        character_table_to_fusion_ring(CharacterTable(1, [[degree]], (1,)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -69,7 +69,8 @@ def test_gagola_degree_must_divide_the_order(capsys, monkeypatch):
     (np.zeros((2, 2, 3), dtype=np.int64), FusionRingError, r"must be n x n x n"),
     (np.array([[[1.5]]], dtype=object), NonIntegralMultiplicity, "must be integers"),
     (np.array([[[-1]]], dtype=object), NonIntegralMultiplicity, "must be nonnegative"),
-], ids=["2x2x3", "object-1.5", "object-negative"])
+    (np.zeros((0, 0, 0), dtype=np.int64), FusionRingError, r"must be n x n x n, n >= 1"),
+], ids=["2x2x3", "object-1.5", "object-negative", "empty"])
 def test_tensor_shape_and_object_entries(tensor, error, message):
     with pytest.raises(error, match=message):
         fr.FusionRing([f"x{i}" for i in range(tensor.shape[0])], tensor,

@@ -70,6 +70,34 @@ def test_data_dir_fallback_still_reads_a_user_entry(tmp_path, capsys):
     assert err == "input error: unknown catalog entry 'other'\n"
 
 
+# JSON text that json.loads refuses other than by JSONDecodeError: nesting
+# deeper than it recurses (RecursionError) and an int of more digits than
+# int() reads (ValueError)
+UNPARSEABLE = ['{"tensor": ' + "[" * 100_000, '{"tensor": 1' + "0" * 5_000 + "}"]
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE, ids=["deep", "long-int"])
+@pytest.mark.parametrize("read", [core.ring_from_json, core.table_from_json,
+                                  premodular.modular_datum_from_json, premodular.form_from_json],
+                         ids=lambda f: f.__name__)
+def test_every_json_reader_refuses_text_that_does_not_parse(read, text):
+    with pytest.raises(MalformedInput, match=" JSON does not parse: "):
+        read(text)
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE, ids=["deep", "long-int"])
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_cli_refuses_text_that_does_not_parse(route, text, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.run(["verify", "-" if route == "stdin" else str(path)]) == 3
+    out, err = capsys.readouterr()
+    source = "stdin" if route == "stdin" else str(path)
+    assert out == "" and err.startswith(f"input error: {source} JSON does not parse: ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # one integer test
 

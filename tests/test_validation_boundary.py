@@ -14,6 +14,8 @@ from pathlib import Path
 
 import fusionring
 
+from shared_rings import references
+
 SOURCES = sorted(Path(fusionring.__file__).parent.glob("*.py"))
 CHECKS = {"validated", "validate_tensor"}
 BOUNDARY = {
@@ -27,31 +29,9 @@ BOUNDARY = {
 }
 
 
-def check_references(module: str, tree) -> list:
-    """'module.qualified.name' of each function or method in tree (or the
-    module itself, for top-level code) that reads a name or attribute in
-    CHECKS, once each, in source order."""
-    out = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
-        if (isinstance(node, ast.Name) and node.id in CHECKS
-                or isinstance(node, ast.Attribute) and node.attr in CHECKS):
-            if not isinstance(node.ctx, ast.Store):
-                name = ".".join([module] + scope)
-                if name not in out:
-                    out.append(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, [])
-    return out
-
-
 def test_checks_only_at_the_boundary():
     found = [name for p in SOURCES
-             for name in check_references(p.stem, ast.parse(p.read_text()))]
+             for name in references(p.stem, ast.parse(p.read_text()), CHECKS)]
     assert [name for name in found if name not in BOUNDARY] == []
     # the list names nothing that is gone
     assert set(found) >= BOUNDARY
@@ -63,4 +43,4 @@ def test_guard_catches_checks():
                      "class R:\n    def check(self):\n        return validate_tensor(1, 2)\n"
                      "def fine(t):\n    return FusionRing(['1'], t, [0])\n"
                      "CHECK = validate_tensor\n")
-    assert check_references("m", tree) == ["m.build", "m.R.check", "m"]
+    assert references("m", tree, CHECKS) == ["m.build", "m.R.check", "m"]
