@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (FusionRing, FusionRingError, MalformedInput, _derived,
-                   character_table_to_fusion_ring, table_from_json)
+from .core import (AxiomViolation, FusionRing, FusionRingError, MalformedInput, _derived,
+                   character_table_to_fusion_ring, table_from_json, validate_tensor)
 from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
                          verlinde_fusion)
@@ -111,12 +111,15 @@ class CatalogEntry:
     @property
     @_derived
     def ring(self) -> FusionRing:
-        """The entry's fusion ring, validated, built on first use: as given for
-        ring JSON, the character ring of a table, the Verlinde ring of a
-        modular datum. MalformedInput, not cached, for the other kinds."""
+        """The entry's fusion ring, validated, built on first use: for ring
+        JSON the ring read unvalidated, once its axioms hold, the character
+        ring of a table, the Verlinde ring of a modular datum. MalformedInput,
+        not cached, for the other kinds."""
         if self.kind == "ring":
-            return FusionRing.validated(self.payload.labels, self.payload.tensor,
-                                        self.payload.dual)
+            bad = validate_tensor(self.payload.tensor, self.payload.dual)
+            if bad:
+                raise AxiomViolation(bad)
+            return self.payload
         if self.kind == "characterTable":
             return character_table_to_fusion_ring(self.payload)
         if self.kind == "modularDatum":

@@ -4,6 +4,9 @@ A fusion ring of rank n is stored as a basis label list, an n x n x n
 nonnegative integer structure tensor c[i][j][k] (the multiplicity of basis
 element k in the product of basis elements i and j), and a duality
 permutation, read from the pairing column when omitted. Index 0 is the unit.
+
+Multiplicities computed by a float formula, of a character ring here and
+of premodular's Verlinde ring, are snapped one way (_snap_multiplicities).
 """
 
 from __future__ import annotations
@@ -525,29 +528,43 @@ class CharacterTable:
             raise FusionRingError("column orthogonality fails")
 
 
+def _snap_multiplicities(vals: np.ndarray, tol: float):
+    """(int64 tensor, max defect) of a complex tensor computed by a float
+    formula. A cell's defect is its distance from rint of its real part, by
+    np.hypot, which rounds as abs() of one complex scalar (np.abs on a
+    complex array may differ in the last bit). NonIntegralMultiplicity at
+    the first cell in C order whose defect exceeds tol, or whose integer is
+    negative or past int64; inf and nan fail, without numpy's warnings."""
+    with np.errstate(all="ignore"):
+        out = np.rint(vals.real)
+        err = np.hypot(vals.real - out, vals.imag)
+    ok = (err <= tol) & (out >= 0) & (out < 2 ** 63)
+    if not ok.all():
+        i, j, k = np.argwhere(~ok)[0]
+        cell = f"N[{i}][{j}][{k}]"
+        if not err[i, j, k] <= tol:
+            raise NonIntegralMultiplicity(f"{cell} = {vals[i, j, k]} is not an integer "
+                                          f"(defect {err[i, j, k]})")
+        if out[i, j, k] < 0:
+            raise NonIntegralMultiplicity(f"{cell} = {int(out[i, j, k])} is negative")
+        raise NonIntegralMultiplicity(f"{cell} = {out[i, j, k]:.6g} does not fit in int64")
+    return out.astype(np.int64), float(err.max())
+
+
 @_derived
 def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     """Character ring of the group: basis = irreducible characters,
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
-    computed by column-weighted inner products. The dual of chi_i, the
-    complex conjugate row, is read from the snapped pairing column by the
-    ring itself (_pairing_dual). Built once per table."""
+    computed by column-weighted inner products and snapped within EXACT_TOL
+    (_snap_multiplicities). The dual of chi_i, the complex conjugate row, is
+    read from the snapped pairing column by the ring itself (_pairing_dual).
+    Built once per table."""
     rows = table.rows
     w = np.array(table.class_sizes, dtype=float) / table.order
-    vals = np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj())
-    tensor = np.rint(vals.real)
-    ok = ((np.abs(vals.imag) <= EXACT_TOL) & (np.abs(vals.real - tensor) <= EXACT_TOL)
-          & (tensor >= 0) & (tensor < 2 ** 63))
-    if not ok.all():
-        i, j, k = np.argwhere(~ok)[0]
-        val = vals[i, j, k]
-        if abs(val.imag) > EXACT_TOL:
-            raise NonIntegralMultiplicity(f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
-        fault = ("is not a nonnegative integer" if tensor[i, j, k] < 2 ** 63
-                 else "does not fit in int64")
-        raise NonIntegralMultiplicity(f"<chi_{i} chi_{j}, chi_{k}> = {val.real} {fault}")
+    tensor, _ = _snap_multiplicities(np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj()),
+                                     EXACT_TOL)
     labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
-    return FusionRing.validated(labels, tensor.astype(np.int64))
+    return FusionRing.validated(labels, tensor)
 
 
 # ---------------------------------------------------------------------------

@@ -112,15 +112,23 @@ def parse_zeta_expr(text: str) -> complex:
         raise ValueError(f"cannot read scalar {reprlib.repr(text)}: {exc}") from None
 
 
+def _is_number(x) -> bool:
+    """A real number: an int or a float, numpy's too, never a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def parse_scalar(entry) -> complex:
-    """Parse one matrix entry from JSON: number, [re, im] pair, or scalar string."""
+    """Parse one matrix entry from JSON: number, [re, im] pair of numbers,
+    or scalar string. A bool is not a number."""
     if isinstance(entry, str):
         return parse_zeta_expr(entry)
     if isinstance(entry, (list, tuple)):
         if len(entry) != 2:
             raise ValueError(f"complex pair must have length 2: {entry!r}")
+        if not all(map(_is_number, entry)):
+            raise ValueError(f"complex pair must hold two numbers: {entry!r}")
         return complex(float(entry[0]), float(entry[1]))
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
     raise ValueError(f"unsupported scalar entry: {entry!r}")
 

@@ -1,6 +1,8 @@
 """Braided-side arithmetic: Verlinde fusion, Gauss sums, balancing,
 centralizer profiles, quadratic forms on finite abelian groups, and the
-constraint table for braided near-integral categories."""
+constraint table for braided near-integral categories. A ModularDatum is
+checked once, when it is built; the Verlinde ring is snapped as the
+character ring is, by core._snap_multiplicities."""
 
 from __future__ import annotations
 
@@ -14,13 +16,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
-                   _Group, _json_object, _pairing_dual, _place_values, _scalar_matrix)
-from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _is_int, _scalar_to_json
+                   _Group, _json_object, _pairing_dual, _place_values, _scalar_matrix,
+                   _snap_multiplicities)
+from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _is_int, _is_number, _scalar_to_json
 
 __all__ = [
-    "NonIntegralFusion",
-    "NegativeFusion",
-    "FusionOverflow",
     "GroupTooLarge",
     "ModularDatum",
     "QuadraticForm",
@@ -39,25 +39,14 @@ __all__ = [
 ]
 
 
-class NonIntegralFusion(FusionRingError):
-    pass
-
-
-class NegativeFusion(FusionRingError):
-    pass
-
-
-class FusionOverflow(FusionRingError):
-    pass
-
-
 class GroupTooLarge(MalformedInput):
     """Raised when a group has more quadratic form values than the bound."""
 
 
 @dataclass(frozen=True)
 class ModularDatum:
-    """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists."""
+    """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists,
+    checked by validate() when built."""
 
     s: np.ndarray = field(repr=False)
     t: tuple
@@ -73,6 +62,7 @@ class ModularDatum:
             raise FusionRingError("T length must match S")
         if not all(isinstance(r, RootOfUnity) for r in self.t):
             raise FusionRingError("twists must be RootOfUnity values")
+        self.validate()
 
     @property
     def rank(self) -> int:
@@ -101,43 +91,29 @@ class ModularDatum:
 
 @_derived
 def verlinde_fusion(m: ModularDatum):
-    """Fusion ring from an S-matrix by the Verlinde formula, built once per
-    datum: (ring, diagnostics), the diagnostics read-only. Duality, charge
-    conjugation, is read from the snapped pairing column N_ij^0
-    (core._pairing_dual); S row i must then be the conjugate of S row i*.
+    """Fusion ring from an S-matrix by the Verlinde formula, snapped within
+    SNAP_TOL (core._snap_multiplicities), built once per datum: (ring,
+    diagnostics), the diagnostics read-only. Duality, charge conjugation, is
+    read from the snapped pairing column N_ij^0 (core._pairing_dual); S row
+    i must then be the conjugate of S row i*.
     """
-    m.validate()
     n = m.rank
     d = m.global_dim
     s = m.s / math.sqrt(d)
-    # a tiny s[0] gives inf or nan entries: the snap check below reports
-    # them, so numpy's warnings would only add stray stderr lines
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a tiny s[0] gives inf: the snap reports it
         tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
-        out = np.rint(tensor.real)
-        # np.hypot rounds exactly as abs() of one complex scalar; np.abs on a
-        # complex array may differ in the last bit, which maxSnapError would show
-        err = np.hypot(tensor.real - out, tensor.imag)
-    ok = (err <= SNAP_TOL) & (out >= 0) & (out < 2 ** 63)
-    if not ok.all():
-        i, j, k = np.argwhere(~ok)[0]
-        if not err[i, j, k] <= SNAP_TOL:
-            raise NonIntegralFusion(f"N[{i}][{j}][{k}] = {tensor[i, j, k]} is not an "
-                                    f"integer (defect {err[i, j, k]})")
-        if out[i, j, k] < 0:
-            raise NegativeFusion(f"N[{i}][{j}][{k}] = {int(out[i, j, k])} is negative")
-        raise FusionOverflow(f"N[{i}][{j}][{k}] = {out[i, j, k]:.6g} does not fit in int64")
+    out, max_err = _snap_multiplicities(tensor, SNAP_TOL)
     dual = _pairing_dual(out)
     bad = ~(np.abs(m.s - m.s[dual].conj()) <= SNAP_TOL).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise FusionRingError(f"S row {i} is not the conjugate of S row {dual[i]}")
     labels = [f"X{i}" for i in range(n)]
-    ring = FusionRing.validated(labels, out.astype(np.int64), dual)
+    ring = FusionRing.validated(labels, out, dual)
     diagnostics = MappingProxyType({
         "globalDim": d,
         "dims": tuple(float(x) for x in m.dims),
-        "maxSnapError": float(err.max()),
+        "maxSnapError": max_err,
     })
     return ring, diagnostics
 
@@ -156,7 +132,6 @@ def gauss_sums(dims, twists):
 
 def balancing_check(ring: FusionRing, m: ModularDatum) -> list:
     """All (i, j) where S[i][j] != theta_i^-1 theta_j^-1 sum_k c_{ij}^k d_k theta_k."""
-    m.validate()
     n = ring.rank
     if m.rank != n:
         raise FusionRingError("ring rank must match the datum")
@@ -392,8 +367,9 @@ def modular_datum_from_json(data) -> ModularDatum:
 
     Raises MalformedInput unless data is an object with 'S' a square matrix
     of scalars (see core._scalar_matrix), 'T' one [num, den] integer pair
-    with den > 0 per row of S and, when given, 'dims' one number of size
-    below 2^63 per row of S.
+    with den > 0 per row of S and, when given, 'dims' one number (not a bool)
+    of size below 2^63 per row of S. A datum that reads is checked as it
+    is built (ModularDatum.validate), before its dims are compared.
     """
     data = _json_object(data, "modular-datum")
     s = _scalar_matrix(data, "S")
@@ -403,7 +379,7 @@ def modular_datum_from_json(data) -> ModularDatum:
             for x in t)):
         raise MalformedInput("'T' must list one [num, den] integer pair, den > 0, per row of S")
     if dims is not None and not (isinstance(dims, list) and len(dims) == len(s) and all(
-            isinstance(x, (int, float)) and abs(x) < 2 ** 63 for x in dims)):
+            _is_number(x) and abs(x) < 2 ** 63 for x in dims)):
         raise MalformedInput("'dims' must list one number below 2^63 per row of S")
     m = ModularDatum(s, tuple(RootOfUnity(num, den) for num, den in t))
     if dims is not None and not np.allclose(dims, m.dims, rtol=0, atol=SNAP_TOL):

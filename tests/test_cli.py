@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fusionring import catalog, cli
+from fusionring import catalog, cli, core
 from fusionring.core import (FusionRingError, group_ring, ring_from_json, ring_to_json,
                              table_to_json, validate_tensor)
 from fusionring.nearintegral import construct, gagola_analyze
@@ -107,6 +107,17 @@ def test_stdin_input(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run(capsys, "fpdim", "-")
     assert code == 0
+    assert "FPdim(ring) = 4" in out
+
+
+def test_ring_json_is_checked_once(capsys, monkeypatch):
+    """CatalogEntry.ring checks the ring that cli.load read unvalidated and
+    returns it, so the tensor is read by _as_tensor once."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ring_to_json(group_ring([4])))))
+    calls, as_tensor = [], core._as_tensor
+    monkeypatch.setattr(core, "_as_tensor", lambda t: calls.append(t) or as_tensor(t))
+    code, out, err = run(capsys, "fpdim", "-")
+    assert (code, err, len(calls)) == (0, "", 1)
     assert "FPdim(ring) = 4" in out
 
 
@@ -470,7 +481,7 @@ def test_verlinde_multiplicity_overflow_prints_one_stderr_line():
     datum = '{"S": [[1, 1e-300], [1e-300, 1]], "T": [[0, 1], [1, 4]]}'
     proc = run_subprocess("verlinde", "-", stdin=datum)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "FusionOverflow: N[1][1][1] = 1e+300 does not fit in int64\n"
+    assert proc.stderr == "NonIntegralMultiplicity: N[1][1][1] = 1e+300 does not fit in int64\n"
 
 
 def test_fusionring_tol_environment_is_ignored():

@@ -1,10 +1,13 @@
 """Fusion ring axioms, group rings, character rings and JSON round trips."""
 
+import ast
 import copy
+import inspect
 import itertools
 import json
 import math
 import re
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -631,13 +634,13 @@ def loop_character_ring(table, tol=1e-9):
             prod = rows[i] * rows[j]
             for k in range(r):
                 val = np.sum(w * prod * rows[k].conj())
-                if abs(val.imag) > tol:
-                    raise NonIntegralMultiplicity(
-                        f"<chi_{i} chi_{j}, chi_{k}> = {val} is not real")
                 m = round(val.real)
-                if abs(val.real - m) > tol or m < 0:
+                err = abs(val - m)
+                if err > tol:
                     raise NonIntegralMultiplicity(
-                        f"<chi_{i} chi_{j}, chi_{k}> = {val.real} is not a nonnegative integer")
+                        f"N[{i}][{j}][{k}] = {val} is not an integer (defect {err})")
+                if m < 0:
+                    raise NonIntegralMultiplicity(f"N[{i}][{j}][{k}] = {m} is negative")
                 tensor[i, j, k] = m
     dual = []
     for i in range(r):
@@ -651,12 +654,13 @@ def loop_character_ring(table, tol=1e-9):
 
 def outcome(build, arg):
     """("ok", result), or the exception class and message with the printed
-    inner-product value masked, since its last digits depend on the
-    summation order."""
+    inner-product value and defect masked, since their last digits depend
+    on the summation order."""
     try:
         return "ok", build(arg)
     except FusionRingError as exc:
-        return type(exc), re.sub(r" = \S+ is not", " = _ is not", str(exc))
+        return type(exc), re.sub(r" = \S+ is not an integer \(defect \S+\)$",
+                                 " = _ is not an integer (defect _)", str(exc))
 
 
 @pytest.mark.parametrize("table", [
@@ -674,6 +678,47 @@ def test_character_ring_matches_loop(table):
 def test_character_ring_refuses_a_multiplicity_past_int64(degree):
     with pytest.raises(NonIntegralMultiplicity, match=r"= \S+ does not fit in int64$"):
         character_table_to_fusion_ring(CharacterTable(1, [[degree]], (1,)))
+
+
+def nudged_table(name, row, col, delta):
+    """Catalog table name with one entry moved by delta."""
+    table = fr.load_entry(name).payload
+    rows = table.rows.copy()
+    rows[row, col] += delta
+    return CharacterTable(table.order, rows, table.class_sizes)
+
+
+def unit_datum(s):
+    return premodular.ModularDatum(s, (fr.RootOfUnity(0, 1),) * len(s))
+
+
+@pytest.mark.parametrize("build, data, message", [
+    (character_table_to_fusion_ring, nudged_table("S3", 1, 1, 0.25),
+     r"^N\[0\]\[0\]\[1\] = \(0\.0833\d*[+-]0j\) is not an integer \(defect 0\.0833\d*\)$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3.4]]),
+     r"^N\[0\]\[0\]\[1\] = \(-1\.19\d*[+-]0j\) is not an integer \(defect 0\.19\d*\)$"),
+    (character_table_to_fusion_ring, CharacterTable(2, [[1, 1], [1, -3]], (1, 1)),
+     r"^N\[0\]\[0\]\[1\] = -1 is negative$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3]]), r"^N\[0\]\[0\]\[1\] = -1 is negative$"),
+    (character_table_to_fusion_ring, CharacterTable(1, [[2 ** 21]], (1,)),
+     r"^N\[0\]\[0\]\[0\] = 9\.22337e\+18 does not fit in int64$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1e-300], [1e-300, 1]]),
+     r"^N\[1\]\[1\]\[1\] = 1e\+300 does not fit in int64$"),
+], ids=["table-non-integral", "datum-non-integral", "table-negative", "datum-negative",
+        "table-overflow", "datum-overflow"])
+def test_both_ring_builders_share_one_snap(build, data, message):
+    """Each failure of core._snap_multiplicities, from the character ring
+    and from the Verlinde ring, with fixed data."""
+    with pytest.raises(NonIntegralMultiplicity, match=message):
+        build(data)
+
+
+def test_ring_builders_have_no_snap_of_their_own():
+    for build in (character_table_to_fusion_ring, premodular.verlinde_fusion):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(build))))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "_snap_multiplicities" in names and not names & {"rint", "hypot", "astype"}
 
 
 @settings(max_examples=60, deadline=None)

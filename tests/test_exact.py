@@ -154,6 +154,11 @@ def test_snap_int():
     assert snap_int(-3 + 1e-9) == -3
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_snap_int_refuses_what_is_not_finite(x):
+    assert snap_int(x) is None
+
+
 def _public_callables():
     """{qualified name: callable} for the package's public names, each module's
     __all__ and the public methods of every class among them."""

@@ -99,6 +99,36 @@ def test_cli_refuses_text_that_does_not_parse(route, text, tmp_path, capsys, mon
 
 
 # ---------------------------------------------------------------------------
+# a JSON bool is not a number
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 2, "rows": [[true, 1], [1, -1]]}',
+    '{"order": 2, "rows": [[1, 1], [1, [-1, false]]]}',
+    '{"order": 2, "rows": [[1, 1], [1, ["-1", 0]]]}',
+    '{"S": [[1, 1], [1, true]], "T": [[0, 1], [0, 1]]}',
+    '{"S": [[1, 1], [1, -1]], "T": [[0, 1], [0, 1]], "dims": [true, true]}',
+], ids=["table-entry", "pair-part", "pair-string", "datum-entry", "datum-dims"])
+def test_a_json_bool_is_not_a_number(text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.run(["verify", "-"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: '") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [True, np.bool_(True), [True, 0], [0, False], ["1.5", 0],
+                                   [1, "0"]], ids=repr)
+def test_parse_scalar_refuses_bools_and_strings_as_numbers(entry):
+    with pytest.raises(ValueError, match="^unsupported scalar entry|^complex pair must hold"):
+        fr.parse_scalar(entry)
+
+
+def test_parse_scalar_reads_numpy_numbers():
+    assert fr.parse_scalar(np.int64(3)) == 3
+    assert fr.parse_scalar([np.int64(1), np.float64(-0.5)]) == 1 - 0.5j
+
+
+# ---------------------------------------------------------------------------
 # one integer test
 
 

@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 import fusionring as fr
 from fusionring import core, premodular
 from fusionring.exact import RootOfUnity
-from fusionring.core import AxiomViolation, FusionRing, FusionRingError, MalformedInput, _Group
-from fusionring.premodular import (FusionOverflow, GroupTooLarge, ModularDatum,
-                                   NegativeFusion, NonIntegralFusion,
+from fusionring.core import (AxiomViolation, FusionRing, FusionRingError, MalformedInput,
+                             NonIntegralMultiplicity, _Group)
+from fusionring.premodular import (GroupTooLarge, ModularDatum,
                                    QuadraticForm, balancing_check,
                                    braided_cases, centralizer_profile, form_classes,
                                    form_from_json, form_nondegenerate,
@@ -72,12 +72,13 @@ def loop_verlinde_fusion(m, snap=1e-6):
         err = abs(v - r)
         max_err = max(max_err, err)
         if err > snap:
-            raise NonIntegralFusion(
+            raise NonIntegralMultiplicity(
                 f"N[{i}][{j}][{k}] = {v} is not an integer (defect {err})")
         if r < 0:
-            raise NegativeFusion(f"N[{i}][{j}][{k}] = {r} is negative")
+            raise NonIntegralMultiplicity(f"N[{i}][{j}][{k}] = {r} is negative")
         if r >= 2 ** 63:
-            raise FusionOverflow(f"N[{i}][{j}][{k}] = {float(r):.6g} does not fit in int64")
+            raise NonIntegralMultiplicity(
+                f"N[{i}][{j}][{k}] = {float(r):.6g} does not fit in int64")
         out[i, j, k] = r
     dual = []
     for i in range(n):
@@ -92,10 +93,12 @@ def loop_verlinde_fusion(m, snap=1e-6):
     return ring, {"maxSnapError": float(max_err)}
 
 
-def verlinde_outcome(build, m):
-    """(ring, maxSnapError), or the exception class and message."""
+def verlinde_outcome(build, m, *nudge):
+    """(ring, maxSnapError) of build(m), or of build(nudged(m, *nudge)) when
+    a nudge is given, or the exception class and message. The nudged datum
+    is built inside, as a datum whose S fails validate() raises when built."""
     try:
-        ring, info = build(m)
+        ring, info = build(nudged(m, *nudge) if nudge else m)
         return ring, info["maxSnapError"]
     except FusionRingError as exc:
         return type(exc), str(exc)
@@ -138,9 +141,8 @@ def test_perturbed_verlinde_matches_loop(name, data):
         delta = -2 * m.s[a, b]
     else:
         delta = data.draw(st.floats(1e-6, 0.5)) * data.draw(st.sampled_from([1, -1, 1j, -1j]))
-    broken = nudged(m, a, b, delta)
-    want = verlinde_outcome(loop_verlinde_fusion, broken)
-    assert verlinde_outcome(verlinde_fusion, broken) == want
+    want = verlinde_outcome(loop_verlinde_fusion, m, a, b, delta)
+    assert verlinde_outcome(verlinde_fusion, m, a, b, delta) == want
 
 
 def test_balancing_matches_loop():
@@ -201,6 +203,29 @@ def test_modular_datum_checks():
     with pytest.raises(FusionRingError, match=r"^explicit dims disagree with row 0 of S$"):
         modular_datum_from_json({"S": [[1, 1], [1, -1]], "T": [[0, 1], [0, 1]],
                                  "dims": [1, 2]})
+
+
+@pytest.mark.parametrize("s", [[[1, -1], [-1, 1]], [[1, 1j], [1j, 1]]],
+                         ids=["negative", "complex"])
+def test_row_0_of_s_must_be_positive_dims(s):
+    with pytest.raises(FusionRingError, match=r"^row 0 of S must be positive dims$"):
+        ModularDatum(s, (RootOfUnity(0, 1),) * 2)
+
+
+def test_a_datum_is_checked_once_when_built(monkeypatch):
+    known = fr.load_entry("Z(Rep(S3))").payload
+    m = ModularDatum(known.s, known.t)
+    monkeypatch.setattr(ModularDatum, "validate", refuse)
+    ring, _ = verlinde_fusion(m)
+    assert balancing_check(ring, m) == []
+    with pytest.raises(AssertionError, match="^not to be called$"):
+        ModularDatum(known.s, known.t)
+
+
+def test_a_bad_s_is_reported_before_bad_dims():
+    with pytest.raises(FusionRingError, match=r"^S is not symmetric "):
+        modular_datum_from_json({"S": [[1, 1], [2, -1]], "T": [[0, 1], [0, 1]],
+                                 "dims": [1, 5]})
 
 
 def test_explicit_dims_within_the_absolute_bound_only():
