@@ -188,7 +188,7 @@ def entry_ring(name: str) -> FusionRing:
 def _verify_entry(entry: CatalogEntry) -> str:
     """Check one entry; returns a short success note, raises on failure.
     A table's ring must have codegrees that formal_codegrees snapped to
-    ints dividing |G| (the table passed CharacterTable.validate on load).
+    ints dividing |G| (the table passed the CharacterTable checks on load).
     A ring entry passes the axioms as entry.ring builds it."""
     if entry.kind == "ring":
         return f"rank {entry.ring.rank} fusion ring, axioms hold"

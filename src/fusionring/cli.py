@@ -296,7 +296,7 @@ def cmd_gagola(args) -> tuple[int, dict, list]:
                 ["no Gagola character found"])
     payload = report.to_json()
     payload["found"] = True
-    deg = int(round(table.rows[report.rho_row, 0].real))
+    deg = table.degrees[report.rho_row]
     lines = [
         f"Gagola character: row {report.rho_row} (degree {deg})",
         f"kappa = 2*{deg} - {table.order}/{deg} = {report.kappa}",

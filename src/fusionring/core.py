@@ -5,8 +5,10 @@ nonnegative integer structure tensor c[i][j][k] (the multiplicity of basis
 element k in the product of basis elements i and j), and a duality
 permutation, read from the pairing column when omitted. Index 0 is the unit.
 
-Multiplicities computed by a float formula, of a character ring here and
-of premodular's Verlinde ring, are snapped one way (_snap_multiplicities).
+A CharacterTable checks itself once, when built, and reads its degrees
+from column 0 once, as Python ints. Multiplicities computed by a float
+formula, of a character ring here and of premodular's Verlinde ring, are
+snapped one way (_snap_multiplicities).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EXACT_TOL, SNAP_TOL, _is_int, _scalar_to_json, parse_scalar, snap_int
+from .exact import EXACT_TOL, SNAP_TOL, _is_int, _scalar_to_json, parse_scalar
 
 __all__ = [
     "FusionRingError",
@@ -461,71 +463,69 @@ def group_ring(spec) -> FusionRing:
     return FusionRing(labels, tensor)
 
 
+def _positive_ints(vals: np.ndarray, error) -> list:
+    """A float or complex array as Python ints if each value is within SNAP_TOL
+    of a positive integer (inf and nan are not, quietly); else raise error(x)
+    for the first x that is not."""
+    with np.errstate(invalid="ignore"):
+        out = np.rint(vals.real)
+        ok = (np.abs(vals.imag) <= SNAP_TOL) & (np.abs(vals.real - out) <= SNAP_TOL) & (out >= 1)
+    if not ok.all():
+        raise error(int(np.argmin(ok)))
+    return [int(v) for v in out]
+
+
 @dataclass(frozen=True)
 class CharacterTable:
-    """Ordinary character table of a finite group.
+    """Ordinary character table of a finite group, checked once, when built.
 
     rows: r x r complex matrix, one row per irreducible character, one column
-    per conjugacy class; column 0 is the identity class, so column 0 holds
-    the degrees. class_sizes are derived from column orthogonality when not
-    supplied.
+    per conjugacy class; column 0 is the identity class, so it holds the
+    degrees, read once into degrees as Python ints. class_sizes=None derives
+    the sizes |G| / sum_i |chi_i(x)|^2 by column orthogonality. The checks,
+    in order: r >= 1; an integer order and one positive integer size per
+    class; positive integer degrees; sum d^2 = sum sizes = |G| in ints;
+    column orthogonality. Floats count as integers within SNAP_TOL.
     """
 
     order: int
     rows: np.ndarray = field(repr=False)
-    class_sizes: tuple
+    class_sizes: tuple = None
+    degrees: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=complex)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or not rows.size:
             raise FusionRingError("character table must be square")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if not (_is_int(self.order) and all(map(_is_int, self.class_sizes))):
+        sizes = self.class_sizes
+        if sizes is None:
+            with np.errstate(divide="ignore"):  # a zero column gives inf, refused below
+                ratios = self.order / np.sum(np.abs(rows) ** 2, axis=0)
+            sizes = _positive_ints(ratios, lambda x: NonIntegralMultiplicity(
+                f"column {x}: |G|/sum|chi(x)|^2 = {ratios[x]} is not a positive integer"))
+        if not (_is_int(self.order) and all(map(_is_int, sizes))):
             raise FusionRingError("the order and the class sizes must be integers")
-        object.__setattr__(self, "class_sizes", tuple(map(operator.index, self.class_sizes)))
-
-    @classmethod
-    def from_rows(cls, order: int, rows, class_sizes=None) -> "CharacterTable":
-        rows = np.asarray(rows, dtype=complex)
-        r = rows.shape[0]
-        if class_sizes is None:
-            sizes = []
-            for x in range(r):
-                norm = float(np.sum(np.abs(rows[:, x]) ** 2))
-                ratio = order / norm if norm else math.inf
-                size = snap_int(ratio)
-                if size is None or size < 1:
-                    raise NonIntegralMultiplicity(
-                        f"column {x}: |G|/sum|chi(x)|^2 = {ratio} is not a positive integer")
-                sizes.append(size)
-            class_sizes = sizes
-        table = cls(order, rows, class_sizes)
-        table.validate()
-        return table
+        order, sizes = operator.index(self.order), tuple(map(operator.index, sizes))
+        if len(sizes) != len(rows) or min(sizes) < 1:
+            raise FusionRingError("class sizes must list one positive integer per class")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "class_sizes", sizes)
+        degrees = _positive_ints(rows[:, 0], lambda x: FusionRingError(
+            "column 0 must hold positive integer degrees"))
+        object.__setattr__(self, "degrees", tuple(degrees))
+        if sum(d * d for d in degrees) != order:
+            raise FusionRingError("sum of squared degrees must equal the group order")
+        if sum(sizes) != order:
+            raise FusionRingError("class sizes must sum to the group order")
+        expected = np.diag([order / s for s in sizes])
+        if not np.allclose(rows.conj().T @ rows, expected, rtol=0, atol=SNAP_TOL * order):
+            raise FusionRingError("column orthogonality fails")
 
     @property
     def num_classes(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.rows[:, 0].real
-
-    def validate(self) -> None:
-        degs = self.rows[:, 0]
-        if np.abs(degs.imag).max() > SNAP_TOL or any(
-                snap_int(d) is None or snap_int(d) < 1 for d in degs.real):
-            raise FusionRingError("column 0 must hold positive integer degrees")
-        if sum(int(round(d)) for d in degs.real ** 2) != self.order:
-            raise FusionRingError("sum of squared degrees must equal the group order")
-        if sum(self.class_sizes) != self.order:
-            raise FusionRingError("class sizes must sum to the group order")
-        # column orthogonality
-        gram = self.rows.conj().T @ self.rows
-        expected = np.diag([self.order / s for s in self.class_sizes])
-        if not np.allclose(gram, expected, rtol=0, atol=SNAP_TOL * self.order):
-            raise FusionRingError("column orthogonality fails")
 
 
 def _snap_multiplicities(vals: np.ndarray, tol: float):
@@ -563,7 +563,7 @@ def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     w = np.array(table.class_sizes, dtype=float) / table.order
     tensor, _ = _snap_multiplicities(np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj()),
                                      EXACT_TOL)
-    labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
+    labels = [f"chi{i}[{d}]" for i, d in enumerate(table.degrees)]
     return FusionRing.validated(labels, tensor)
 
 
@@ -646,7 +646,7 @@ def table_from_json(data) -> CharacterTable:
     if sizes is not None and not (isinstance(sizes, list) and len(sizes) == len(rows)
                                   and all(_is_int(x) and x > 0 for x in sizes)):
         raise MalformedInput("'classSizes' must list one positive integer per class")
-    return CharacterTable.from_rows(order, rows, sizes)
+    return CharacterTable(order, rows, sizes)
 
 
 def _json_object(data, kind: str) -> dict:

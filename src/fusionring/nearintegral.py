@@ -258,15 +258,15 @@ def gagola_analyze(table: CharacterTable):
     """Look for a Gagola character: the first class x != identity with a
     unique row rho where rho(x) != rho(1), all other rows agreeing with
     their degree on x. Returns a GagolaReport or None, with
-    kappa = 2 deg(rho) - |G| / deg(rho), which on a validated table is
-    c_{rho rho}^rho >= 0 by column orthogonality (a property test checks
-    it). Building the ring checks what validate leaves out."""
+    kappa = 2 deg(rho) - |G| / deg(rho), deg(rho) from table.degrees, which
+    by column orthogonality is c_{rho rho}^rho >= 0 (a property test checks
+    it). Building the ring checks what the table's own checks leave out."""
     differs = np.abs(table.rows - table.rows[:, :1]) > EXACT_TOL
     single = differs.sum(axis=0) == 1
     if not single.any():
         return None
     rho = int(differs[:, single.argmax()].argmax())
-    deg = int(round(table.rows[rho, 0].real))
+    deg = table.degrees[rho]
     if table.order % deg != 0:
         raise NotNearIntegral(f"degree {deg} does not divide |G| = {table.order}")
     character_table_to_fusion_ring(table)

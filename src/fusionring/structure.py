@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FusionRing, FusionRingError
-from .exact import _is_int, snap_int
+from .exact import _is_int
 from . import spectral
 
 __all__ = [
@@ -183,21 +183,20 @@ def integral_subring(ring: FusionRing) -> SubringHandle:
     """Maximal subring of basis elements with integer FPdim, certified in
     integers. Those elements form a subring: in d_i d_j = sum_k c_ij^k d_k,
     each Galois conjugate of d_k has modulus at most d_k. So x joins the
-    elements found when the FPdims d of spectral._perron_dims, snapped to
-    integers, are positive integers on C = closure(found + x) with
-    N_x d = d_x d there (spectral._is_eigenvector): C is fusion-closed, and
-    a positive eigenvector of N_x on it belongs to its Perron eigenvalue
-    FPdim(x). Integer FPdims pass, FPdim being a character."""
-    dims = [snap_int(d) for d in spectral._perron_dims(ring)]
+    elements found when the FPdims d of spectral._perron_dims, rounded once
+    (each is >= 1), satisfy N_x d = d_x d on C = closure(found + x)
+    (spectral._is_eigenvector): C is fusion-closed, and a positive integer
+    eigenvector of N_x on it forces d_x = FPdim(x), so a rounded irrational
+    FPdim never passes. Integer FPdims pass, FPdim being a character."""
+    dims = [int(d) for d in np.rint(spectral._perron_dims(ring))]
     found, gens = 1, ()
     for x in range(1, ring.rank):
-        if found >> x & 1 or dims[x] is None:
+        if found >> x & 1:
             continue
         mask = _closure_mask(ring, gens + (x,))
         idx = _handle(mask).indices
         d = [dims[i] for i in idx]
-        if (None not in d and min(d) >= 1
-                and spectral._is_eigenvector(ring.tensor[x][np.ix_(idx, idx)], d, dims[x])):
+        if spectral._is_eigenvector(ring.tensor[x][np.ix_(idx, idx)], d, dims[x]):
             found, gens = mask, gens + (x,)
     return _handle(found)
 

@@ -75,8 +75,8 @@ def agl1_table(p: int) -> CharacterTable:
     and 0 elsewhere."""
     linear = [[1, 1] + [cmath.exp(2j * cmath.pi * k * j / (p - 1)) for j in range(1, p - 1)]
               for k in range(p - 1)]
-    return CharacterTable.from_rows(p * (p - 1), linear + [[p - 1, -1] + [0] * (p - 2)],
-                                    [1, p - 1] + [p] * (p - 2))
+    return CharacterTable(p * (p - 1), linear + [[p - 1, -1] + [0] * (p - 2)],
+                          [1, p - 1] + [p] * (p - 2))
 
 
 # Scalar strings that table and datum entries must refuse: a division by

@@ -21,6 +21,7 @@ from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionR
                              _associativity_violations, character_table_to_fusion_ring,
                              group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
+from fusionring.exact import SNAP_TOL
 from shared_rings import ordered_factor_lists, refuse, s3_group_ring
 
 TABLES = [name for name in fr.list_catalog()
@@ -161,10 +162,42 @@ def test_duality_violations(dual, want):
     (3, [[1, 1], [1, -1]], (1, 2), "sum of squared degrees must equal the group order"),
     (2, [[1, 1], [1, -1]], (1, 2), "class sizes must sum to the group order"),
     (2, [[1, 1], [1, 1]], (1, 1), "column orthogonality fails"),
+    (0, np.zeros((0, 0)), (), "character table must be square"),
+    # the squared degree (2^27 + 1)^2 is summed in ints, not rounded in floats
+    ((2 ** 27 + 1) ** 2, [[2 ** 27 + 1]], None, "class sizes must sum to the group order"),
+    (1, [[10 ** 4]], None, "column 0: |G|/sum|chi(x)|^2 = 1e-08 is not a positive integer"),
+    (2, [[1, 1], [1, -1]], (2, 0), "class sizes must list one positive integer per class"),
+    (2, [[1, 1], [1, -1]], (2,), "class sizes must list one positive integer per class"),
 ])
 def test_character_table_checks(order, rows, sizes, message):
-    with pytest.raises(FusionRingError, match=f"^{message}$"):
-        CharacterTable(order, rows, sizes).validate()
+    """Refusals of the constructor, with fixed data; a numpy warning would
+    fail the test too."""
+    with pytest.raises(FusionRingError, match=f"^{re.escape(message)}$"):
+        CharacterTable(order, rows, sizes)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"order": 1, "rows": [[0]]}, NonIntegralMultiplicity,  # a zero column, with no warning
+     r"^column 0: \|G\|/sum\|chi\(x\)\|\^2 = inf is not a positive integer$"),
+    ({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}, MalformedInput,
+     r"^'classSizes' must list one positive integer per class$"),
+], ids=["zero-column", "zero-size"])
+def test_table_json_refusals(data, error, message):
+    with pytest.raises(error, match=message):
+        table_from_json(data)
+
+
+@pytest.mark.parametrize("rows", [[[1], [1]], [1]], ids=["2x1", "1-d"])
+def test_the_shape_is_checked_before_sizes_are_derived(rows):
+    with pytest.raises(FusionRingError, match="^character table must be square$"):
+        CharacterTable(len(rows), rows)
+
+
+def test_character_table_reads_its_degrees_once_as_ints():
+    table = fr.load_entry("A4").payload
+    assert table.degrees == (1, 1, 1, 3)
+    assert {type(d) for d in table.degrees} == {int}
+    assert type(CharacterTable(np.int64(2), [[1, 1], [1, -1]]).order) is int
 
 
 def test_frobenius_reciprocity_violation_detected():
@@ -648,7 +681,7 @@ def loop_character_ring(table, tol=1e-9):
         if len(matches) != 1:
             raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {matches}")])
         dual.append(matches[0])
-    labels = [f"chi{i}[{int(round(d))}]" for i, d in enumerate(table.degrees)]
+    labels = [f"chi{i}[{d}]" for i, d in enumerate(table.degrees)]
     return FusionRing.validated(labels, tensor, dual)
 
 
@@ -663,12 +696,21 @@ def outcome(build, arg):
                                  " = _ is not an integer (defect _)", str(exc))
 
 
-@pytest.mark.parametrize("table", [
-    *(fr.load_entry(name).payload for name in TABLES),
-    CharacterTable(2, [[1, 1], [1, -3]], (1, 1)),  # <chi_0 chi_0, chi_1> = -1
-    CharacterTable(2, [[1, 1], [1, 1]], (1, 1)),  # row 0 is conjugate to both rows
-], ids=[*TABLES, "negative", "two-conjugates"])
-def test_character_ring_matches_loop(table):
+# Tables whose character ring failed its snap or its dual before the
+# constructor checked column orthogonality; now they are not built at all.
+REFUSED_TABLES = {
+    "negative": (2, [[1, 1], [1, -3]], (1, 1)),  # <chi_0 chi_0, chi_1> = -1
+    "two-conjugates": (2, [[1, 1], [1, 1]], (1, 1)),  # row 0 is conjugate to both rows
+}
+
+
+@pytest.mark.parametrize("name", [*TABLES, *REFUSED_TABLES])
+def test_character_ring_matches_loop(name):
+    if name in REFUSED_TABLES:
+        with pytest.raises(FusionRingError, match="^column orthogonality fails$"):
+            CharacterTable(*REFUSED_TABLES[name])
+        return
+    table = fr.load_entry(name).payload
     ring = outcome(character_table_to_fusion_ring, table)
     assert ring == outcome(loop_character_ring, table)
     assert ring[0] != "ok" or ring[1].tensor.dtype == np.int64
@@ -676,8 +718,10 @@ def test_character_ring_matches_loop(table):
 
 @pytest.mark.parametrize("degree", [2 ** 21, 2 ** 64])  # c_00^0 = 2^63, 2^192
 def test_character_ring_refuses_a_multiplicity_past_int64(degree):
-    with pytest.raises(NonIntegralMultiplicity, match=r"= \S+ does not fit in int64$"):
-        character_table_to_fusion_ring(CharacterTable(1, [[degree]], (1,)))
+    # the one-class table whose ring would overflow is refused when built
+    with pytest.raises(FusionRingError,
+                       match="^sum of squared degrees must equal the group order$"):
+        CharacterTable(1, [[degree]], (1,))
 
 
 def nudged_table(name, row, col, delta):
@@ -688,28 +732,35 @@ def nudged_table(name, row, col, delta):
     return CharacterTable(table.order, rows, table.class_sizes)
 
 
+def table_ring(args):
+    return character_table_to_fusion_ring(CharacterTable(*args))
+
+
 def unit_datum(s):
     return premodular.ModularDatum(s, (fr.RootOfUnity(0, 1),) * len(s))
 
 
-@pytest.mark.parametrize("build, data, message", [
-    (character_table_to_fusion_ring, nudged_table("S3", 1, 1, 0.25),
-     r"^N\[0\]\[0\]\[1\] = \(0\.0833\d*[+-]0j\) is not an integer \(defect 0\.0833\d*\)$"),
-    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3.4]]),
+@pytest.mark.parametrize("build, data, error, message", [
+    (character_table_to_fusion_ring, nudged_table("S3", 1, 1, 3e-7), NonIntegralMultiplicity,
+     r"^N\[0\]\[0\]\[1\] = \(9\.99\d*e-08[+-]0j\) is not an integer \(defect 9\.99\d*e-08\)$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3.4]]), NonIntegralMultiplicity,
      r"^N\[0\]\[0\]\[1\] = \(-1\.19\d*[+-]0j\) is not an integer \(defect 0\.19\d*\)$"),
-    (character_table_to_fusion_ring, CharacterTable(2, [[1, 1], [1, -3]], (1, 1)),
+    (table_ring, (2, [[1, 1], [1, -3]], (1, 1)), FusionRingError,
+     r"^column orthogonality fails$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3]]), NonIntegralMultiplicity,
      r"^N\[0\]\[0\]\[1\] = -1 is negative$"),
-    (fr.verlinde_fusion, unit_datum([[1, 1], [1, -3]]), r"^N\[0\]\[0\]\[1\] = -1 is negative$"),
-    (character_table_to_fusion_ring, CharacterTable(1, [[2 ** 21]], (1,)),
-     r"^N\[0\]\[0\]\[0\] = 9\.22337e\+18 does not fit in int64$"),
-    (fr.verlinde_fusion, unit_datum([[1, 1e-300], [1e-300, 1]]),
+    (table_ring, (1, [[2 ** 21]], (1,)), FusionRingError,
+     r"^sum of squared degrees must equal the group order$"),
+    (fr.verlinde_fusion, unit_datum([[1, 1e-300], [1e-300, 1]]), NonIntegralMultiplicity,
      r"^N\[1\]\[1\]\[1\] = 1e\+300 does not fit in int64$"),
 ], ids=["table-non-integral", "datum-non-integral", "table-negative", "datum-negative",
         "table-overflow", "datum-overflow"])
-def test_both_ring_builders_share_one_snap(build, data, message):
+def test_both_ring_builders_share_one_snap(build, data, error, message):
     """Each failure of core._snap_multiplicities, from the character ring
-    and from the Verlinde ring, with fixed data."""
-    with pytest.raises(NonIntegralMultiplicity, match=message):
+    and from the Verlinde ring, with fixed data. The tables that reached the
+    negative and the int64 branches fail the table's own checks when built,
+    so only the datum cases reach those branches."""
+    with pytest.raises(error, match=message):
         build(data)
 
 
@@ -726,13 +777,17 @@ def test_ring_builders_have_no_snap_of_their_own():
 def test_perturbed_character_table_matches_loop(name, data):
     """One entry moved by a real or imaginary amount, or its sign flipped;
     or two entries of a row moved so that <chi_a, 1> is unchanged, which
-    moves the first failing cell past (0, 0, a)."""
+    moves the first failing cell past (0, 0, a). A table the constructor
+    accepts gives the loop's ring or its failure; most moves below SNAP_TOL
+    pass the table checks and fail the ring's snap. Any other table is
+    refused with a FusionRingError."""
     table = fr.load_entry(name).payload
     rows = table.rows.copy()
     r = table.num_classes
     a, x, y = (data.draw(st.integers(0, r - 1)) for _ in range(3))
     kind = data.draw(st.sampled_from(["one", "flip", "pair"]))
-    delta = data.draw(st.floats(1e-6, 0.5)) * data.draw(st.sampled_from([1, -1, 1j, -1j]))
+    size = data.draw(st.floats(1e-10, SNAP_TOL) | st.floats(SNAP_TOL, 0.5))
+    delta = size * data.draw(st.sampled_from([1, -1, 1j, -1j]))
     if kind == "one":
         rows[a, x] += delta
     elif kind == "flip":
@@ -742,9 +797,10 @@ def test_perturbed_character_table_matches_loop(name, data):
         w = np.array(table.class_sizes) / table.order
         rows[a, x] += delta / w[x]
         rows[a, y] -= delta / w[y]
-    broken = CharacterTable(table.order, rows, table.class_sizes)
-    want = outcome(loop_character_ring, broken)
-    assert outcome(character_table_to_fusion_ring, broken) == want
+    built = outcome(lambda rows: CharacterTable(table.order, rows, table.class_sizes), rows)
+    if built[0] == "ok":
+        want = outcome(loop_character_ring, built[1])
+        assert outcome(character_table_to_fusion_ring, built[1]) == want
 
 
 def test_character_table_class_sizes_derived():
@@ -755,8 +811,8 @@ def test_character_table_class_sizes_derived():
 
 
 def test_character_table_validation_catches_bad_order():
-    with pytest.raises(Exception):
-        CharacterTable.from_rows(7, [[1, 1], [1, -1]])
+    with pytest.raises(NonIntegralMultiplicity, match=r"^column 0: .* = 3\.5 is not a positive"):
+        CharacterTable(7, [[1, 1], [1, -1]])
 
 
 def test_s3_character_ring_rules():

@@ -186,7 +186,7 @@ def test_no_tolerance_knobs():
     knobs = {"tol", "snap", "tolerance"}
     callables = _public_callables()
     assert "fusionring.exact.snap_int" in callables
-    assert "fusionring.core.CharacterTable.from_rows" in callables
+    assert "fusionring.core.FusionRing.validated" in callables
     offending = [name for name, f in callables.items()
                  if knobs & set(inspect.signature(f).parameters)]
     assert offending == []
