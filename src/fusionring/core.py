@@ -484,8 +484,10 @@ class CharacterTable:
     degrees, read once into degrees as Python ints. class_sizes=None derives
     the sizes |G| / sum_i |chi_i(x)|^2 by column orthogonality. The checks,
     in order: r >= 1; an integer order and one positive integer size per
-    class; positive integer degrees; sum d^2 = sum sizes = |G| in ints;
-    column orthogonality. Floats count as integers within SNAP_TOL.
+    class (MalformedInput); positive integer degrees; sum d^2 = sum sizes =
+    |G| in ints; column orthogonality, entry (x, y) of the Gram matrix within
+    SNAP_TOL sqrt(c_x c_y) of c_x or 0, c_x = |G| / size x the centralizer
+    order. Floats count as integers within SNAP_TOL.
     """
 
     order: int
@@ -505,11 +507,11 @@ class CharacterTable:
                 ratios = self.order / np.sum(np.abs(rows) ** 2, axis=0)
             sizes = _positive_ints(ratios, lambda x: NonIntegralMultiplicity(
                 f"column {x}: |G|/sum|chi(x)|^2 = {ratios[x]} is not a positive integer"))
-        if not (_is_int(self.order) and all(map(_is_int, sizes))):
-            raise FusionRingError("the order and the class sizes must be integers")
+        if not (_is_int(self.order) and np.iterable(sizes) and all(map(_is_int, sizes))):
+            raise MalformedInput("the order and the class sizes must be integers")
         order, sizes = operator.index(self.order), tuple(map(operator.index, sizes))
         if len(sizes) != len(rows) or min(sizes) < 1:
-            raise FusionRingError("class sizes must list one positive integer per class")
+            raise MalformedInput("class sizes must list one positive integer per class")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "class_sizes", sizes)
         degrees = _positive_ints(rows[:, 0], lambda x: FusionRingError(
@@ -519,8 +521,10 @@ class CharacterTable:
             raise FusionRingError("sum of squared degrees must equal the group order")
         if sum(sizes) != order:
             raise FusionRingError("class sizes must sum to the group order")
-        expected = np.diag([order / s for s in sizes])
-        if not np.allclose(rows.conj().T @ rows, expected, rtol=0, atol=SNAP_TOL * order):
+        centralizers = np.array([order / s for s in sizes])
+        root = np.sqrt(centralizers)
+        defect = np.abs(rows.conj().T @ rows - np.diag(centralizers))
+        if not (defect <= SNAP_TOL * np.outer(root, root)).all():
             raise FusionRingError("column orthogonality fails")
 
     @property
@@ -634,19 +638,17 @@ def table_from_json(data) -> CharacterTable:
     """Read a character table from its JSON object (or a string holding it).
 
     Raises MalformedInput unless data is an object with an integer 'order'
-    in [1, 2^63), 'rows' a square matrix of scalars (see _scalar_matrix) and,
-    when given, 'classSizes' one positive integer per class. A table that
-    reads but is not a character table fails the table checks instead.
+    in [1, 2^63) and 'rows' a square matrix of scalars (see _scalar_matrix);
+    the CharacterTable constructor raises it too unless 'classSizes', when
+    given, lists one positive integer per class. A table that reads but is
+    not a character table fails the table checks instead.
     """
     data = _json_object(data, "character-table")
     rows = _scalar_matrix(data, "rows")
-    order, sizes = data.get("order"), data.get("classSizes")
+    order = data.get("order")
     if not (_is_int(order) and 1 <= order < 2 ** 63):
         raise MalformedInput("'order' must be a positive integer below 2^63")
-    if sizes is not None and not (isinstance(sizes, list) and len(sizes) == len(rows)
-                                  and all(_is_int(x) and x > 0 for x in sizes)):
-        raise MalformedInput("'classSizes' must list one positive integer per class")
-    return CharacterTable(order, rows, sizes)
+    return CharacterTable(order, rows, data.get("classSizes"))
 
 
 def _json_object(data, kind: str) -> dict:

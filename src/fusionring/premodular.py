@@ -164,9 +164,10 @@ def centralizer_profile(m: ModularDatum):
 # key(), == and JSON included, reads only the factors, the table and M.
 
 # Largest number of forms times |G| enumerated, i.e. of int64 entries in the
-# form table: 8 MB at the bound (C2^4, at 2^18 entries, takes 2 MB, plus one
-# QuadraticForm of about 0.4 kB per form). C2^5, at 2^25 entries, is refused:
-# its table alone would take 256 MB, and its 2^20 forms about 0.5 GB more.
+# form table: 8 MB at the bound (C2^4, at 2^18 entries, takes 2 MB, plus about
+# 0.2 kB per form for its QuadraticForm, whose q is a view of its table row).
+# C2^5, at 2^25 entries, is refused: its table alone would take 256 MB, and
+# its 2^20 forms about 0.2 GB more.
 _MAX_FORM_VALUES = 1 << 20
 
 
@@ -201,8 +202,9 @@ class QuadraticForm:
     array over the elements of G in itertools.product order, reduced mod m
     and read-only. It is a quadratic form if q(g) = q(-g) and its associated
     bicharacter is bilinear; `verify` checks that, the constructor only the
-    table's integer dtype, its length and 0 < m < 2^62. `==` compares
-    factors and key().
+    table's integer dtype, its length and 0 < m < 2^62. quadratic_forms and
+    form_classes skip the constructor (_table_forms): their rows hold these
+    by construction. `==` compares factors and key().
     """
 
     factors: tuple
@@ -284,6 +286,23 @@ def _form_table(factors: tuple):
     return m, orders, (coeffs @ basis) % m
 
 
+def _table_forms(factors: tuple, table: np.ndarray, m: int) -> list:
+    """One QuadraticForm per row of a _form_table table, not checked: each
+    row is already int64, reduced mod m and of length |G|, factors came from
+    _factors, and m = 2 exp(G) < 2^62 since _form_orders bounds |G|. The
+    table is made read-only, and each form's q is a view of its row."""
+    table.setflags(write=False)
+    new, put = object.__new__, object.__setattr__
+    forms = []
+    for q in table:
+        form = new(QuadraticForm)
+        put(form, "factors", factors)
+        put(form, "q", q)
+        put(form, "m", m)
+        forms.append(form)
+    return forms
+
+
 def quadratic_forms(factors) -> list:
     """All quadratic forms on the abelian group with the given cyclic factor
     orders.
@@ -297,7 +316,7 @@ def quadratic_forms(factors) -> list:
     """
     factors = _factors(factors)
     m, _, table = _form_table(factors)
-    return [QuadraticForm(factors, q, m) for q in table]
+    return _table_forms(factors, table, m)
 
 
 def form_classes(factors) -> list:
@@ -331,8 +350,7 @@ def form_classes(factors) -> list:
         if np.array_equal(low, label):
             break
         label = low
-    return [QuadraticForm(factors, table[r], m)
-            for r in np.flatnonzero(label == np.arange(len(label)))]
+    return _table_forms(factors, table[label == np.arange(len(label))], m)
 
 
 def braided_cases(big_n: int) -> list:

@@ -286,6 +286,10 @@ def test_verify_stdin_table_or_datum_reads_stdin_once(payload, capsys, monkeypat
     (["verify", "-"], '{"tensor": [[[1,0],[0,1]],[[0,1],[1,0]]], "labels": ["a", "a"]}', 3),
     (["qforms", "C" + "9" * 5000, "--classes"], None, 3),  # more digits than int() reads
     (["codegrees", "catalog:rank4/C(A1,5,q)_ad x Rep(C2,nu)"], None, 3),  # no ring
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}', 3),
+    (["chars", "-"], '{"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [1]}', 3),
+    (["gagola", "-"], '{"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [1, 1.0]}', 3),
+    (["verify", "-"], '{"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": 2}', 3),
 ])
 def test_malformed_input_exit_codes(argv, stdin, want, capsys, monkeypatch, tmp_path):
     if stdin is not None:

@@ -180,11 +180,35 @@ def test_character_table_checks(order, rows, sizes, message):
     ({"order": 1, "rows": [[0]]}, NonIntegralMultiplicity,  # a zero column, with no warning
      r"^column 0: \|G\|/sum\|chi\(x\)\|\^2 = inf is not a positive integer$"),
     ({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": [0, 2]}, MalformedInput,
-     r"^'classSizes' must list one positive integer per class$"),
+     r"^class sizes must list one positive integer per class$"),
 ], ids=["zero-column", "zero-size"])
 def test_table_json_refusals(data, error, message):
     with pytest.raises(error, match=message):
         table_from_json(data)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((2, 0), "class sizes must list one positive integer per class"),
+    ((2,), "class sizes must list one positive integer per class"),
+    ((1, 1, 0), "class sizes must list one positive integer per class"),
+    ((1, 1.0), "the order and the class sizes must be integers"),
+    (2, "the order and the class sizes must be integers"),
+    ("11", "the order and the class sizes must be integers"),
+])
+def test_class_sizes_are_checked_once_as_input(sizes, message):
+    # the constructor is the one check of given sizes, for table JSON too
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+        CharacterTable(2, [[1, 1], [1, -1]], sizes)
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+        table_from_json({"order": 2, "rows": [[1, 1], [1, -1]], "classSizes": sizes})
+
+
+def test_column_orthogonality_is_bounded_per_entry():
+    # |G| = 2^62 + 1 with degrees (1, 2^31) and sizes (1, 2^62): chi_1(x_1) =
+    # 1000 misses |C_G(x_1)| = 1 by 1e6 and the (0, 1) entry 0 by 2.1e12,
+    # within SNAP_TOL |G| = 4.6e12 but far outside SNAP_TOL sqrt(|C_G(x)| |C_G(y)|)
+    with pytest.raises(FusionRingError, match="^column orthogonality fails$"):
+        CharacterTable(2 ** 62 + 1, [[1, 1], [2 ** 31, 1000]], (1, 2 ** 62))
 
 
 @pytest.mark.parametrize("rows", [[[1], [1]], [1]], ids=["2x1", "1-d"])

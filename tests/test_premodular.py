@@ -617,6 +617,29 @@ def test_enumerated_forms_are_forms_unchecked(factors, monkeypatch):
         math.gcd(a, b) for a, b in itertools.combinations(factors, 2))
 
 
+@pytest.mark.parametrize("factors", ordered_factor_lists(16), ids=str)
+def test_enumerated_forms_match_the_public_constructor(factors, monkeypatch):
+    # quadratic_forms and form_classes wrap rows of one read-only table and
+    # skip the constructor's checks; each form equals the one the public
+    # constructor builds from its values, and the representatives verify
+    with monkeypatch.context() as mp:
+        mp.setattr(QuadraticForm, "__post_init__", refuse)
+        forms, classes = quadratic_forms(factors), form_classes(factors)
+    assert all(form.q.base is forms[0].q.base for form in forms)
+    for form in forms + classes:
+        built = QuadraticForm(factors, form.q.copy(), form.m)
+        assert type(form.factors) is tuple and form.factors == built.factors
+        assert all(type(f) is int for f in form.factors)
+        assert form.q.dtype == built.q.dtype == np.int64
+        assert form.q.tolist() == built.q.tolist()
+        assert type(form.m) is int and form.m == built.m and form.key() == built.key()
+        for view in (form.q, form.q.base):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1
+    for form in classes:
+        form.verify()
+
+
 @pytest.mark.parametrize("factors", [[2] * 5, [2] * 6, [64, 64], [1024]])
 def test_form_enumeration_bounded_before_it_starts(factors, monkeypatch):
     monkeypatch.setattr(premodular, "_Group", refuse)
