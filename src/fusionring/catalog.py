@@ -24,7 +24,7 @@ from importlib import resources
 
 from .core import (AxiomViolation, FusionRing, FusionRingError, MalformedInput, _derived,
                    character_table_to_fusion_ring, table_from_json, validate_tensor)
-from .exact import EXACT_TOL, SNAP_TOL, parse_zeta_expr
+from .exact import _agrees, _snaps, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
                          verlinde_fusion)
 from . import spectral
@@ -47,10 +47,10 @@ class UnknownEntry(MalformedInput):
 
 def eval_dimension_expr(text: str) -> float:
     """Evaluate a dimension expression (exact.parse_zeta_expr) to a real
-    number. Intermediate values may be complex (zeta terms); the result must
-    be real within EXACT_TOL (relative)."""
+    number. Intermediate values may be complex (zeta terms); the result's
+    imaginary part must agree with 0 at scale max(1, |Re|) (exact._agrees)."""
     value = parse_zeta_expr(str(text))
-    if abs(value.imag) > EXACT_TOL * max(1.0, abs(value.real)):
+    if not _agrees(value.imag, 0.0, max(1.0, abs(value.real)))[0]:
         raise ValueError(f"expression {text!r} evaluates to non-real {value}")
     return value.real
 
@@ -80,12 +80,12 @@ class ClassificationRow:
         return abs(sum(d * d for d in self.fpdims()) - self.fpdim_total())
 
     def verify(self) -> float:
-        err = self.consistency_error()
-        if err > SNAP_TOL:
+        ok, err = _snaps(self.consistency_error(), 0.0)
+        if not ok:
             raise FusionRingError(
                 f"row {self.family}/{self.name}: sum of squared dims misses "
                 f"the stated FPdim by {err:.3g}")
-        return err
+        return float(err)
 
     def to_json(self) -> dict:
         out = {
@@ -205,10 +205,9 @@ def _verify_entry(entry: CatalogEntry) -> str:
         if bad:
             raise FusionRingError(f"{entry.name}: {len(bad)} balancing violations")
         plus, minus = gauss_sums(m.dims, m.twist_values())
-        if abs(plus * minus - m.global_dim) > SNAP_TOL * m.global_dim:
+        if not _snaps(plus * minus, m.global_dim, m.global_dim)[0]:
             raise FusionRingError(f"{entry.name}: Gauss sum product misses global dim")
-        dims = spectral.fpdims(ring)
-        if max(abs(dims - m.dims)) > SNAP_TOL:
+        if not _snaps(spectral.fpdims(ring), m.dims)[0].all():
             raise FusionRingError(f"{entry.name}: FPdims disagree with S-matrix row 0")
         return (f"rank {ring.rank} Verlinde ring, global dim "
                 f"{m.global_dim:.6g}, balancing clean")

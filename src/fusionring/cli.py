@@ -21,7 +21,7 @@ import sys
 from . import catalog, nearintegral, premodular, spectral
 from .core import (FusionRingError, MalformedInput, _json_object, ring_from_json,
                    ring_to_json, table_from_json, table_to_json, validate_tensor)
-from .exact import EXACT_TOL
+from .exact import _agrees
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
 
@@ -186,9 +186,9 @@ def cmd_chars(args) -> tuple[int, dict, list]:
     }
     lines = []
     for k, c in enumerate(chars):
-        vals = ", ".join(
-            _fnum(z.real) if abs(z.imag) < EXACT_TOL else f"{_fnum(z.real)}{z.imag:+.6g}i"
-            for z in c.values)
+        real, _ = _agrees(c.values.imag)
+        vals = ", ".join(_fnum(z.real) if r else f"{_fnum(z.real)}{z.imag:+.6g}i"
+                         for z, r in zip(c.values, real))
         tag = " (FPdim)" if c.is_fpdim else ""
         lines.append(f"chi_{k}{tag}: [{vals}]  codegree {_fnum(c.codegree)}")
     return OK, payload, lines

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import EXACT_TOL, SNAP_TOL, _is_int, _scalar_to_json, parse_scalar
+from .exact import _agrees, _is_int, _scalar_to_json, _snaps, parse_scalar
 
 __all__ = [
     "FusionRingError",
@@ -464,12 +464,10 @@ def group_ring(spec) -> FusionRing:
 
 
 def _positive_ints(vals: np.ndarray, error) -> list:
-    """A float or complex array as Python ints if each value is within SNAP_TOL
-    of a positive integer (inf and nan are not, quietly); else raise error(x)
-    for the first x that is not."""
-    with np.errstate(invalid="ignore"):
-        out = np.rint(vals.real)
-        ok = (np.abs(vals.imag) <= SNAP_TOL) & (np.abs(vals.real - out) <= SNAP_TOL) & (out >= 1)
+    """A float or complex array as Python ints if each value snaps to a positive
+    integer (exact._snaps), else raise error(x) for the first x that does not."""
+    out = np.rint(vals.real)
+    ok = _snaps(vals, out)[0] & (out >= 1)
     if not ok.all():
         raise error(int(np.argmin(ok)))
     return [int(v) for v in out]
@@ -483,11 +481,11 @@ class CharacterTable:
     per conjugacy class; column 0 is the identity class, so it holds the
     degrees, read once into degrees as Python ints. class_sizes=None derives
     the sizes |G| / sum_i |chi_i(x)|^2 by column orthogonality. The checks,
-    in order: r >= 1; an integer order and one positive integer size per
-    class (MalformedInput); positive integer degrees; sum d^2 = sum sizes =
-    |G| in ints; column orthogonality, entry (x, y) of the Gram matrix within
-    SNAP_TOL sqrt(c_x c_y) of c_x or 0, c_x = |G| / size x the centralizer
-    order. Floats count as integers within SNAP_TOL.
+    in order: r >= 1; an order in [1, 2^63) and one positive size per class,
+    all integers (MalformedInput); positive integer degrees; sum d^2 = sum
+    sizes = |G| in ints; column orthogonality, Gram entry (x, y) snapping to
+    c_x or 0 at scale sqrt(c_x c_y), c_x = |G| / size x the centralizer
+    order. Floats snap to integers and values by exact._snaps.
     """
 
     order: int
@@ -499,6 +497,8 @@ class CharacterTable:
         rows = np.asarray(self.rows, dtype=complex)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or not rows.size:
             raise FusionRingError("character table must be square")
+        if not (_is_int(self.order) and 1 <= self.order < 2 ** 63):
+            raise MalformedInput("'order' must be a positive integer below 2^63")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         sizes = self.class_sizes
@@ -507,7 +507,7 @@ class CharacterTable:
                 ratios = self.order / np.sum(np.abs(rows) ** 2, axis=0)
             sizes = _positive_ints(ratios, lambda x: NonIntegralMultiplicity(
                 f"column {x}: |G|/sum|chi(x)|^2 = {ratios[x]} is not a positive integer"))
-        if not (_is_int(self.order) and np.iterable(sizes) and all(map(_is_int, sizes))):
+        if not (np.iterable(sizes) and all(map(_is_int, sizes))):
             raise MalformedInput("the order and the class sizes must be integers")
         order, sizes = operator.index(self.order), tuple(map(operator.index, sizes))
         if len(sizes) != len(rows) or min(sizes) < 1:
@@ -523,8 +523,7 @@ class CharacterTable:
             raise FusionRingError("class sizes must sum to the group order")
         centralizers = np.array([order / s for s in sizes])
         root = np.sqrt(centralizers)
-        defect = np.abs(rows.conj().T @ rows - np.diag(centralizers))
-        if not (defect <= SNAP_TOL * np.outer(root, root)).all():
+        if not _snaps(rows.conj().T @ rows, np.diag(centralizers), np.outer(root, root))[0].all():
             raise FusionRingError("column orthogonality fails")
 
     @property
@@ -532,21 +531,19 @@ class CharacterTable:
         return self.rows.shape[0]
 
 
-def _snap_multiplicities(vals: np.ndarray, tol: float):
+def _snap_multiplicities(vals: np.ndarray, within):
     """(int64 tensor, max defect) of a complex tensor computed by a float
-    formula. A cell's defect is its distance from rint of its real part, by
-    np.hypot, which rounds as abs() of one complex scalar (np.abs on a
-    complex array may differ in the last bit). NonIntegralMultiplicity at
-    the first cell in C order whose defect exceeds tol, or whose integer is
-    negative or past int64; inf and nan fail, without numpy's warnings."""
-    with np.errstate(all="ignore"):
-        out = np.rint(vals.real)
-        err = np.hypot(vals.real - out, vals.imag)
-    ok = (err <= tol) & (out >= 0) & (out < 2 ** 63)
+    formula. A cell's defect is its distance from rint of its real part, as
+    within (exact._agrees or exact._snaps) measures and judges it.
+    NonIntegralMultiplicity at the first cell in C order that within
+    refuses, or whose integer is negative or past int64 (inf and nan fail)."""
+    out = np.rint(vals.real)
+    close, err = within(vals, out)
+    ok = close & (out >= 0) & (out < 2 ** 63)
     if not ok.all():
         i, j, k = np.argwhere(~ok)[0]
         cell = f"N[{i}][{j}][{k}]"
-        if not err[i, j, k] <= tol:
+        if not close[i, j, k]:
             raise NonIntegralMultiplicity(f"{cell} = {vals[i, j, k]} is not an integer "
                                           f"(defect {err[i, j, k]})")
         if out[i, j, k] < 0:
@@ -559,14 +556,14 @@ def _snap_multiplicities(vals: np.ndarray, tol: float):
 def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     """Character ring of the group: basis = irreducible characters,
     c_{ij}^k = multiplicity of chi_k in chi_i * chi_j (pointwise product),
-    computed by column-weighted inner products and snapped within EXACT_TOL
+    computed by column-weighted inner products and snapped by exact._agrees
     (_snap_multiplicities). The dual of chi_i, the complex conjugate row, is
     read from the snapped pairing column by the ring itself (_pairing_dual).
     Built once per table."""
     rows = table.rows
     w = np.array(table.class_sizes, dtype=float) / table.order
     tensor, _ = _snap_multiplicities(np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj()),
-                                     EXACT_TOL)
+                                     _agrees)
     labels = [f"chi{i}[{d}]" for i, d in enumerate(table.degrees)]
     return FusionRing.validated(labels, tensor)
 
@@ -637,18 +634,14 @@ def _read_tensor(value) -> np.ndarray:
 def table_from_json(data) -> CharacterTable:
     """Read a character table from its JSON object (or a string holding it).
 
-    Raises MalformedInput unless data is an object with an integer 'order'
-    in [1, 2^63) and 'rows' a square matrix of scalars (see _scalar_matrix);
-    the CharacterTable constructor raises it too unless 'classSizes', when
-    given, lists one positive integer per class. A table that reads but is
-    not a character table fails the table checks instead.
+    Raises MalformedInput unless data is an object with 'rows' a square
+    matrix of scalars (see _scalar_matrix), and so does the constructor for
+    a bad 'order' or 'classSizes'. A table that reads but is not a
+    character table fails the table checks instead.
     """
     data = _json_object(data, "character-table")
     rows = _scalar_matrix(data, "rows")
-    order = data.get("order")
-    if not (_is_int(order) and 1 <= order < 2 ** 63):
-        raise MalformedInput("'order' must be a positive integer below 2^63")
-    return CharacterTable(order, rows, data.get("classSizes"))
+    return CharacterTable(data.get("order"), rows, data.get("classSizes"))
 
 
 def _json_object(data, kind: str) -> dict:

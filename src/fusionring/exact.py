@@ -7,7 +7,9 @@ entries and classification dimensions, which add sqrt, csc, qint and pi, are
 evaluated to complex floats by one walker over Python's own parse tree, with
 no symbolic algebra dependency.
 parse_zeta_expr states the grammar: it reads table and datum entries
-(parse_scalar) and catalog dimension expressions alike.
+(parse_scalar) and catalog dimension expressions alike. Every decision that
+a float is an exact value goes through _snaps or _agrees, the only readers
+of the tolerance policy SNAP_TOL and EXACT_TOL.
 """
 
 from __future__ import annotations
@@ -106,7 +108,10 @@ def parse_zeta_expr(text: str) -> complex:
     the string shortened by reprlib.
     """
     try:
-        return _eval_node(ast.parse(text.strip(), mode="eval").body)
+        value = _eval_node(ast.parse(text.strip(), mode="eval").body)
+        if not cmath.isfinite(value):
+            raise OverflowError(f"{value} is not finite")
+        return value
     except (ValueError, SyntaxError, TypeError, ArithmeticError, RecursionError,
             MemoryError) as exc:
         raise ValueError(f"cannot read scalar {reprlib.repr(text)}: {exc}") from None
@@ -156,3 +161,22 @@ def snap_int(x: float):
     if abs(x - r) <= SNAP_TOL:
         return int(r)
     return None
+
+
+def _within(values, targets, bound):
+    """(ok, distance) elementwise: |values - targets| by np.hypot (as abs() of
+    a complex scalar rounds), ok iff finite and <= bound; no numpy warning."""
+    with np.errstate(all="ignore"):
+        diff = np.subtract(values, targets)
+        distance = np.hypot(diff.real, diff.imag)
+        return np.isfinite(distance) & (distance <= bound), distance
+
+
+def _agrees(values, targets=0.0, scale=1.0):
+    """Floats computed from exact input agree with targets (_within)."""
+    return _within(values, targets, EXACT_TOL * scale)
+
+
+def _snaps(values, targets, scale=1.0):
+    """A computed float counts as the integer or value it must be (_within)."""
+    return _within(values, targets, SNAP_TOL * scale)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CharacterTable, FusionRing, FusionRingError, character_table_to_fusion_ring
-from .exact import EXACT_TOL, SNAP_TOL, _is_int
+from .exact import _agrees, _is_int, _snaps
 from .structure import ClosureViolation, SubringHandle
 from . import spectral
 
@@ -195,7 +195,7 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
 
     sub_values: character values on the subring basis in the order of
     report.subring_indices. Raises ExtensionObstructed if the extension is
-    not a character.
+    not a character, by exact._agrees at scale max(1, max|v|^2).
     """
     sub_values = np.asarray(sub_values, dtype=complex)
     if sub_values.shape != (len(report.subring_indices),):
@@ -203,10 +203,10 @@ def extend_character(ring: FusionRing, report: NearIntegralReport,
     v = np.zeros(ring.rank, dtype=complex)
     v[list(report.subring_indices)] = sub_values
     prod = np.einsum("ijk,k->ij", ring.tensor.astype(float), v)
-    err = float(np.abs(prod - np.outer(v, v)).max())
-    if err > EXACT_TOL * max(1.0, float(np.abs(v).max()) ** 2):
+    ok, err = _agrees(prod, np.outer(v, v), max(1.0, float(np.abs(v).max()) ** 2))
+    if not ok.all():
         raise ExtensionObstructed(
-            f"zero extension fails multiplicativity by {err}; "
+            f"zero extension fails multiplicativity by {err.max()}; "
             "this is the FPdim character of S or the input is not a character")
     return v
 
@@ -233,13 +233,13 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
 
 
 def character_kernel(ring: FusionRing, values):
-    """Indices where a character equals FPdim, plus whether that set is a
-    fusion subring. Returns (indices, is_subring)."""
+    """Indices where a character snaps to FPdim (scale max(1, FPdim)), plus
+    whether that set is a fusion subring. Returns (indices, is_subring)."""
     values = np.asarray(values, dtype=complex)
     if values.shape != (ring.rank,):
         raise FusionRingError("character_kernel expects one value per basis element")
     dims = spectral.fpdims(ring)
-    near = np.abs(values - dims) <= SNAP_TOL * np.maximum(1.0, dims)
+    near, _ = _snaps(values, dims, np.maximum(1.0, dims))
     kernel = tuple(np.flatnonzero(near).tolist())
     try:
         SubringHandle(kernel).verify(ring)
@@ -257,11 +257,11 @@ def dim_a_chi_minus(report: NearIntegralReport) -> float:
 def gagola_analyze(table: CharacterTable):
     """Look for a Gagola character: the first class x != identity with a
     unique row rho where rho(x) != rho(1), all other rows agreeing with
-    their degree on x. Returns a GagolaReport or None, with
+    their degree on x (exact._agrees). Returns a GagolaReport or None, with
     kappa = 2 deg(rho) - |G| / deg(rho), deg(rho) from table.degrees, which
     by column orthogonality is c_{rho rho}^rho >= 0 (a property test checks
     it). Building the ring checks what the table's own checks leave out."""
-    differs = np.abs(table.rows - table.rows[:, :1]) > EXACT_TOL
+    differs = ~_agrees(table.rows, table.rows[:, :1])[0]
     single = differs.sum(axis=0) == 1
     if not single.any():
         return None
@@ -271,7 +271,7 @@ def gagola_analyze(table: CharacterTable):
         raise NotNearIntegral(f"degree {deg} does not divide |G| = {table.order}")
     character_table_to_fusion_ring(table)
     return GagolaReport(rho, 2 * deg - table.order // deg,
-                        int((np.abs(table.rows[rho]) <= EXACT_TOL).sum()))
+                        int(_agrees(table.rows[rho])[0].sum()))
 
 
 def extraspecial_kappa(p: int, n: int):

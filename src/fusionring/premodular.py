@@ -18,7 +18,7 @@ import numpy as np
 from .core import (FusionRing, FusionRingError, MalformedInput, _derived, _factors,
                    _Group, _json_object, _pairing_dual, _place_values, _scalar_matrix,
                    _snap_multiplicities)
-from .exact import EXACT_TOL, SNAP_TOL, RootOfUnity, _is_int, _is_number, _scalar_to_json
+from .exact import RootOfUnity, _agrees, _is_int, _is_number, _scalar_to_json, _snaps
 
 __all__ = [
     "GroupTooLarge",
@@ -45,15 +45,15 @@ class GroupTooLarge(MalformedInput):
 
 @dataclass(frozen=True)
 class ModularDatum:
-    """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists,
-    checked by validate() when built."""
+    """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists, checked
+    once, when built: S[0][0], row 0 real and symmetry by exact._agrees (nan fails)."""
 
     s: np.ndarray = field(repr=False)
     t: tuple
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=complex)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
             raise FusionRingError("S must be square")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
@@ -62,7 +62,13 @@ class ModularDatum:
             raise FusionRingError("T length must match S")
         if not all(isinstance(r, RootOfUnity) for r in self.t):
             raise FusionRingError("twists must be RootOfUnity values")
-        self.validate()
+        if not _agrees(s[0, 0], 1)[0]:
+            raise FusionRingError("S[0][0] must be 1 (unnormalized convention)")
+        if not _agrees(s[0].imag)[0].all() or (self.dims <= 0).any():
+            raise FusionRingError("row 0 of S must be positive dims")
+        symmetric, asym = _agrees(s, s.T, max(1.0, float(np.abs(s).max())))
+        if not symmetric.all():
+            raise FusionRingError(f"S is not symmetric (max defect {asym.max()})")
 
     @property
     def rank(self) -> int:
@@ -76,23 +82,14 @@ class ModularDatum:
     def global_dim(self) -> float:
         return float(np.sum(self.dims ** 2))
 
-    def validate(self) -> None:
-        if abs(self.s[0, 0] - 1) > EXACT_TOL:
-            raise FusionRingError("S[0][0] must be 1 (unnormalized convention)")
-        if np.abs(self.s[0].imag).max() > EXACT_TOL or (self.dims <= 0).any():
-            raise FusionRingError("row 0 of S must be positive dims")
-        asym = np.abs(self.s - self.s.T).max()
-        if asym > EXACT_TOL * max(1.0, float(np.abs(self.s).max())):
-            raise FusionRingError(f"S is not symmetric (max defect {asym})")
-
     def twist_values(self) -> np.ndarray:
         return np.array([r.value() for r in self.t])
 
 
 @_derived
 def verlinde_fusion(m: ModularDatum):
-    """Fusion ring from an S-matrix by the Verlinde formula, snapped within
-    SNAP_TOL (core._snap_multiplicities), built once per datum: (ring,
+    """Fusion ring from an S-matrix by the Verlinde formula, snapped by
+    exact._snaps (core._snap_multiplicities), built once per datum: (ring,
     diagnostics), the diagnostics read-only. Duality, charge conjugation, is
     read from the snapped pairing column N_ij^0 (core._pairing_dual); S row
     i must then be the conjugate of S row i*.
@@ -102,9 +99,9 @@ def verlinde_fusion(m: ModularDatum):
     s = m.s / math.sqrt(d)
     with np.errstate(all="ignore"):  # a tiny s[0] gives inf: the snap reports it
         tensor = np.einsum("it,jt,kt,t->ijk", s, s, s.conj(), 1.0 / s[0])
-    out, max_err = _snap_multiplicities(tensor, SNAP_TOL)
+    out, max_err = _snap_multiplicities(tensor, _snaps)
     dual = _pairing_dual(out)
-    bad = ~(np.abs(m.s - m.s[dual].conj()) <= SNAP_TOL).all(axis=1)
+    bad = ~_snaps(m.s, m.s[dual].conj())[0].all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise FusionRingError(f"S row {i} is not the conjugate of S row {dual[i]}")
@@ -131,26 +128,22 @@ def gauss_sums(dims, twists):
 
 
 def balancing_check(ring: FusionRing, m: ModularDatum) -> list:
-    """All (i, j) where S[i][j] != theta_i^-1 theta_j^-1 sum_k c_{ij}^k d_k theta_k."""
-    n = ring.rank
-    if m.rank != n:
+    """All (i, j, error) where S[i][j] != theta_i^-1 theta_j^-1 sum_k c_{ij}^k
+    d_k theta_k by exact._snaps at scale max(1, max|S|); a nan cell is one."""
+    if m.rank != ring.rank:
         raise FusionRingError("ring rank must match the datum")
-    d = m.dims
     theta = m.twist_values()
-    rhs = np.einsum("ijk,k->ij", ring.tensor.astype(float), d * theta)
+    rhs = np.einsum("ijk,k->ij", ring.tensor.astype(float), m.dims * theta)
     rhs = rhs / theta[:, None] / theta[None, :]
-    scale = max(1.0, float(np.abs(m.s).max()))
-    diff = m.s - rhs
-    err = np.hypot(diff.real, diff.imag)  # as abs() of each complex scalar
-    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err > SNAP_TOL * scale)]
+    ok, err = _snaps(m.s, rhs, max(1.0, float(np.abs(m.s).max())))
+    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(~ok)]
 
 
 def centralizer_profile(m: ModularDatum):
-    """Boolean matrix of |S[i][j] - d_i d_j| < SNAP_TOL (scaled), plus the rows
-    that centralize everything (symmetric-center candidates)."""
-    d = m.dims
-    target = np.outer(d, d)
-    mask = np.abs(m.s - target) < SNAP_TOL * np.maximum(1.0, target)
+    """Boolean matrix of S[i][j] = d_i d_j (exact._snaps, scale max(1, d_i d_j)),
+    plus the rows that centralize everything (symmetric-center candidates)."""
+    target = np.outer(m.dims, m.dims)
+    mask, _ = _snaps(m.s, target, np.maximum(1.0, target))
     candidates = tuple(int(i) for i in range(m.rank) if mask[i].all())
     return mask, candidates
 
@@ -387,7 +380,7 @@ def modular_datum_from_json(data) -> ModularDatum:
     of scalars (see core._scalar_matrix), 'T' one [num, den] integer pair
     with den > 0 per row of S and, when given, 'dims' one number (not a bool)
     of size below 2^63 per row of S. A datum that reads is checked as it
-    is built (ModularDatum.validate), before its dims are compared.
+    is built, before its dims are compared (exact._snaps).
     """
     data = _json_object(data, "modular-datum")
     s = _scalar_matrix(data, "S")
@@ -400,7 +393,7 @@ def modular_datum_from_json(data) -> ModularDatum:
             _is_number(x) and abs(x) < 2 ** 63 for x in dims)):
         raise MalformedInput("'dims' must list one number below 2^63 per row of S")
     m = ModularDatum(s, tuple(RootOfUnity(num, den) for num, den in t))
-    if dims is not None and not np.allclose(dims, m.dims, rtol=0, atol=SNAP_TOL):
+    if dims is not None and not _snaps(dims, m.dims)[0].all():
         raise FusionRingError("explicit dims disagree with row 0 of S")
     return m
 

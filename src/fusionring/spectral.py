@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError, _derived
-from .exact import EXACT_TOL, snap_int
+from .exact import _agrees, snap_int
 
 _PERRON_CHUNK_BYTES = 2 ** 20  # float64 N_i + I per power-iteration stack, to stay in cache
 
@@ -153,7 +153,7 @@ def characters(ring: FusionRing) -> list:
     matrix refines a cut too coarse); on every catalog ring the first
     matrix leaves no block to refine. chi(b_i) is the Rayleigh quotient
     v^H N_i v (unlike v_i / v_0, accurate when the codegree 1/|v_0|^2 is
-    large), real when every imaginary part is below EXACT_TOL (see exact). The
+    large), real when every imaginary part agrees with 0 (exact._agrees). The
     FPdim character maximizes sum_i Re chi(b_i), as |chi(b_i)| <= FPdim(b_i).
     Raises NotCommutative for noncommutative input, DegenerateSpectrum if a
     block is never split.
@@ -176,8 +176,7 @@ def characters(ring: FusionRing) -> list:
         raise DegenerateSpectrum(f"joint eigenspace of dimension {todo[0].shape[1]} never split")
     vecs = np.hstack(done)
     values = np.einsum("jk,ijk->ki", vecs.conj(), np.tensordot(tensor, vecs, axes=1))
-    values = np.where(np.abs(values.imag).max(axis=1, keepdims=True) < EXACT_TOL,
-                      values.real, values)
+    values = np.where(_agrees(values.imag)[0].all(axis=1, keepdims=True), values.real, values)
     codegrees = np.sum(np.abs(values) ** 2, axis=1)
     fp = int(np.argmax(values.real.sum(axis=1)))
     rest = sorted((k for k in range(ring.rank) if k != fp),
@@ -216,8 +215,8 @@ def _sqrt_prime_fractions(count: int) -> np.ndarray:
 
 
 def formal_codegrees(ring: FusionRing) -> list:
-    """Formal codegrees, sorted decreasing, integer-snapped within the
-    library's SNAP_TOL (see exact): the eigenvalues of the Casimir matrix L
+    """Formal codegrees, sorted decreasing, integer-snapped by
+    exact.snap_int: the eigenvalues of the Casimir matrix L
     (Ostrik 2009). They are the squared singular values of its Cholesky
     factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
     this keeps a small codegree accurate next to a large one, as in

@@ -217,6 +217,13 @@ def test_the_shape_is_checked_before_sizes_are_derived(rows):
         CharacterTable(len(rows), rows)
 
 
+@pytest.mark.parametrize("order, rows", [(10 ** 400, [[10 ** 200]]), ("6", [[1]])],
+                         ids=["past-int64", "string"])
+def test_the_order_is_checked_before_sizes_are_derived(order, rows):
+    with pytest.raises(MalformedInput, match=r"^'order' must be a positive integer below 2\^63$"):
+        CharacterTable(order, rows)
+
+
 def test_character_table_reads_its_degrees_once_as_ints():
     table = fr.load_entry("A4").payload
     assert table.degrees == (1, 1, 1, 3)

@@ -147,6 +147,13 @@ def test_parse_reads_the_dimension_grammar():
             parse_zeta_expr(bad)
 
 
+@pytest.mark.parametrize("text", ["1e308*10", "1e308*10-1e308*10", "1e309"])
+def test_parse_refuses_a_value_that_is_not_finite(text):
+    with pytest.raises(ValueError, match=rf"^cannot read scalar {re.escape(repr(text))}: "
+                                         r"\((inf|nan)\+0j\) is not finite$"):
+        parse_zeta_expr(text)
+
+
 def test_snap_int():
     assert snap_int(2.0000001) == 2
     assert snap_int(2.00001) is None
@@ -204,5 +211,6 @@ def test_no_tolerance_knobs():
 
 def test_tolerance_constants_live_in_exact():
     assert (exact.SNAP_TOL, exact.EXACT_TOL) == (1e-6, 1e-9)
-    assert not hasattr(spectral, "SNAP_TOL")
     assert not hasattr(premodular, "DEFAULT_TOL")
+    for module in (fusionring, catalog, cli, core, nearintegral, premodular, spectral, structure):
+        assert not hasattr(module, "SNAP_TOL") and not hasattr(module, "EXACT_TOL"), module

@@ -59,7 +59,6 @@ def test_balancing_breaks_under_twist_perturbation(name):
 def loop_verlinde_fusion(m, snap=1e-6):
     """Reference: the Verlinde ring snapped one cell at a time, with the
     charge-conjugation dual read row by row from the pairing column."""
-    m.validate()
     n = m.rank
     d = m.global_dim
     s = m.s / math.sqrt(d)
@@ -96,7 +95,7 @@ def loop_verlinde_fusion(m, snap=1e-6):
 def verlinde_outcome(build, m, *nudge):
     """(ring, maxSnapError) of build(m), or of build(nudged(m, *nudge)) when
     a nudge is given, or the exception class and message. The nudged datum
-    is built inside, as a datum whose S fails validate() raises when built."""
+    is built inside, as a datum whose S fails its checks raises when built."""
     try:
         ring, info = build(nudged(m, *nudge) if nudge else m)
         return ring, info["maxSnapError"]
@@ -196,10 +195,12 @@ def test_modular_datum_checks():
     one = RootOfUnity(0, 1)
     with pytest.raises(FusionRingError, match=r"^S must be square$"):
         ModularDatum([[1, 1]], (one,))
+    with pytest.raises(FusionRingError, match=r"^S must be square$"):
+        ModularDatum(np.zeros((0, 0)), ())
     with pytest.raises(FusionRingError, match=r"^T length must match S$"):
         ModularDatum([[1, 1], [1, -1]], (one,))
     with pytest.raises(FusionRingError, match=r"^S is not symmetric \(max defect 1\.0\)$"):
-        ModularDatum([[1, 1], [2, -1]], (one, one)).validate()
+        ModularDatum([[1, 1], [2, -1]], (one, one))
     with pytest.raises(FusionRingError, match=r"^explicit dims disagree with row 0 of S$"):
         modular_datum_from_json({"S": [[1, 1], [1, -1]], "T": [[0, 1], [0, 1]],
                                  "dims": [1, 2]})
@@ -215,7 +216,7 @@ def test_row_0_of_s_must_be_positive_dims(s):
 def test_a_datum_is_checked_once_when_built(monkeypatch):
     known = fr.load_entry("Z(Rep(S3))").payload
     m = ModularDatum(known.s, known.t)
-    monkeypatch.setattr(ModularDatum, "validate", refuse)
+    monkeypatch.setattr(ModularDatum, "__post_init__", refuse)
     ring, _ = verlinde_fusion(m)
     assert balancing_check(ring, m) == []
     with pytest.raises(AssertionError, match="^not to be called$"):
