@@ -4,7 +4,7 @@ from .core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                    MalformedInput, NonIntegralMultiplicity, character_table_to_fusion_ring,
                    group_ring, product_ring, ring_from_json, ring_to_json,
                    table_from_json, table_to_json, validate_tensor)
-from .exact import RootOfUnity, parse_scalar, parse_zeta_expr, quantum_integer, snap_int
+from .exact import RootOfUnity, parse_scalar, parse_zeta_expr, quantum_integer
 from .spectral import (Character, SpectralReport, characters, formal_codegrees, fpdim,
                        fpdims, induction_unit_profile, ring_fpdim, spectral_report)
 from .nearintegral import (GagolaReport, NearIntegralReport, construct, detect,

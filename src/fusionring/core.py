@@ -508,7 +508,7 @@ class CharacterTable:
             sizes = _positive_ints(ratios, lambda x: NonIntegralMultiplicity(
                 f"column {x}: |G|/sum|chi(x)|^2 = {ratios[x]} is not a positive integer"))
         if not (np.iterable(sizes) and all(map(_is_int, sizes))):
-            raise MalformedInput("the order and the class sizes must be integers")
+            raise MalformedInput("class sizes must be integers")
         order, sizes = operator.index(self.order), tuple(map(operator.index, sizes))
         if len(sizes) != len(rows) or min(sizes) < 1:
             raise MalformedInput("class sizes must list one positive integer per class")

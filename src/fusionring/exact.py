@@ -7,9 +7,9 @@ entries and classification dimensions, which add sqrt, csc, qint and pi, are
 evaluated to complex floats by one walker over Python's own parse tree, with
 no symbolic algebra dependency.
 parse_zeta_expr states the grammar: it reads table and datum entries
-(parse_scalar) and catalog dimension expressions alike. Every decision that
-a float is an exact value goes through _snaps or _agrees, the only readers
-of the tolerance policy SNAP_TOL and EXACT_TOL.
+(parse_scalar) and catalog dimension expressions alike. A float becomes an
+int only by an exact test, an exact certificate (spectral._is_eigenvector) or
+_snaps or _agrees, the only readers of the tolerance policy SNAP_TOL and EXACT_TOL.
 """
 
 from __future__ import annotations
@@ -139,10 +139,10 @@ def parse_scalar(entry) -> complex:
 
 
 def _scalar_to_json(z: complex):
-    """JSON form of a matrix entry that parse_scalar reads back: an int when
-    z is one to 1e-12, else a [re, im] pair."""
-    if abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12:
-        return int(round(z.real))
+    """JSON form of a matrix entry that parse_scalar reads back as z: an int
+    when z is exactly one, else a [re, im] pair."""
+    if z.imag == 0 and z.real.is_integer():
+        return int(z.real)
     return [z.real, z.imag]
 
 
@@ -150,17 +150,6 @@ def _scalar_to_json(z: complex):
 # decides is exact (multiplicities, kappa, N, roots of unity); floats only compute it.
 SNAP_TOL = 1e-6  # a float this close to an integer, or to the value it must equal, is that
 EXACT_TOL = 1e-9  # how far floats computed from exact input may disagree
-
-
-def snap_int(x: float):
-    """Round to the nearest integer if within SNAP_TOL, else return None
-    (always for inf and nan)."""
-    if not math.isfinite(x):
-        return None
-    r = round(x)
-    if abs(x - r) <= SNAP_TOL:
-        return int(r)
-    return None
 
 
 def _within(values, targets, bound):

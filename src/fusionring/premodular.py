@@ -46,7 +46,7 @@ class GroupTooLarge(MalformedInput):
 @dataclass(frozen=True)
 class ModularDatum:
     """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists, checked
-    once, when built: S[0][0], row 0 real and symmetry by exact._agrees (nan fails)."""
+    once, when built: entries finite, S[0][0], row 0 real, symmetry (exact._agrees)."""
 
     s: np.ndarray = field(repr=False)
     t: tuple
@@ -55,6 +55,8 @@ class ModularDatum:
         s = np.asarray(self.s, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
             raise FusionRingError("S must be square")
+        if not np.isfinite(s).all():
+            raise FusionRingError("S holds a value that is not finite")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", tuple(self.t))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FusionRing, FusionRingError, _derived
-from .exact import _agrees, snap_int
+from .exact import _agrees, _snaps
 
 _PERRON_CHUNK_BYTES = 2 ** 20  # float64 N_i + I per power-iteration stack, to stay in cache
 
@@ -215,8 +215,8 @@ def _sqrt_prime_fractions(count: int) -> np.ndarray:
 
 
 def formal_codegrees(ring: FusionRing) -> list:
-    """Formal codegrees, sorted decreasing, integer-snapped by
-    exact.snap_int: the eigenvalues of the Casimir matrix L
+    """Formal codegrees, sorted decreasing, each an int where exact._snaps
+    puts it on the nearest integer: the eigenvalues of the Casimir matrix L
     (Ostrik 2009). They are the squared singular values of its Cholesky
     factor on the basis in decreasing-diagonal order: unlike eigvalsh(L),
     this keeps a small codegree accurate next to a large one, as in
@@ -231,10 +231,10 @@ def _codegrees(ring: FusionRing) -> tuple:
     casimir = _casimir(ring)
     order = np.argsort(-np.diag(casimir), kind="stable")
     factor = np.linalg.cholesky(casimir[np.ix_(order, order)])
-    out = []
-    for f in np.linalg.svd(factor, compute_uv=False) ** 2:
-        i = snap_int(float(f))
-        out.append(i if i is not None else float(f))
+    f = np.linalg.svd(factor, compute_uv=False) ** 2
+    near = np.rint(f)
+    ok = _snaps(f, near)[0].tolist()  # one call per ring, not one per codegree
+    out = [int(r) if k else x for x, r, k in zip(f.tolist(), near.tolist(), ok)]
     return tuple(sorted(out, key=float, reverse=True))
 
 

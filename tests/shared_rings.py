@@ -5,6 +5,7 @@ import cmath
 import math
 
 from fusionring.core import CharacterTable, group_ring
+from fusionring.exact import SNAP_TOL
 
 
 def references(module: str, tree, names) -> list:
@@ -27,6 +28,18 @@ def references(module: str, tree, names) -> list:
 
     visit(tree, [])
     return out
+
+
+def snap_int(x: float):
+    """The nearest integer if within SNAP_TOL, else None (always for inf and
+    nan): the rule formal_codegrees applied one value at a time before it
+    made one exact._snaps call per ring, kept verbatim as an oracle."""
+    if not math.isfinite(x):
+        return None
+    r = round(x)
+    if abs(x - r) <= SNAP_TOL:
+        return int(r)
+    return None
 
 
 def refuse(*args, **kwargs):

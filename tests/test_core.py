@@ -191,9 +191,9 @@ def test_table_json_refusals(data, error, message):
     ((2, 0), "class sizes must list one positive integer per class"),
     ((2,), "class sizes must list one positive integer per class"),
     ((1, 1, 0), "class sizes must list one positive integer per class"),
-    ((1, 1.0), "the order and the class sizes must be integers"),
-    (2, "the order and the class sizes must be integers"),
-    ("11", "the order and the class sizes must be integers"),
+    ((1, 1.0), "class sizes must be integers"),
+    (2, "class sizes must be integers"),
+    ("11", "class sizes must be integers"),
 ])
 def test_class_sizes_are_checked_once_as_input(sizes, message):
     # the constructor is the one check of given sizes, for table JSON too

@@ -11,7 +11,7 @@ import fusionring as fr
 from fusionring import core, spectral
 from fusionring.core import (AxiomViolation, FusionRing, FusionRingError, group_ring,
                              product_ring, validate_tensor)
-from fusionring.exact import EXACT_TOL, SNAP_TOL, snap_int
+from fusionring.exact import EXACT_TOL, SNAP_TOL
 from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, NotNearIntegral,
                                      character_kernel, construct, detect,
                                      dim_a_chi_minus, distinguished_characters,
@@ -19,7 +19,7 @@ from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, No
                                      gagola_analyze, near_integral_codegrees,
                                      roots_dpm, subring_on)
 from fusionring.structure import SubringHandle, _first_escape, enumerate_subrings
-from shared_rings import agl1_table, refuse
+from shared_rings import agl1_table, refuse, snap_int
 
 
 def test_roots():

@@ -5,7 +5,8 @@ Every decision that a float is an exact value goes through exact._agrees
 (within EXACT_TOL) or exact._snaps (within SNAP_TOL), each returning
 (ok, distance), with nan and inf never ok. This fails when another package
 module names either constant or calls allclose or isclose, the first step
-of a tolerance of its own.
+of a tolerance of its own, or when any package module reads the builtin
+round, the first step of a snap of its own.
 """
 
 import ast
@@ -64,6 +65,29 @@ def test_guard_catches_tolerance_uses():
                                          "m line 5: isclose"]
 
 
+def builtin_round_uses(module: str, tree) -> list:
+    """'module line N: round' for each read of the bare name round (a call
+    or an alias of the builtin), in line order; np.round is an attribute."""
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == "round"
+                   and isinstance(node.ctx, ast.Load))
+    return [f"{module} line {line}: round" for line in lines]
+
+
+def test_no_module_rounds_by_the_builtin():
+    # a float becomes an int by an exact test, an exact certificate or _snaps
+    found = [builtin_round_uses(p.stem, ast.parse(p.read_text())) for p in SOURCES]
+    assert [use for uses in found for use in uses] == []
+
+
+def test_guard_catches_builtin_round():
+    tree = ast.parse("k = np.round(v, 6)\n"
+                     "r = int(round(z.real))\n"
+                     "near = round\n"
+                     "round_to = v.round(2)\n")
+    assert builtin_round_uses("m", tree) == ["m line 2: round", "m line 3: round"]
+
+
 @pytest.mark.parametrize("helper, tol", [(_agrees, EXACT_TOL), (_snaps, SNAP_TOL)],
                          ids=["agrees", "snaps"])
 def test_helpers_fail_closed_and_return_the_distance(helper, tol):
@@ -80,8 +104,12 @@ def test_helpers_fail_closed_and_return_the_distance(helper, tol):
 
 
 def test_a_datum_with_a_nan_is_refused():
-    with pytest.raises(FusionRingError, match=r"^S is not symmetric \(max defect nan\)$"):
-        ModularDatum([[1, 1], [1, NAN]], (ONE, ONE))
+    # named by its own check, before the symmetry test reads it as a defect:
+    # a nan, a nan placed symmetrically, an inf and an imaginary inf
+    for s in ([[1, 1], [1, NAN]], [[1, NAN], [NAN, 1]], [[1, 1], [1, INF]],
+              [[1, complex(0, INF)], [complex(0, INF), 1]]):
+        with pytest.raises(FusionRingError, match="^S holds a value that is not finite$"):
+            ModularDatum(s, (ONE, ONE))
 
 
 def test_a_nan_does_not_extend_as_a_character():

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 import fusionring as fr
 from fusionring import spectral
 from fusionring.core import FusionRing, group_ring, product_ring
-from fusionring.exact import snap_int
 from fusionring.nearintegral import NotNearIntegral, construct
 from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
                                  formal_codegrees, fpdim, fpdims,
                                  induction_unit_profile, ring_fpdim,
                                  spectral_report)
-from shared_rings import agl1_table, s3_group_ring
+from shared_rings import agl1_table, s3_group_ring, snap_int
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -381,6 +380,49 @@ def test_codegrees_small_next_to_huge_kappa():
     got = formal_codegrees(construct(group_ring([3]), 10 ** 6))
     assert got[1:] == [3, 3, 3]
     assert sum(1 / float(f) for f in got) == pytest.approx(1.0, rel=1e-12)
+
+
+def planted_codegrees(squares):
+    """(formal_codegrees, planted squares as floats) of a fresh group ring of
+    rank len(squares) whose svd is made to return the singular values
+    sqrt(squares)."""
+    singular = np.sqrt(np.array(squares, dtype=float))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", lambda a, compute_uv=True: singular.copy())
+        got = formal_codegrees(group_ring([len(squares)]))
+    return got, (singular ** 2).tolist()
+
+
+OFFSETS = st.one_of(st.floats(-3e-6, 3e-6),
+                    st.sampled_from([1e-6, -1e-6, 1.0000001e-6, -1.0000001e-6, 0.0]))
+PLANTED = st.one_of(
+    st.builds(lambda n, e: n + e, st.integers(1, 10 ** 6), OFFSETS),
+    st.builds(lambda n: n + 0.5, st.integers(0, 10 ** 6)),
+    st.builds(lambda n, e: 10 ** 12 + n + e, st.integers(8, 10), st.floats(-1e-3, 1e-3)),
+    st.just(float("inf")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(PLANTED, min_size=1, max_size=6))
+def test_codegrees_snap_as_the_oracle(squares):
+    # one exact._snaps call per ring gives what the per-value oracle gives:
+    # its int where it snaps, else the float, sorted decreasing
+    got, planted = planted_codegrees(squares)
+    snapped = [snap_int(x) for x in planted]
+    want = sorted([x if i is None else i for x, i in zip(planted, snapped)],
+                  key=float, reverse=True)
+    assert got == want and [type(f) for f in got] == [type(f) for f in want]
+
+
+@pytest.mark.parametrize("square, snapped", [(2.0000001, 2), (2.00001, None), (2.1, None),
+                                             (float("inf"), None), (float("nan"), None)],
+                         ids=repr)
+def test_planted_codegree_snaps(square, snapped):
+    # the oracle's fixed cases that a codegree can meet; inf and nan stay floats
+    got, planted = planted_codegrees([square])
+    want = planted[0] if snapped is None else snapped
+    assert type(got[0]) is type(want) and repr(got[0]) == repr(want)
 
 
 def permuted(ring, perm):
