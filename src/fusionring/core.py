@@ -88,6 +88,15 @@ def _derived(fn):
     return cached
 
 
+_CHUNK_BYTES = 2 ** 20  # the one block size of loops over an n^3 tensor, to stay in cache
+
+
+def _blocks(count: int, n: int) -> list:
+    """range(count) in slices of at most _CHUNK_BYTES of n x n int64 slabs, at least one."""
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _as_tensor(tensor) -> np.ndarray:
     arr = np.asarray(tensor)
     if arr.ndim != 3 or len(set(arr.shape)) != 1 or not arr.size:  # index 0 is the unit
@@ -152,15 +161,18 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
         violations.append(("dual-pairing", (int(i), int(j), 0),
                            f"c[{i}][{j}][0] = {int(tensor[i, j, 0])}"))
 
+    def frobenius(other, cell):  # each c_ij^k != other(block)[i, j, k], c at cell(i, j, k)
+        for blk in _blocks(n, n):
+            bad = tensor[blk] != other(blk)  # any() first: no index arrays when a block holds
+            for i, j, k in zip(*np.nonzero(bad)) if bad.any() else ():
+                i, j, k = int(i) + blk.start, int(j), int(k)
+                a, b, c = cell(i, j, k)
+                violations.append(("frobenius", (i, j, k),
+                                   f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
+                                   f"c[{a}][{b}][{c}] = {int(tensor[a, b, c])}"))
+
     # Frobenius reciprocity: c_{ij}^k = c_{i* k}^j = c_{k j*}^i
-    # (np.array_equal first: it makes no index arrays when the check holds)
-    t_star_left = tensor[dual].transpose(0, 2, 1)  # c_{i* k}^j at [i,j,k]
-    if not np.array_equal(tensor, t_star_left):
-        for i, j, k in zip(*np.nonzero(tensor != t_star_left)):
-            violations.append(("frobenius", (int(i), int(j), int(k)),
-                               f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
-                               f"c[{dual[i]}][{k}][{j}] = {int(tensor[dual[i], k, j])}"))
-    del t_star_left
+    frobenius(lambda b: tensor[dual[b]].transpose(0, 2, 1), lambda i, j, k: (dual[i], k, j))
     associativity = _associativity_violations(tensor)
     # The second identity holds when every other check does: associativity
     # at m = 0, with the pairing and the involutive dual, gives
@@ -168,12 +180,7 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
     # c_{k j*}^i = c_{k* i}^{j*} = c_ij^k.
     if not violations and not associativity:
         return []
-    t_star_right = tensor[:, dual, :].transpose(2, 1, 0)  # c_{k j*}^i at [i,j,k]
-    if not np.array_equal(tensor, t_star_right):
-        for i, j, k in zip(*np.nonzero(tensor != t_star_right)):
-            violations.append(("frobenius", (int(i), int(j), int(k)),
-                               f"c[{i}][{j}][{k}] = {int(tensor[i, j, k])} but "
-                               f"c[{k}][{dual[j]}][{i}] = {int(tensor[k, dual[j], i])}"))
+    frobenius(lambda b: tensor[:, dual, b].transpose(2, 1, 0), lambda i, j, k: (k, dual[j], i))
     return violations + associativity
 
 
@@ -221,39 +228,38 @@ def _associativity_violations(tensor: np.ndarray) -> list:
     b_i (b_j b_k), is two n x n^2 matrix products. Every partial sum is an
     integer of modulus at most max|c|^2 * n, so the products are exact in
     float32 below 2^24 and in float64 below 2^53; above that bound they run
-    on Python ints. Below rank _CERTIFY_MIN_RANK the n slabs of each side
-    are one stacked product, n^4 entries (200 KB in float32 at rank 15),
-    compared at once.
+    on Python ints. The slabs checked are compared with each block
+    B = c[:, kb, :] of _blocks of k as N_i B = B N_i, so no copy of the whole
+    tensor is made; below rank _CERTIFY_MIN_RANK, all n slabs as one stacked
+    product per side, n^4 entries (200 KB in float32 at rank 15).
 
     Slab i holds iff b_i lies in the left nucleus {x : (xy)z = x(yz) for all
     y, z}, and the left nucleus of any bilinear product is a subalgebra:
     with b_s, b_t in it, so is b_s b_t = sum_k c_st^k b_k, and so is b_k if
     every other basis element of that support is (over Q, as c_st^k != 0).
-    So from rank _CERTIFY_MIN_RANK on, the slabs of a generating set found
-    that way (_generators) are checked one at a time, so memory stays
-    O(n^3), and if all hold the ring is associative. If a check fails, the
-    slabs are checked one at a time; only that loop reports violations, so
-    the list is the same either way.
+    So from rank _CERTIFY_MIN_RANK on, only the slabs of a generating set
+    found that way (_generators) are checked, and if all hold the ring is
+    associative. If a check fails, the slabs of a converted copy are
+    checked one at a time; only that loop reports violations, so the list
+    is the same either way.
     """
     n = tensor.shape[0]
     bound = max(int(tensor.max(initial=0)), -int(tensor.min(initial=0))) ** 2 * n
-    t = tensor.astype(np.float32 if bound < 2 ** 24 else np.float64 if bound < 2 ** 53 else object)
-    by_row = t.reshape(n, n * n)  # [t, (k, m)] = c_tk^m
-    by_pair = t.reshape(n * n, n)  # [(j, k), t] = c_jk^t
-
-    def slab(i):
-        return (t[i] @ by_row).reshape(n, n, n), (by_pair @ t[i]).reshape(n, n, n)
-
-    if n < _CERTIFY_MIN_RANK:
-        if np.array_equal((t @ by_row).ravel(), (by_pair @ t).ravel()):
-            return []
-    elif all(np.array_equal(*slab(i)) for i in _generators(tensor)):
+    dtype = np.float32 if bound < 2 ** 24 else np.float64 if bound < 2 ** 53 else object
+    gens = [slice(None)] if n < _CERTIFY_MIN_RANK else [[i] for i in _generators(tensor)]
+    stacks = [tensor[g].astype(dtype) for g in gens]
+    for kb in _blocks(n, n):
+        block = tensor[:, kb, :].astype(dtype, order="C")
+        left, right = block.reshape(n, -1), block.reshape(-1, n)  # [t, (k, m)], [(j, k), t]
+        if not all(np.array_equal((g @ left).ravel(), (right @ g).ravel()) for g in stacks):
+            break
+    else:
         return []
+    t = tensor.astype(dtype)
     out = []
     for i in range(n):
-        left, right = slab(i)
-        if np.array_equal(left, right):
-            continue
+        left = (t[i] @ t.reshape(n, n * n)).reshape(n, n, n)  # [j, k, m]
+        right = (t.reshape(n * n, n) @ t[i]).reshape(n, n, n)
         for j, k, m in zip(*np.nonzero(left != right)):
             out.append(("associativity", (i, int(j), int(k), int(m)),
                         f"sum_t c[{i}][{j}][t] c[t][{k}][{m}] = {int(left[j, k, m])} "
@@ -317,7 +323,8 @@ class FusionRing:
 
     @_derived
     def is_commutative(self) -> bool:
-        return bool((self.tensor == self.tensor.transpose(1, 0, 2)).all())
+        t, n = self.tensor, self.rank
+        return all((t[b] == t[:, b].transpose(1, 0, 2)).all() for b in _blocks(n, n))
 
     def is_self_dual(self, i: int) -> bool:
         return self.dual[i] == i

@@ -110,7 +110,6 @@ def subring_on(ring: FusionRing, indices) -> FusionRing:
 
 def _restrict(ring: FusionRing, idx) -> FusionRing:
     """subring_on for sorted indices already known to be fusion-closed."""
-    idx = list(idx)
     return FusionRing([ring.labels[i] for i in idx], ring.tensor[np.ix_(idx, idx, idx)])
 
 
@@ -217,9 +216,15 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
     d+- are integers and a float otherwise. FPdim(S) = N is a codegree of
     S, the one nearest N is replaced; by the paper's theorem these are the
     codegrees of the whole ring, so those are not computed. S is not
-    re-verified: detect reports it only once it is found closed."""
-    sub = _restrict(ring, report.subring_indices)
-    sub_codegs = spectral.formal_codegrees(sub)
+    re-verified: detect reports it only once it is found closed. S's Casimir
+    matrix is read in place if the ring, so S, commutes; else S is copied."""
+    idx = np.array(report.subring_indices)
+    if ring.is_commutative():
+        profile = ring.tensor[idx, np.array(ring.dual)[idx]][:, idx].sum(axis=0)
+        casimir = spectral._casimir_on(ring.tensor, profile, idx)
+        sub_codegs = list(spectral._casimir_codegrees(casimir))
+    else:
+        sub_codegs = spectral.formal_codegrees(_restrict(ring, idx))
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))
     out = sub_codegs[:best] + sub_codegs[best + 1:]

@@ -46,7 +46,7 @@ class GroupTooLarge(MalformedInput):
 @dataclass(frozen=True)
 class ModularDatum:
     """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists, checked
-    once, when built: entries finite, S[0][0], row 0 real, symmetry (exact._agrees)."""
+    once, when built: entries finite, |S| < 2^63, S[0][0], row 0 real, symmetry (exact._agrees)."""
 
     s: np.ndarray = field(repr=False)
     t: tuple
@@ -57,6 +57,8 @@ class ModularDatum:
             raise FusionRingError("S must be square")
         if not np.isfinite(s).all():
             raise FusionRingError("S holds a value that is not finite")
+        if not (np.abs(s) < 2 ** 63).all():  # the bound modular_datum_from_json reads
+            raise FusionRingError("S entries must have modulus below 2^63")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", tuple(self.t))

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError, _derived
+from .core import FusionRing, FusionRingError, _blocks, _derived
 from .exact import _agrees, _snaps
-
-_PERRON_CHUNK_BYTES = 2 ** 20  # float64 N_i + I per power-iteration stack, to stay in cache
 
 __all__ = [
     "NotCommutative",
@@ -76,15 +74,13 @@ def fpdim(ring: FusionRing, i: int) -> float:
 def _perron_values(tensor: np.ndarray) -> np.ndarray:
     """Perron eigenvalue of each N_i in an integer stack: power iteration on
     N_i + I (no bipartite oscillation) to a 1e-12 relative step, eigvals if it
-    stalls, in _PERRON_CHUNK_BYTES stacks that each N_i leaves once converged;
+    stalls, in float stacks of core._blocks that each N_i leaves once converged;
     bit for bit one N_i at a time (verified on numpy 2.4.6 with OpenBLAS)."""
     n, out = len(tensor), np.empty(len(tensor))
-    step = max(1, _PERRON_CHUNK_BYTES // (8 * n * n))
-    for start in range(0, n, step):
-        m = tensor[start:start + step].astype(float, order="C")  # C: reshape below is a view
+    for blk in _blocks(n, n):
+        m = tensor[blk].astype(float, order="C")  # C: reshape below is a view
         m.reshape(len(m), -1)[:, ::n + 1] += 1.0  # N_i + I, on the diagonal in place
-        idx = np.arange(start, start + len(m))
-        x, lam = np.full((len(m), n), 1.0 / np.sqrt(n)), np.inf
+        idx, x, lam = np.arange(n)[blk], np.full((len(m), n), 1.0 / np.sqrt(n)), np.inf
         for _ in range(10000):
             y = (m @ x[..., None])[..., 0]  # per N_i the gemv of N_i @ x_i, then dots
             new = (x[:, None] @ y[..., None])[:, 0, 0]  # Rayleigh quotients, rows of x normalized
@@ -109,9 +105,9 @@ def _perron_dims(ring: FusionRing) -> np.ndarray:
     simple and proportional to the FPdims. Callers snap these to integers
     and certify them exactly (_is_eigenvector), so the floats need only be
     close; fpdims keeps _perron_values, whose bits the CLI prints."""
-    tensor = ring.tensor.astype(float)
-    x = np.linalg.eigh(tensor.sum(axis=0))[1][:, -1]
-    return (tensor @ x) @ x
+    t = ring.tensor
+    x = np.linalg.eigh(t.sum(axis=0).astype(float))[1][:, -1]
+    return np.concatenate([t[b].astype(float) @ x for b in _blocks(len(t), len(t))]) @ x
 
 
 def _is_eigenvector(m, d, lam) -> bool:
@@ -133,12 +129,28 @@ def ring_fpdim(ring: FusionRing) -> float:
 
 @_derived
 def _casimir(ring: FusionRing) -> np.ndarray:
-    """The Casimir matrix L = sum_j p_j N_j in float64 (int64 overflows near
-    multiplicity 2^32), p the induction-unit profile: multiplication by
-    sum_i b_i b_{i*}. It is symmetric (N_{j*} = N_j^T, p_{j*} = p_j) and
-    positive definite, and acts on the vector of a character by its codegree."""
-    profile = induction_unit_profile(ring).astype(float)
-    return np.tensordot(profile, ring.tensor.astype(float), axes=1)
+    """The Casimir matrix L = sum_j p_j N_j in float64, p the induction-unit
+    profile: multiplication by sum_i b_i b_{i*}. It is symmetric (N_{j*} =
+    N_j^T, p_{j*} = p_j) and positive definite, and acts on the vector of a
+    character by its codegree."""
+    return _casimir_on(ring.tensor, induction_unit_profile(ring))
+
+
+def _casimir_on(tensor: np.ndarray, profile: np.ndarray, idx=None) -> np.ndarray:
+    """sum_j p_j N_j in float64, on the basis elements idx if given: summed
+    in integers over the nonzero p_j, core._blocks of slabs at a time, while
+    max(p) max(N) len(p) < 2^53 (a float sum is then exact, so this is bit
+    for bit the same); past that bound, by one float contraction."""
+    nonzero, n = np.flatnonzero(profile), len(profile)
+    total, top = np.zeros(n * n, dtype=tensor.dtype), 0
+    for js in (nonzero[blk] for blk in _blocks(len(nonzero), n)):
+        slabs = tensor[js] if idx is None else tensor[np.ix_(idx[js], idx, idx)]
+        top = max(top, int(slabs.max()))
+        total += profile[js] @ slabs.reshape(len(js), -1)
+    if int(profile.max()) * top * n < 2 ** 53:
+        return total.reshape(n, n).astype(float)
+    sub = tensor if idx is None else tensor[np.ix_(idx, idx, idx)]
+    return np.tensordot(profile.astype(float), sub.astype(float), axes=1)
 
 
 def characters(ring: FusionRing) -> list:
@@ -228,7 +240,11 @@ def formal_codegrees(ring: FusionRing) -> list:
 def _codegrees(ring: FusionRing) -> tuple:
     if not ring.is_commutative():
         raise NotCommutative("formal codegrees require a commutative fusion ring")
-    casimir = _casimir(ring)
+    return _casimir_codegrees(_casimir(ring))
+
+
+def _casimir_codegrees(casimir: np.ndarray) -> tuple:
+    """_codegrees of a ring from its float64 Casimir matrix."""
     order = np.argsort(-np.diag(casimir), kind="stable")
     factor = np.linalg.cholesky(casimir[np.ix_(order, order)])
     f = np.linalg.svd(factor, compute_uv=False) ** 2

@@ -355,6 +355,8 @@ def test_product_ring_beyond_int64():
     assert not validate_tensor(ab.tensor, ab.dual)
     codegrees = fr.formal_codegrees(ab)
     assert len(codegrees) == 4
+    # the Perron dims read the Python-int tensor a block at a time
+    assert spectral._perron_dims(ab) == pytest.approx(spectral.fpdims(ab), rel=1e-12)
     assert sum(1 / float(f) for f in codegrees) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -446,6 +448,40 @@ def test_certified_associativity_matches_einsum_reference(name, changes):
     assert bool(violations) == bool(changes)
 
 
+# (entry, change) pairs at the end of the basis: in blocks of one or three
+# slabs they break the last blocks of i (Frobenius) and of k (associativity)
+LATE = [
+    (((-1, -1, -2), 1),),
+    (((-2, -1, -1), 1), ((-1, -2, -1), 2)),
+    (((-1, 5, -1), 2),),
+    (((-3, -2, -1), 1), ((-3, -1, -2), 1)),
+]
+
+
+@pytest.mark.parametrize("late", LATE, ids=lambda c: str(list(c)))
+@pytest.mark.parametrize("name", ["C16", "R(C16,3)", "A4xA4", "R(C1,2^32)xC8"])
+def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
+    # at these ranks the default chunk holds the whole tensor, so the checks
+    # run as one block, as they did before blocks; in blocks of one or three
+    # slabs the list is the same, and it is the references' list
+    t = np.array(CERTIFIED[name]())
+    n, dual = len(t), list(FusionRing(range(len(t)), t.copy()).dual)
+    assert n >= core._CERTIFY_MIN_RANK and n * n * n * 8 <= core._CHUNK_BYTES
+    for index, delta in late:
+        t[index] += delta
+    whole = validate_tensor(t, dual)
+    first = [v for v in whole if v[0] in ("duality", "unit", "dual-pairing")]
+    assert whole == (first + loop_frobenius(t, dual, 0) + loop_frobenius(t, dual, 1)
+                     + einsum_associativity_violations(t))
+    commutes = bool((t == t.transpose(1, 0, 2)).all())
+    for slabs in (1, 3):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 8 * n * n * slabs)
+        assert validate_tensor(t, dual) == whole
+        assert _associativity_violations(t) == einsum_associativity_violations(t)
+        assert FusionRing(range(n), t, dual).is_commutative() == commutes
+        assert FusionRing(range(n), CERTIFIED[name](), dual).is_commutative()
+
+
 def _nucleus_gap_tensor():
     """Z[C16] + Z y with g y = y, y g^k = (-1)^k y and y y = sum of G, in the
     basis g^k (k != 2), g^2 + y, y. The group lies in the left nucleus and y
@@ -489,33 +525,54 @@ def test_extraspecial_ring_generators():
     assert core._generators(fr.construct(group_ring([162]), 9).tensor) == [1, 162]
 
 
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_validate_tensor_memory_is_cubic():
     # the full n^4 associativity tensors would take over 250 MB at rank 64.
-    # One permuted copy for the first Frobenius identity, freed before the
-    # associativity slabs, and none for the second on a valid ring: about
-    # 1.66 tensors at the peak, against 3.66 with both copies alive at once
-    for orders in ([8, 8], [48]):
-        ring = group_ring(orders)
-        tracemalloc.start()
-        try:
-            assert not validate_tensor(ring.tensor, ring.dual)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.25 * ring.tensor.nbytes, orders
+    # Each check copies or converts one block of at most core._CHUNK_BYTES
+    # of int64 slabs at a time, and its products are as large; the boolean
+    # support tensors of _generators take up to 3/8 of the tensor. A whole
+    # float or permuted copy, as before, takes 1.6 tensors and more: 3.3 MB
+    # for C8xC8 and 54 MB for R(C162, 9), whose tensor is 33 MB
+    for ring in (group_ring([8, 8]), group_ring([48]), fr.construct(group_ring([162]), 9)):
+        peak = traced_peak(lambda: validate_tensor(ring.tensor, ring.dual))
+        chunk = min(ring.tensor.nbytes, core._CHUNK_BYTES)
+        assert peak < 0.5 * ring.tensor.nbytes + 2 * chunk, ring.rank
+
+
+@pytest.mark.parametrize("name", ["C8xC8", "R(C162,9)"])
+def test_ring_work_memory_is_a_few_chunks(name):
+    # formal_codegrees, is_commutative and near_integral_codegrees hold a
+    # few blocks of core._CHUNK_BYTES, never a float, boolean or restricted
+    # copy of the whole tensor (33 MB for R(C162, 9), where the whole copies
+    # took 4.2 MB for is_commutative and 33-65 MB for the other two);
+    # construct holds its result and, as FusionRing checks it, a boolean
+    # tensor of 1/8 of its size
+    sub = group_ring([8, 8]) if name == "C8xC8" else group_ring([162])
+    fresh = (lambda: sub) if name == "C8xC8" else (lambda: fr.construct(sub, 9))
+    ring = fresh()
+    assert traced_peak(ring.is_commutative) < core._CHUNK_BYTES
+    ring = fresh()  # no cached derived data
+    assert traced_peak(lambda: fr.formal_codegrees(ring)) < 3 * core._CHUNK_BYTES
+    big = fr.construct(sub, 9)
+    report = fr.detect(big)
+    assert traced_peak(lambda: fr.near_integral_codegrees(big, report)) < 3 * core._CHUNK_BYTES
+    assert traced_peak(lambda: fr.construct(sub, 9)) < 1.2 * big.tensor.nbytes
 
 
 def test_fpdims_memory_is_a_few_chunks():
     # The power iteration holds float copies of a chunk of matrices, about
     # 1 MB, never one of the whole tensor: 34 MB for C162
     ring = group_ring([162])
-    tracemalloc.start()
-    try:
-        spectral.fpdims(ring)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert traced_peak(lambda: spectral.fpdims(ring)) < 4 * 2 ** 20
 
 
 def test_fuse_and_basis_vector():

@@ -18,8 +18,9 @@ from fusionring.nearintegral import (ExtensionObstructed, NearIntegralReport, No
                                      extend_character, extraspecial_kappa,
                                      gagola_analyze, near_integral_codegrees,
                                      roots_dpm, subring_on)
+from fusionring.spectral import NotCommutative
 from fusionring.structure import SubringHandle, _first_escape, enumerate_subrings
-from shared_rings import agl1_table, refuse, snap_int
+from shared_rings import agl1_table, refuse, s3_group_ring, snap_int
 
 
 def test_roots():
@@ -323,6 +324,56 @@ def test_near_integral_codegrees_integral_pair_in_ints(sub, kappa, want):
     ring = construct(group_ring(sub), kappa)
     got = near_integral_codegrees(ring, detect(ring))
     assert got == want and all(type(c) is int for c in got)
+
+
+def _restricted_near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> list:
+    """near_integral_codegrees as it was while it took the formal codegrees
+    of a restricted copy of S, kept verbatim as an oracle."""
+    sub_codegs = spectral.formal_codegrees(subring_on(ring, report.subring_indices))
+    target = report.big_n
+    best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))
+    out = sub_codegs[:best] + sub_codegs[best + 1:]
+    k = report.kappa
+    if k == 0 or report.d_plus_exact_integer:
+        root = math.isqrt(k * k + 4 * target)
+        out += [2 * target + k * (k + root) // 2, 2 * target + k * (k - root) // 2]
+    else:
+        out += [target + d * d for d in (report.d_plus, report.d_minus)]
+    return sorted(out, key=float, reverse=True)
+
+
+def _unchecked_near_integral(big: int) -> FusionRing:
+    """S = {1, x} with x^2 = 1 + big x, then rho with x rho = rho and
+    rho^2 = 1 + x + 5 rho: detect finds S, though FPdim(x) is irrational, so
+    this is no fusion ring. S's profile is (2, big), so S's Casimir matrix
+    is past the 2^53 bound of spectral._casimir_on from big = 2^26 on."""
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    t[0] = t[:, 0] = np.eye(3, dtype=np.int64)
+    t[1, 1, :2] = 1, big
+    t[1, 2, 2] = t[2, 1, 2] = 1
+    t[2, 2] = 1, 1, 5
+    return FusionRing(["1", "x", "rho"], t)
+
+
+def test_near_integral_codegrees_read_in_place_match_a_restricted_copy():
+    # S's Casimir matrix read from the ring gives the codegrees of the
+    # restricted copy, values and int/float types, on R(S, kappa) for every
+    # catalog table and datum ring S (all 13 have integral FPdims), and on
+    # both sides of the bound
+    subs = [ring for name, ring in _base_rings().items() if name in fr.list_catalog()]
+    rings = [construct(sub, kappa) for sub in subs for kappa in (0, 1, 7, 1001, 3001, 10 ** 6)]
+    rings += [construct(group_ring([3]), 10 ** 6), construct(group_ring([162]), 9),
+              construct(group_ring([1]), 2 ** 62)]
+    rings += [_unchecked_near_integral(big) for big in (2 ** 26 - 1, 2 ** 26, 2 ** 40)]
+    for ring in rings:
+        report = detect(ring)
+        got = near_integral_codegrees(ring, report)
+        want = _restricted_near_integral_codegrees(ring, report)
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want], ring.labels
+    assert len(rings) == 6 * 13 + 6
+    with pytest.raises(NotCommutative, match="^formal codegrees require a commutative"):
+        ring = construct(s3_group_ring(), 2)
+        near_integral_codegrees(ring, detect(ring))
 
 
 def test_near_integral_codegrees_do_not_reverify_the_subring(monkeypatch):

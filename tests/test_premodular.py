@@ -191,6 +191,21 @@ def test_modular_datum_json_round_trip():
     assert back.t == m.t
 
 
+@pytest.mark.parametrize("big", [1e20, 2.0 ** 63, complex(0, 2.0 ** 63), 2 ** 63])
+def test_modular_datum_refuses_what_its_json_cannot_hold(big):
+    # the constructor bounds S as modular_datum_from_json does, so whatever
+    # modular_datum_to_json writes reads back: 1e20 was written as the int
+    # 100000000000000000000, which the reader refuses
+    with pytest.raises(FusionRingError, match=r"^S entries must have modulus below 2\^63$"):
+        ModularDatum([[1, big], [big, 1]], (RootOfUnity(0, 1),) * 2)
+    with pytest.raises(MalformedInput, match=r"^'S' entries must have modulus below 2\^63$"):
+        modular_datum_from_json({"S": [[1, 10 ** 20], [10 ** 20, 1]], "T": [[0, 1], [0, 1]]})
+    below = float(np.nextafter(2.0 ** 63, 0))
+    m = ModularDatum([[1, below], [below, 1]], (RootOfUnity(0, 1),) * 2)
+    back = modular_datum_from_json(json.dumps(modular_datum_to_json(m)))
+    assert np.array_equal(back.s, m.s) and back.t == m.t
+
+
 def test_modular_datum_checks():
     one = RootOfUnity(0, 1)
     with pytest.raises(FusionRingError, match=r"^S must be square$"):

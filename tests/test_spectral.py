@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionring as fr
-from fusionring import spectral
+from fusionring import core, spectral
 from fusionring.core import FusionRing, group_ring, product_ring
 from fusionring.nearintegral import NotNearIntegral, construct
 from fusionring.spectral import (NotCommutative, _is_eigenvector, characters,
@@ -114,11 +114,18 @@ def test_fpdims_match_loop_on_any_layout(name, layout):
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(0, 10 ** 8),
        st.integers(1, 2 ** 12))
 def test_fpdims_match_loop_on_random_rings(factors, kappa, chunk_bytes):
-    # small chunks: one to all matrices per stack, the last one short
+    # small chunks: one to all matrices per stack, the last one short; the
+    # Perron dims and the Casimir matrix, summed in blocks too, keep the bits
+    # of one block
+    rings = (group_ring(factors), construct(group_ring(factors), kappa))
+    whole = [(spectral._perron_dims.__wrapped__(r), spectral._casimir.__wrapped__(r))
+             for r in rings]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_PERRON_CHUNK_BYTES", chunk_bytes)
-        for ring in (group_ring(factors), construct(group_ring(factors), kappa)):
+        mp.setattr(core, "_CHUNK_BYTES", chunk_bytes)
+        for ring, (dims, casimir) in zip(rings, whole):
             assert np.array_equal(fpdims(ring), loop_fpdims(ring))
+            assert np.array_equal(spectral._perron_dims.__wrapped__(ring), dims)
+            assert np.array_equal(spectral._casimir.__wrapped__(ring), casimir)
 
 
 def test_ring_fpdim():
