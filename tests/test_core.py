@@ -539,7 +539,7 @@ def test_validate_tensor_memory_is_cubic():
     # the full n^4 associativity tensors would take over 250 MB at rank 64.
     # Each check copies or converts one block of at most core._CHUNK_BYTES
     # of int64 slabs at a time, and its products are as large; the boolean
-    # support tensors of _generators take up to 3/8 of the tensor. A whole
+    # support tensors of _generators take up to about half the tensor. A whole
     # float or permuted copy, as before, takes 1.6 tensors and more: 3.3 MB
     # for C8xC8 and 54 MB for R(C162, 9), whose tensor is 33 MB
     for ring in (group_ring([8, 8]), group_ring([48]), fr.construct(group_ring([162]), 9)):
