@@ -105,11 +105,7 @@ def subring_on(ring: FusionRing, indices) -> FusionRing:
     each associativity sum over t meets only t inside it."""
     handle = SubringHandle(indices)
     handle.verify(ring)
-    return _restrict(ring, handle.indices)
-
-
-def _restrict(ring: FusionRing, idx) -> FusionRing:
-    """subring_on for sorted indices already known to be fusion-closed."""
+    idx = handle.indices
     return FusionRing([ring.labels[i] for i in idx], ring.tensor[np.ix_(idx, idx, idx)])
 
 
@@ -217,14 +213,12 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
     S, the one nearest N is replaced; by the paper's theorem these are the
     codegrees of the whole ring, so those are not computed. S is not
     re-verified: detect reports it only once it is found closed. S's Casimir
-    matrix is read in place if the ring, so S, commutes; else S is copied."""
+    matrix is read in place from the ring, which commutes exactly when S
+    does (x rho = d_x rho for x in S)."""
+    spectral._require_commutative(ring, "formal codegrees")
     idx = np.array(report.subring_indices)
-    if ring.is_commutative():
-        profile = ring.tensor[idx, np.array(ring.dual)[idx]][:, idx].sum(axis=0)
-        casimir = spectral._casimir_on(ring.tensor, profile, idx)
-        sub_codegs = list(spectral._casimir_codegrees(casimir))
-    else:
-        sub_codegs = spectral.formal_codegrees(_restrict(ring, idx))
+    profile = ring.tensor[idx, np.array(ring.dual)[idx]][:, idx].sum(axis=0)
+    sub_codegs = list(spectral._casimir_codegrees(spectral._casimir_on(ring.tensor, profile, idx)))
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))
     out = sub_codegs[:best] + sub_codegs[best + 1:]

@@ -37,6 +37,11 @@ class NotCommutative(FusionRingError):
     pass
 
 
+def _require_commutative(ring: FusionRing, what: str) -> None:
+    if not ring.is_commutative():
+        raise NotCommutative(f"{what} require a commutative fusion ring")
+
+
 class DegenerateSpectrum(FusionRingError):
     """Raised when the fusion matrices leave a joint eigenspace of dimension
     > 1, which exact arithmetic rules out on a commutative fusion ring."""
@@ -102,11 +107,12 @@ def _perron_dims(ring: FusionRing) -> np.ndarray:
     unit Perron vector x of S = sum_i N_i, whose signs cancel in the
     Rayleigh quotient. S is symmetric (S_jk = sum_i c_ij^k = S_kj by
     Frobenius reciprocity) and each entry is >= 1, so its top eigenvector is
-    simple and proportional to the FPdims. Callers snap these to integers
-    and certify them exactly (_is_eigenvector), so the floats need only be
-    close; fpdims keeps _perron_values, whose bits the CLI prints."""
+    simple and proportional to the FPdims; it is summed in float, where an
+    int64 sum could wrap. Callers snap these to integers and certify them
+    exactly (_is_eigenvector), so the floats need only be close; fpdims
+    keeps _perron_values, whose bits the CLI prints."""
     t = ring.tensor
-    x = np.linalg.eigh(t.sum(axis=0).astype(float))[1][:, -1]
+    x = np.linalg.eigh(t.sum(axis=0, dtype=float))[1][:, -1]
     return np.concatenate([t[b].astype(float) @ x for b in _blocks(len(t), len(t))]) @ x
 
 
@@ -133,24 +139,25 @@ def _casimir(ring: FusionRing) -> np.ndarray:
     profile: multiplication by sum_i b_i b_{i*}. It is symmetric (N_{j*} =
     N_j^T, p_{j*} = p_j) and positive definite, and acts on the vector of a
     character by its codegree."""
-    return _casimir_on(ring.tensor, induction_unit_profile(ring))
+    return _casimir_on(ring.tensor, induction_unit_profile(ring), np.arange(ring.rank))
 
 
-def _casimir_on(tensor: np.ndarray, profile: np.ndarray, idx=None) -> np.ndarray:
-    """sum_j p_j N_j in float64, on the basis elements idx if given: summed
-    in integers over the nonzero p_j, core._blocks of slabs at a time, while
-    max(p) max(N) len(p) < 2^53 (a float sum is then exact, so this is bit
-    for bit the same); past that bound, by one float contraction."""
-    nonzero, n = np.flatnonzero(profile), len(profile)
+def _casimir_on(tensor: np.ndarray, profile: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_j p_j N_j in float64 on the basis elements idx, p indexed like
+    idx: whole slabs N_j summed in integers over the nonzero p_j, core._blocks
+    of them at a time, cut to idx at the end, while max(p) max(N) len(p) <
+    2^53, max(N) over those slabs; past that, by one float contraction, the
+    same bits inside the bound: nonnegative terms summing below 2^53 are
+    exact in float in any order, and a larger max(N) only lowers the bound."""
+    nonzero, n = np.flatnonzero(profile), len(tensor)
     total, top = np.zeros(n * n, dtype=tensor.dtype), 0
-    for js in (nonzero[blk] for blk in _blocks(len(nonzero), n)):
-        slabs = tensor[js] if idx is None else tensor[np.ix_(idx[js], idx, idx)]
+    for ks in (nonzero[blk] for blk in _blocks(len(nonzero), n)):
+        slabs = tensor[idx[ks]]
         top = max(top, int(slabs.max()))
-        total += profile[js] @ slabs.reshape(len(js), -1)
-    if int(profile.max()) * top * n < 2 ** 53:
-        return total.reshape(n, n).astype(float)
-    sub = tensor if idx is None else tensor[np.ix_(idx, idx, idx)]
-    return np.tensordot(profile.astype(float), sub.astype(float), axes=1)
+        total += profile[ks] @ slabs.reshape(len(ks), -1)
+    if int(profile.max()) * top * len(profile) < 2 ** 53:
+        return total.reshape(n, n)[np.ix_(idx, idx)].astype(float)
+    return np.tensordot(profile.astype(float), tensor[np.ix_(idx, idx, idx)].astype(float), axes=1)
 
 
 def characters(ring: FusionRing) -> list:
@@ -170,8 +177,7 @@ def characters(ring: FusionRing) -> list:
     Raises NotCommutative for noncommutative input, DegenerateSpectrum if a
     block is never split.
     """
-    if not ring.is_commutative():
-        raise NotCommutative("characters require a commutative fusion ring")
+    _require_commutative(ring, "characters")
     tensor = ring.tensor.astype(float)
     todo, done = [np.eye(ring.rank)], []
     for h in _hermitian_sequence(ring, tensor):
@@ -238,8 +244,7 @@ def formal_codegrees(ring: FusionRing) -> list:
 
 @_derived
 def _codegrees(ring: FusionRing) -> tuple:
-    if not ring.is_commutative():
-        raise NotCommutative("formal codegrees require a commutative fusion ring")
+    _require_commutative(ring, "formal codegrees")
     return _casimir_codegrees(_casimir(ring))
 
 

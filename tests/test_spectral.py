@@ -518,3 +518,14 @@ def test_irrational_fpdim_is_refused_either_way(sub):
                                               r"a character$"):
         construct(ring, 0)
     assert fr.integral_subring(ring).indices == tuple(range(s.rank))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_perron_dims_past_the_int64_sum(order):
+    # R(C_m, 2^63 - m) is an int64 ring, but sum_i c_{i rho}^rho = m + kappa
+    # = 2^63 would wrap: the Perron dims sum S in float and still agree with
+    # the power iteration, so the subring C_m is found integral
+    ring = construct(group_ring([order]), 2 ** 63 - order)
+    got, want = spectral._perron_dims(ring), fpdims(ring)
+    assert np.all(np.abs(got - want) <= 1e-11 * want)
+    assert fr.integral_subring(ring).indices == tuple(range(order))
