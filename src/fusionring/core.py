@@ -92,27 +92,46 @@ _CHUNK_BYTES = 2 ** 20  # the one block size of loops over an n^3 tensor, to sta
 
 
 def _blocks(count: int, n: int) -> list:
-    """range(count) in slices of at most _CHUNK_BYTES of n x n int64 slabs, at least one."""
+    """range(count) in slices of at most _CHUNK_BYTES of n x n int64 slabs, at
+    least one, so a block of any stored tensor stays under it once widened."""
     step = max(1, _CHUNK_BYTES // (8 * n * n))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+# Never uint64: numpy promotes uint64 with int64 to float64
+_STORAGE = tuple((np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16, np.uint32, np.int64))
+
+
+def _storage_dtype(top: int) -> np.dtype:
+    """The narrowest of the _STORAGE dtypes that holds 0..top, else object
+    (Python ints)."""
+    return next((dtype for limit, dtype in _STORAGE if top <= limit), np.dtype(object))
+
+
+def _wide(tensor: np.ndarray) -> np.dtype:
+    """The dtype integer arithmetic on a stored tensor runs in: int64, or
+    object for a tensor of Python ints."""
+    return np.result_type(tensor.dtype, np.int64)
+
+
 def _as_tensor(tensor) -> np.ndarray:
+    """A structure tensor as a ring stores it: n x n x n nonnegative
+    integers in _storage_dtype of its largest entry, the input itself when it
+    already has that dtype. Only signed input is scanned for negatives; min()
+    and max() find them and the largest entry without a copy."""
     arr = np.asarray(tensor)
     if arr.ndim != 3 or len(set(arr.shape)) != 1 or not arr.size:  # index 0 is the unit
         raise FusionRingError(f"structure tensor must be n x n x n, n >= 1, got shape {arr.shape}")
-    if arr.dtype == object:  # Python ints of any size, kept as they are
+    if arr.dtype == object:  # Python ints of any size
         exact = all(map(_is_int, arr.ravel()))
     else:  # a float entry must be an exact integer inside the int64 range
         exact = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and (arr == np.rint(arr)).all()
                                            and (np.abs(arr) < 2.0 ** 63).all())
     if not exact:
         raise NonIntegralMultiplicity("structure constants must be integers")
-    if arr.dtype != object:
-        arr = arr.astype(np.int64, copy=False)  # an int64 input is kept, not copied
-    if (arr < 0).any():
+    if arr.dtype.kind != "u" and arr.min() < 0:
         raise NonIntegralMultiplicity("structure constants must be nonnegative")
-    return arr
+    return arr.astype(_storage_dtype(int(arr.max())), copy=False)
 
 
 def _pairing_dual(tensor: np.ndarray) -> list:
@@ -204,14 +223,15 @@ def _generators(tensor: np.ndarray) -> list:
     generator instead.
     """
     n = tensor.shape[0]
-    support = tensor != 0
     known = np.zeros(n, dtype=bool)
     known[0] = np.array_equal(tensor[0], np.eye(n, dtype=np.int64))
     gens = []
     while not known.all():
         idx = np.flatnonzero(known)
-        unknown = support[np.ix_(idx, idx)] & ~known  # [s, t, k]
-        peeled = unknown[unknown.sum(axis=2) == 1].any(axis=0)
+        peeled = np.zeros(n, dtype=bool)
+        for blk in _blocks(len(idx), n):  # one block of known s at a time
+            unknown = (tensor[np.ix_(idx[blk], idx)] != 0) & ~known  # [s, t, k]
+            peeled |= unknown[unknown.sum(axis=2) == 1].any(axis=0)
         if peeled.any():
             known |= peeled
         else:
@@ -269,6 +289,11 @@ def _associativity_violations(tensor: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class FusionRing:
+    """A fusion ring: basis labels, structure tensor and duality (see the
+    module docstring). The tensor is read-only and stored in the narrowest
+    dtype that holds its largest entry (_as_tensor), mostly uint8, so
+    arithmetic on it widens first (_wide), one _blocks block at a time."""
+
     labels: tuple
     tensor: np.ndarray = field(repr=False)
     dual: tuple = None  # read from the pairing column when not given
@@ -335,7 +360,8 @@ class FusionRing:
         y = np.asarray(y)
         if x.shape != (self.rank,) or y.shape != (self.rank,):
             raise FusionRingError("fuse expects coefficient vectors of full rank")
-        return np.einsum("i,j,ijk->k", x, y, self.tensor)
+        dtype = np.result_type(x, y, _wide(self.tensor))
+        return np.einsum("i,j,ijk->k", x, y, self.tensor, dtype=dtype)
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.rank, dtype=np.int64)
@@ -356,12 +382,13 @@ def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """Deligne-style product: basis pairs, tensor the structure constants.
     The factors must be validated fusion rings; the product is not checked,
     as each axiom holds factor by factor (an associativity sum is a product
-    of two)."""
+    of two). Each entry is one product, computed in the storage dtype of
+    max(a) max(b). A factor is cast to it unchecked: in a nonzero product
+    each factor is at most the product."""
     n, m = a.rank, b.rank
-    ta, tb = a.tensor, b.tensor
-    if int(ta.max()) * int(tb.max()) >= 2 ** 63:  # int64 products would wrap
-        ta, tb = ta.astype(object), tb.astype(object)
-    t = np.einsum("ijk,abc->iajbkc", ta, tb).reshape(n * m, n * m, n * m)
+    dtype = _storage_dtype(int(a.tensor.max()) * int(b.tensor.max()))
+    t = np.einsum("ijk,abc->iajbkc", a.tensor, b.tensor, dtype=dtype, casting="unsafe")
+    t = t.reshape(n * m, n * m, n * m)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
     return FusionRing(labels, t)
 
@@ -463,7 +490,7 @@ def group_ring(spec) -> FusionRing:
         labels = ["e" if not any(e) else "+".join(f"{x}g{i}" for i, x in enumerate(e) if x)
                   for e in grp.elements]
     n = len(labels)
-    tensor = np.zeros((n, n, n), dtype=np.int64)
+    tensor = np.zeros((n, n, n), dtype=np.uint8)
     tensor[np.arange(n)[:, None], np.arange(n), table] = 1
     if is_table:  # the dual of g is the h with g h = e, once per row
         return FusionRing.validated(labels, tensor)
@@ -618,9 +645,10 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
 
 def _read_tensor(value) -> np.ndarray:
     """A ring JSON 'tensor' value as an array. A list of n lists of n lists
-    of n ints in range(256) is read in one typed pass; anything else by
-    np.asarray, as a 0-d array when its nesting is ragged. Both give the same
-    int64 ring, as np.asarray reads such a cube as int64."""
+    of n ints in range(256) is read in one typed pass as uint8 bytes; anything
+    else by np.asarray, as a 0-d array when its nesting is ragged. Both give
+    the same ring: FusionRing stores such a cube as uint8 either way
+    (_as_tensor)."""
     n = len(value) if type(value) is list else 0
     if n and set(map(type, value)) == {list} and set(map(len, value)) == {n}:
         cols = list(itertools.chain.from_iterable(value))
@@ -629,7 +657,7 @@ def _read_tensor(value) -> np.ndarray:
                 and type(cols[0][0]) is not bool):
             try:  # bytes() of a list takes its fast path
                 flat = b"".join(map(bytes, cols))
-                return np.frombuffer(flat, np.uint8).astype(np.int64).reshape(n, n, n)
+                return np.frombuffer(flat, np.uint8).reshape(n, n, n)
             except (TypeError, ValueError):  # a float, an int outside range(256), ...
                 pass
     try:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharacterTable, FusionRing, FusionRingError, character_table_to_fusion_ring
+from .core import (CharacterTable, FusionRing, FusionRingError, _storage_dtype, _wide,
+                   character_table_to_fusion_ring)
 from .exact import _agrees, _is_int, _snaps
 from .structure import ClosureViolation, SubringHandle
 from . import spectral
@@ -149,7 +150,8 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     of S, certified in integers on the FPdims of spectral._perron_dims
     rounded to integers (else NotNearIntegral): that one check decides, so
     an irrational FPdim within an ulp of an integer is refused the same way
-    as any other."""
+    as any other. The tensor is built in the storage dtype of the largest of
+    S's entries, kappa and the FPdims (core._storage_dtype)."""
     if not _is_int(kappa):
         raise FusionRingError(f"kappa must be an integer, got {kappa!r}")
     if not 0 <= kappa < 2 ** 63:
@@ -160,7 +162,8 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     if not spectral._is_eigenvector(sub.tensor, dims, dims):
         raise NotNearIntegral(f"the rounded FPdims {dims} of the subring are not a character")
     rho = n
-    t = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    top = max(int(sub.tensor.max()), int(kappa), *dims)
+    t = np.zeros((n + 1, n + 1, n + 1), dtype=_storage_dtype(top))
     t[:n, :n, :n] = sub.tensor
     t[:n, rho, rho] = t[rho, :n, rho] = t[rho, rho, :n] = dims
     t[rho, rho, rho] = kappa
@@ -217,7 +220,8 @@ def near_integral_codegrees(ring: FusionRing, report: NearIntegralReport) -> lis
     does (x rho = d_x rho for x in S)."""
     spectral._require_commutative(ring, "formal codegrees")
     idx = np.array(report.subring_indices)
-    profile = ring.tensor[idx, np.array(ring.dual)[idx]][:, idx].sum(axis=0)
+    pairs = ring.tensor[idx, np.array(ring.dual)[idx]][:, idx]
+    profile = pairs.sum(axis=0, dtype=_wide(ring.tensor))
     sub_codegs = list(spectral._casimir_codegrees(spectral._casimir_on(ring.tensor, profile, idx)))
     target = report.big_n
     best = min(range(len(sub_codegs)), key=lambda i: abs(float(sub_codegs[i]) - target))

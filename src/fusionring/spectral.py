@@ -11,11 +11,12 @@ deterministic: the weights of H are fixed irrationals, not a seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionRing, FusionRingError, _blocks, _derived
+from .core import FusionRing, FusionRingError, _blocks, _derived, _wide
 from .exact import _agrees, _snaps
 
 __all__ = [
@@ -118,14 +119,18 @@ def _perron_dims(ring: FusionRing) -> np.ndarray:
 
 def _is_eigenvector(m, d, lam) -> bool:
     """Whether m d = lam d holds exactly: m a nonnegative integer matrix or a
-    stack of them, d a positive integer vector, lam an integer or one per
-    matrix. Both sides stay under max(max(m) len(d), max(lam)) max(d), so
-    past 2^63, where int64 wraps, they are computed in Python ints."""
+    stack of them, d a positive integer vector, lam an integer for a matrix
+    and one per matrix for a stack. Both sides stay under
+    max(max(m) len(d), max(lam)) max(d), so past 2^63, where int64 wraps,
+    they are computed in Python ints. The stack is widened one core._blocks
+    block of matrices at a time."""
     big = max(int(m.max()) * len(d), int(np.max(lam))) * max(d) >= 2 ** 63
     dtype = object if big else np.int64
     d = np.array(d, dtype=dtype)
-    return np.array_equal(m.astype(dtype, copy=False) @ d,
-                          np.multiply.outer(np.array(lam, dtype=dtype), d))
+    stack = m.reshape(-1, len(d), len(d))  # a single matrix as a stack of one
+    rhs = np.multiply.outer(np.array(lam, dtype=dtype), d).reshape(-1, len(d))
+    return all(np.array_equal(stack[b].astype(dtype, copy=False) @ d, rhs[b])
+               for b in _blocks(len(stack), len(d)))
 
 
 def ring_fpdim(ring: FusionRing) -> float:
@@ -145,16 +150,17 @@ def _casimir(ring: FusionRing) -> np.ndarray:
 def _casimir_on(tensor: np.ndarray, profile: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sum_j p_j N_j in float64 on the basis elements idx, p indexed like
     idx: whole slabs N_j summed in integers over the nonzero p_j, core._blocks
-    of them at a time, cut to idx at the end, while max(p) max(N) len(p) <
-    2^53, max(N) over those slabs; past that, by one float contraction, the
-    same bits inside the bound: nonnegative terms summing below 2^53 are
-    exact in float in any order, and a larger max(N) only lowers the bound."""
+    of them at a time, each widened to int64 (core._wide) before it is
+    multiplied, cut to idx at the end, while max(p) max(N) len(p) < 2^53,
+    max(N) over those slabs; past that, by one float contraction, the same
+    bits inside the bound: nonnegative terms summing below 2^53 are exact in
+    float in any order, and a larger max(N) only lowers the bound."""
     nonzero, n = np.flatnonzero(profile), len(tensor)
-    total, top = np.zeros(n * n, dtype=tensor.dtype), 0
+    total, top = np.zeros(n * n, dtype=_wide(tensor)), 0
     for ks in (nonzero[blk] for blk in _blocks(len(nonzero), n)):
         slabs = tensor[idx[ks]]
         top = max(top, int(slabs.max()))
-        total += profile[ks] @ slabs.reshape(len(ks), -1)
+        total += profile[ks] @ slabs.reshape(len(ks), -1).astype(total.dtype)
     if int(profile.max()) * top * len(profile) < 2 ** 53:
         return total.reshape(n, n)[np.ix_(idx, idx)].astype(float)
     return np.tensordot(profile.astype(float), tensor[np.ix_(idx, idx, idx)].astype(float), axes=1)
@@ -211,7 +217,7 @@ def _hermitian_sequence(ring: FusionRing, tensor: np.ndarray):
     sum_i w_i (N_i + N_i^T) + sum_{i != i*} w'_i i(N_i - N_i^T) of the rest,
     its weights sqrt(p) mod 1 over the first 2n primes p."""
     n = ring.rank
-    weights = _sqrt_prime_fractions(2 * n).reshape(2, n)
+    weights = _sqrt_prime_fractions(2 * n).reshape(2, n).copy()
     weights[1, np.array(ring.dual) == np.arange(n)] = 0.0
     sym, anti = (weights @ tensor.reshape(n, n * n)).reshape(2, n, n)
     h = sym + sym.T
@@ -222,14 +228,18 @@ def _hermitian_sequence(ring: FusionRing, tensor: np.ndarray):
             yield 1j * (tensor[i] - tensor[i].T)
 
 
+@functools.lru_cache(maxsize=64)
 def _sqrt_prime_fractions(count: int) -> np.ndarray:
     """sqrt(p) mod 1 over the first count primes p, sieved below
-    count (ln count + ln ln count), which exceeds the count-th prime."""
+    count (ln count + ln ln count), which exceeds the count-th prime.
+    Built once per count and shared, so the array is read-only."""
     limit = max(16, int(count * (np.log(count + 1) + np.log(np.log(count + 3)))))
     composite = np.zeros(limit, dtype=bool)
     for p in range(2, int(limit ** 0.5) + 1):
         composite[p * p::p] = True
-    return np.sqrt(np.flatnonzero(~composite)[2:count + 2]) % 1.0
+    out = np.sqrt(np.flatnonzero(~composite)[2:count + 2]) % 1.0
+    out.setflags(write=False)
+    return out
 
 
 def formal_codegrees(ring: FusionRing) -> list:
@@ -262,8 +272,10 @@ def _casimir_codegrees(casimir: np.ndarray) -> tuple:
 @_derived
 def induction_unit_profile(ring: FusionRing) -> np.ndarray:
     """Coefficient vector of sum_i b_i b_{i*}, i.e. entry j is
-    sum_i c_{i,i*}^j. Satisfies sum_j profile_j FPdim_j = FPdim(ring)."""
-    return ring.tensor[np.arange(ring.rank), list(ring.dual)].sum(axis=0)
+    sum_i c_{i,i*}^j, summed in int64 (core._wide): an unsigned sum would
+    give uint64. Satisfies sum_j profile_j FPdim_j = FPdim(ring)."""
+    t = ring.tensor
+    return t[np.arange(ring.rank), list(ring.dual)].sum(axis=0, dtype=_wide(t))
 
 
 @dataclass(frozen=True)

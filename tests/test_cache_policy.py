@@ -3,7 +3,7 @@
 Data derived from a frozen object is kept in the object's __dict__ by one
 decorator, core._derived. This fails when another package function writes
 to a __dict__ or uses functools.cached_property (which writes one), and when functools.cache or lru_cache memoizes anything but
-the helpers keyed by tuples or by nothing. A cache keyed on a ring would
+the helpers keyed by tuples, ints or nothing. A cache keyed on a ring would
 keep every ring it saw alive (a 196 MB tensor at rank 295), and a lookup by
 an equal but distinct ring compares the whole tensors (FusionRing.__eq__).
 """
@@ -15,7 +15,8 @@ import fusionring
 
 SOURCES = sorted(Path(fusionring.__file__).parent.glob("*.py"))
 DICT_WRITERS = ["core._derived"]
-MEMOIZED = ["catalog._entries", "core._Group", "premodular._element_index"]
+MEMOIZED = ["catalog._entries", "core._Group", "premodular._element_index",
+            "spectral._sqrt_prime_fractions"]
 MEMOIZERS = {"cache", "lru_cache"}
 MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 

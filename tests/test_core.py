@@ -260,7 +260,7 @@ def _perturbed(ring, rng, kind):
     (kind 0), +-1 edits copied to c_{i* k}^j so that the first Frobenius
     identity still holds (kind 1), or swapped duals of non-unit elements
     (kind 2)."""
-    t, dual, n = np.array(ring.tensor), list(ring.dual), ring.rank
+    t, dual, n = np.array(ring.tensor, dtype=np.int64), list(ring.dual), ring.rank
     for _ in range(int(rng.integers(1, 4))):
         i, j, k = (int(x) for x in rng.integers(0, n, 3))
         delta = int(rng.choice([-1, 1]))
@@ -314,14 +314,17 @@ def test_frobenius_violations_match_loop():
 
 
 def test_int64_tensor_is_kept_read_only_not_copied():
-    t = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=np.int64)
-    ring = FusionRing(["1", "tau"], t, [0, 1])
-    assert np.shares_memory(ring.tensor, t)
-    assert not ring.tensor.flags.writeable and not t.flags.writeable
-    for dtype in (np.int32, np.float64):
+    # a tensor already in its storage dtype is kept: uint8 for Fibonacci,
+    # int64 once an entry needs it (tau^2 = 1 + 2^32 tau)
+    for dtype, top in ((np.uint8, 1), (np.int64, 2 ** 32)):
+        t = np.array([[[1, 0], [0, 1]], [[0, 1], [1, top]]], dtype=dtype)
+        ring = FusionRing(["1", "tau"], t, [0, 1])
+        assert np.shares_memory(ring.tensor, t)
+        assert not ring.tensor.flags.writeable and not t.flags.writeable
+    for dtype in (np.int64, np.int32, np.float64):
         other = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=dtype)
         ring = FusionRing(["1", "tau"], other, [0, 1])
-        assert ring.tensor.dtype == np.int64 and not np.shares_memory(ring.tensor, other)
+        assert ring.tensor.dtype == np.uint8 and not np.shares_memory(ring.tensor, other)
         assert not ring.tensor.flags.writeable and other.flags.writeable
         assert ring == fib_ring()
 
@@ -352,6 +355,7 @@ def test_product_ring_beyond_int64():
     big = fr.construct(group_ring([1]), 2 ** 32)
     ab = product_ring(big, big)
     assert int(ab.tensor.max()) == 2 ** 64
+    assert ab.fuse(ab.basis_vector(3), ab.basis_vector(3)).tolist()[3] == 2 ** 64
     assert not validate_tensor(ab.tensor, ab.dual)
     codegrees = fr.formal_codegrees(ab)
     assert len(codegrees) == 4
@@ -439,7 +443,7 @@ PERTURBATIONS = [
 @pytest.mark.parametrize("changes", PERTURBATIONS, ids=lambda c: str(list(c)))
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_certified_associativity_matches_einsum_reference(name, changes):
-    t = np.array(CERTIFIED[name]())
+    t = np.array(CERTIFIED[name](), dtype=np.int64)
     assert t.shape[0] >= core._CERTIFY_MIN_RANK
     for index, delta in changes:
         t[index] += delta
@@ -464,7 +468,7 @@ def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
     # at these ranks the default chunk holds the whole tensor, so the checks
     # run as one block, as they did before blocks; in blocks of one or three
     # slabs the list is the same, and it is the references' list
-    t = np.array(CERTIFIED[name]())
+    t = np.array(CERTIFIED[name](), dtype=np.int64)
     n, dual = len(t), list(FusionRing(range(len(t)), t.copy()).dual)
     assert n >= core._CERTIFY_MIN_RANK and n * n * n * 8 <= core._CHUNK_BYTES
     for index, delta in late:
@@ -538,14 +542,18 @@ def traced_peak(run) -> int:
 def test_validate_tensor_memory_is_cubic():
     # the full n^4 associativity tensors would take over 250 MB at rank 64.
     # Each check copies or converts one block of at most core._CHUNK_BYTES
-    # of int64 slabs at a time, and its products are as large; the boolean
-    # support tensors of _generators take up to about half the tensor. A whole
-    # float or permuted copy, as before, takes 1.6 tensors and more: 3.3 MB
-    # for C8xC8 and 54 MB for R(C162, 9), whose tensor is 33 MB
+    # of int64 slabs at a time, and its products are as large; _generators
+    # holds the booleans of one such block. A whole float or permuted copy,
+    # as before, takes 1.6 int64 tensors and more: 3.3 MB for C8xC8 and
+    # 54 MB for R(C162, 9), whose tensor is 33 MB in int64 and 4.1 MB stored
     for ring in (group_ring([8, 8]), group_ring([48]), fr.construct(group_ring([162]), 9)):
         peak = traced_peak(lambda: validate_tensor(ring.tensor, ring.dual))
-        chunk = min(ring.tensor.nbytes, core._CHUNK_BYTES)
-        assert peak < 0.5 * ring.tensor.nbytes + 2 * chunk, ring.rank
+        wide = 8 * ring.rank ** 3  # the tensor's size in int64
+        chunk = min(wide, core._CHUNK_BYTES)
+        assert peak < 0.5 * wide + 2 * chunk, ring.rank
+        # no share of the tensor at all: 1.9 MB at R(C162, 9), where whole
+        # boolean supports in _generators took 15.3 MB
+        assert peak < 2.5 * chunk, ring.rank
 
 
 @pytest.mark.parametrize("name", ["C8xC8", "R(C162,9)"])
@@ -554,8 +562,7 @@ def test_ring_work_memory_is_a_few_chunks(name):
     # few blocks of core._CHUNK_BYTES, never a float, boolean or restricted
     # copy of the whole tensor (33 MB for R(C162, 9), where the whole copies
     # took 4.2 MB for is_commutative and 33-65 MB for the other two);
-    # construct holds its result and, as FusionRing checks it, a boolean
-    # tensor of 1/8 of its size
+    # construct holds its result and one float block of _perron_dims
     sub = group_ring([8, 8]) if name == "C8xC8" else group_ring([162])
     fresh = (lambda: sub) if name == "C8xC8" else (lambda: fr.construct(sub, 9))
     ring = fresh()
@@ -565,7 +572,9 @@ def test_ring_work_memory_is_a_few_chunks(name):
     big = fr.construct(sub, 9)
     report = fr.detect(big)
     assert traced_peak(lambda: fr.near_integral_codegrees(big, report)) < 3 * core._CHUNK_BYTES
-    assert traced_peak(lambda: fr.construct(sub, 9)) < 1.2 * big.tensor.nbytes
+    peak = traced_peak(lambda: fr.construct(sub, 9))
+    assert peak < 1.2 * 8 * big.rank ** 3  # the result's size in int64
+    assert peak < big.tensor.nbytes + 1.5 * core._CHUNK_BYTES
 
 
 def test_fpdims_memory_is_a_few_chunks():
@@ -640,7 +649,7 @@ def test_float_tensor_must_be_exact(entry, error):
         assert FusionRing.validated(["1", "tau"], tensor, [0, 1]) == want
         # JSON 1.0 and 256 miss the typed read and are read by np.asarray
         back = ring_from_json(json.dumps({"labels": ["1", "tau"], "tensor": tensor.tolist()}))
-        assert back == want and back.tensor.dtype == np.int64
+        assert back == want and back.tensor.dtype == (np.uint8 if entry == 1 else np.uint16)
         assert entry != 1 or want == fib_ring()
     else:
         with pytest.raises(error):
@@ -801,7 +810,7 @@ def test_character_ring_matches_loop(name):
     table = fr.load_entry(name).payload
     ring = outcome(character_table_to_fusion_ring, table)
     assert ring == outcome(loop_character_ring, table)
-    assert ring[0] != "ok" or ring[1].tensor.dtype == np.int64
+    assert ring[0] != "ok" or ring[1].tensor.dtype == np.uint8
 
 
 @pytest.mark.parametrize("degree", [2 ** 21, 2 ** 64])  # c_00^0 = 2^63, 2^192

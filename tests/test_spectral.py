@@ -267,6 +267,16 @@ def test_single_matrices_refine_what_the_first_leaves_whole(name, monkeypatch):
     assert_same_characters(got, want)
 
 
+def test_prime_weights_are_built_once_per_count_and_read_only():
+    # _hermitian_sequence zeroes the self-dual weights of its own copy
+    ring = fr.entry_ring("A4")
+    weights = spectral._sqrt_prime_fractions(2 * ring.rank)
+    assert spectral._sqrt_prime_fractions(2 * ring.rank) is weights
+    assert not weights.flags.writeable and weights[ring.rank:].all()
+    characters(ring)
+    assert weights[ring.rank:].all()
+
+
 def test_codegrees_rep_s3():
     assert formal_codegrees(fr.entry_ring("S3")) == [6, 3, 2]
 
