@@ -166,7 +166,7 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
         if dual[dual[i]] != i:
             violations.append(("duality", (i,), "dual is not an involution"))
 
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(n, dtype=bool)  # n^2 bytes: 90 KB at rank 300
     for j, k in zip(*np.nonzero(tensor[0] != eye)):
         violations.append(("unit", (0, int(j), int(k)),
                            f"c[0][{j}][{k}] = {int(tensor[0, j, k])}"))
@@ -174,8 +174,8 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
         violations.append(("unit", (int(j), 0, int(k)),
                            f"c[{j}][0][{k}] = {int(tensor[j, 0, k])}"))
 
-    pairing = np.zeros((n, n), dtype=np.int64)
-    pairing[np.arange(n), dual] = 1
+    pairing = np.zeros((n, n), dtype=bool)
+    pairing[np.arange(n), dual] = True
     for i, j in zip(*np.nonzero(tensor[:, :, 0] != pairing)):
         violations.append(("dual-pairing", (int(i), int(j), 0),
                            f"c[{i}][{j}][0] = {int(tensor[i, j, 0])}"))
@@ -204,15 +204,18 @@ def validate_tensor(tensor: np.ndarray, dual) -> list:
 
 
 # Rank from which _associativity_violations checks a generating set's slabs
-# one at a time instead of all n slabs in one stacked product per side. On
+# one at a time instead of all n slabs in one stacked product per side, and
+# certifies a one-hot tensor (every c_ij a unit vector e_k) on its n x n
+# table instead, n^2 lookups per generator against 2n^4 float products. On
 # the catalog character rings (rank 2-11) the stacked check takes 5-20 us
 # against 45-280 us for the peeling rounds and their slabs; at rank 15-16
 # both take 140-240 us, and at rank 32-64 the certificate is 21-29x faster
-# (group rings; float32, one BLAS thread, best of 7).
+# (group rings; float32, one BLAS thread, best of 7). Any failure falls
+# through to the full loop.
 _CERTIFY_MIN_RANK = 16
 
 
-def _generators(tensor: np.ndarray) -> list:
+def _generators(tensor: np.ndarray, table: np.ndarray = None) -> list:
     """Basis indices whose slabs, if they all hold, certify every slab (see
     _associativity_violations), in the order they were chosen.
 
@@ -220,7 +223,9 @@ def _generators(tensor: np.ndarray) -> list:
     unit's slab always holds), else empty. Each round adds, for every known
     pair (s, t), the single unknown element of supp(b_s b_t) if there is
     exactly one; a round that adds nothing makes the lowest unknown index a
-    generator instead.
+    generator instead. On a one-hot tensor, given as its n x n table
+    (_one_hot_table), that element is table[s, t], so the rounds peel on
+    the table.
     """
     n = tensor.shape[0]
     known = np.zeros(n, dtype=bool)
@@ -229,15 +234,54 @@ def _generators(tensor: np.ndarray) -> list:
     while not known.all():
         idx = np.flatnonzero(known)
         peeled = np.zeros(n, dtype=bool)
-        for blk in _blocks(len(idx), n):  # one block of known s at a time
-            unknown = (tensor[np.ix_(idx[blk], idx)] != 0) & ~known  # [s, t, k]
-            peeled |= unknown[unknown.sum(axis=2) == 1].any(axis=0)
+        if table is not None:  # b_s b_t = b_table[s, t]
+            peeled[table[np.ix_(idx, idx)]] = True
+            peeled &= ~known
+        else:
+            for blk in _blocks(len(idx), n):  # one block of known s at a time
+                unknown = (tensor[np.ix_(idx[blk], idx)] != 0) & ~known  # [s, t, k]
+                peeled |= unknown[unknown.sum(axis=2) == 1].any(axis=0)
         if peeled.any():
             known |= peeled
         else:
             gens.append(int(np.argmin(known)))
             known[gens[-1]] = True
     return gens
+
+
+def _one_hot_table(tensor: np.ndarray):
+    """The n x n table with c_ij = e_table[i, j] if every c_ij is a unit
+    vector, else None; one _blocks block of slabs at a time. A block's row
+    sums k c_ij^k, in float32, give k on a one-hot row. The guesses are
+    kept only if they lie in range(n), each c_ij is 1 at its guess and the
+    block has no other nonzero, so the table is exact on any tensor of
+    entries within int64; a tensor of 0s and 1s spread unevenly is refused."""
+    n = tensor.shape[0]
+    table = np.empty((n, n), dtype=np.intp)
+    weights = np.arange(n, dtype=np.float32)
+    for blk in _blocks(n, n):
+        slabs, rows = tensor[blk], table[blk]
+        guess = slabs.astype(np.float32) @ weights
+        if not (np.count_nonzero(slabs) == guess.size and 0 <= guess.min() and guess.max() < n):
+            return None
+        rows[...] = guess
+        if not (np.take_along_axis(slabs, rows[..., None], axis=2) == 1).all():
+            return None
+    return table
+
+
+def _slab_products_hold(tensor: np.ndarray, gens: list, dtype) -> bool:
+    """Whether slabs gens (index lists or slices) of both sides agree, by
+    float or Python-int products against one block B = c[:, kb, :] of
+    _blocks of k at a time, as N_i B = B N_i."""
+    n = tensor.shape[0]
+    stacks = [tensor[g].astype(dtype) for g in gens]
+    for kb in _blocks(n, n):
+        block = tensor[:, kb, :].astype(dtype, order="C")
+        left, right = block.reshape(n, -1), block.reshape(-1, n)  # [t, (k, m)], [(j, k), t]
+        if not all(np.array_equal((g @ left).ravel(), (right @ g).ravel()) for g in stacks):
+            return False
+    return True
 
 
 def _associativity_violations(tensor: np.ndarray) -> list:
@@ -249,9 +293,9 @@ def _associativity_violations(tensor: np.ndarray) -> list:
     integer of modulus at most max|c|^2 * n, so the products are exact in
     float32 below 2^24 and in float64 below 2^53; above that bound they run
     on Python ints. The slabs checked are compared with each block
-    B = c[:, kb, :] of _blocks of k as N_i B = B N_i, so no copy of the whole
-    tensor is made; below rank _CERTIFY_MIN_RANK, all n slabs as one stacked
-    product per side, n^4 entries (200 KB in float32 at rank 15).
+    B = c[:, kb, :] of _blocks of k (_slab_products_hold), so no copy of the
+    whole tensor is made; below rank _CERTIFY_MIN_RANK, all n slabs as one
+    stacked product per side, n^4 entries (200 KB in float32 at rank 15).
 
     Slab i holds iff b_i lies in the left nucleus {x : (xy)z = x(yz) for all
     y, z}, and the left nucleus of any bilinear product is a subalgebra:
@@ -259,21 +303,25 @@ def _associativity_violations(tensor: np.ndarray) -> list:
     every other basis element of that support is (over Q, as c_st^k != 0).
     So from rank _CERTIFY_MIN_RANK on, only the slabs of a generating set
     found that way (_generators) are checked, and if all hold the ring is
-    associative. If a check fails, the slabs of a converted copy are
-    checked one at a time; only that loop reports violations, so the list
-    is the same either way.
+    associative. There a one-hot tensor, every c_ij a unit vector
+    e_table[i, j] (a group ring, say), has slab g holding iff
+    table[table[g]] == table[g][table], (g j) k = g (j k) for all j, k:
+    n^2 lookups per generator, peeled on the table too. If a check fails,
+    the slabs of a converted copy are checked one at a time; only that loop
+    reports violations, so the list is the same either way.
     """
     n = tensor.shape[0]
     bound = max(int(tensor.max(initial=0)), -int(tensor.min(initial=0))) ** 2 * n
     dtype = np.float32 if bound < 2 ** 24 else np.float64 if bound < 2 ** 53 else object
-    gens = [slice(None)] if n < _CERTIFY_MIN_RANK else [[i] for i in _generators(tensor)]
-    stacks = [tensor[g].astype(dtype) for g in gens]
-    for kb in _blocks(n, n):
-        block = tensor[:, kb, :].astype(dtype, order="C")
-        left, right = block.reshape(n, -1), block.reshape(-1, n)  # [t, (k, m)], [(j, k), t]
-        if not all(np.array_equal((g @ left).ravel(), (right @ g).ravel()) for g in stacks):
-            break
+    # a one-hot tensor has max|c| = 1
+    table = _one_hot_table(tensor) if n >= _CERTIFY_MIN_RANK and bound == n else None
+    if table is not None:
+        gens = _generators(tensor, table)
+        holds = all(np.array_equal(table[table[g]], table[g][table]) for g in gens)
     else:
+        gens = [slice(None)] if n < _CERTIFY_MIN_RANK else [[i] for i in _generators(tensor)]
+        holds = _slab_products_hold(tensor, gens, dtype)
+    if holds:
         return []
     t = tensor.astype(dtype)
     out = []
@@ -470,7 +518,10 @@ def group_ring(spec) -> FusionRing:
     spec: cyclic orders or an n x n table of element indices in range(n)
     with identity at index 0, as lists or a numpy array; a table's rows may be
     1-D arrays. Only a table, outside input, is validated; cyclic orders give
-    a group ring by construction.
+    a group ring by construction. The tensor is one-hot (b_i b_j is the
+    basis element table[i][j]), so from rank _CERTIFY_MIN_RANK on its
+    associativity is certified on the table read back from it, n^2 lookups
+    per generator; a table that fails gets the full loop's violations.
     """
     spec = spec.tolist() if isinstance(spec, np.ndarray) else list(spec)
     is_table = bool(spec) and (isinstance(spec[0], (list, tuple))

@@ -65,18 +65,21 @@ def ordered_factor_lists(bound: int, start=()) -> list:
     return out
 
 
+def dihedral_table(m: int) -> list:
+    """Multiplication table of the dihedral group of order 2m on r^a s^b,
+    numbered b m + a, so the identity is 0: r^a s^b r^c s^d is
+    r^(a + c) s^d when b = 0 and r^(a - c) s^(1 - d) when b = 1."""
+    def mul(x, y):
+        a, b = x % m, x // m
+        c, d = y % m, y // m
+        return (b ^ d) * m + (a - c if b else a + c) % m
+    return [[mul(x, y) for y in range(2 * m)] for x in range(2 * m)]
+
+
 def s3_group_ring():
-    """Group ring of the nonabelian S3 from its multiplication table on
+    """Group ring of the nonabelian S3 = D3 from its multiplication table on
     e, r, r2, s, sr, sr2."""
-    def mul(a, b):
-        ra, sa = a % 3, a // 3
-        rb, sb = b % 3, b // 3
-        if sa == 0:
-            r, s = (ra + rb) % 3, sb
-        else:
-            r, s = (ra - rb) % 3, 1 - sb
-        return s * 3 + r
-    return group_ring([[mul(a, b) for b in range(6)] for a in range(6)])
+    return group_ring(dihedral_table(3))
 
 
 def agl1_table(p: int) -> CharacterTable:

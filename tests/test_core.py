@@ -3,6 +3,7 @@
 import ast
 import copy
 import inspect
+import io
 import itertools
 import json
 import math
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fusionring as fr
-from fusionring import core, premodular, spectral
+from fusionring import cli, core, premodular, spectral
 from fusionring.core import (AxiomViolation, CharacterTable, FusionRing, FusionRingError,
                              MalformedInput, NonIntegralMultiplicity,
                              _associativity_violations, character_table_to_fusion_ring,
                              group_ring, product_ring, ring_from_json, ring_to_json,
                              table_from_json, table_to_json, validate_tensor)
 from fusionring.exact import SNAP_TOL
-from shared_rings import ordered_factor_lists, refuse, s3_group_ring
+from shared_rings import dihedral_table, ordered_factor_lists, refuse, s3_group_ring
 
 TABLES = [name for name in fr.list_catalog()
           if fr.load_entry(name).kind == "characterTable"]
@@ -416,11 +417,13 @@ def _unit_fixing_relabel(ring, seed):
 
 
 # Associative tensors of rank >= 16, where _associativity_violations checks a
-# generating set's slabs first; the last runs on Python ints (max|c| = 2^32)
+# generating set's slabs first, the group rings (one-hot) on their table; the
+# last runs on Python ints (max|c| = 2^32)
 CERTIFIED = {
     "C16": lambda: _unit_fixing_relabel(group_ring([16]), 1),
     "C4xC4": lambda: _unit_fixing_relabel(group_ring([4, 4]), 2),
     "C2^4": lambda: _unit_fixing_relabel(group_ring([2] * 4), 3),
+    "D8": lambda: _unit_fixing_relabel(group_ring(dihedral_table(8)), 4),
     "A4xA4": lambda: product_ring(fr.entry_ring("A4"), fr.entry_ring("A4")).tensor,
     "Q8xD4": lambda: product_ring(fr.entry_ring("Q8"), fr.entry_ring("D4")).tensor,
     "R(C16,3)": lambda: fr.construct(group_ring([16]), 3).tensor,
@@ -428,8 +431,9 @@ CERTIFIED = {
                                           group_ring([8])).tensor,
 }
 
-# (entry, change) pairs; a change in row 0 breaks the left-unit start of
-# _generators
+# (entry, change) pairs, and ((i, j), k) moves of all of c_ij onto e_k, which
+# keep a one-hot tensor one-hot, so its table is certified and refused; a
+# change in row 0 breaks the left-unit start of _generators
 PERTURBATIONS = [
     (),
     (((3, 5, 7), 1),),
@@ -437,7 +441,22 @@ PERTURBATIONS = [
     (((0, 1, 4), 2),),
     (((0, 3, 3), -1), ((9, 4, 2), 1)),
     (((5, 5, 0), 2), ((1, 2, 9), -1)),
+    (((3, 6), 8),),
+    (((2, 9), 0),),
+    (((0, 4), 6),),
+    (((1, 1), 3), ((6, 2), 11)),
 ]
+
+
+def _perturb(t, changes):
+    """t with changes (see PERTURBATIONS) made in place."""
+    for index, change in changes:
+        if len(index) == 2:  # a move
+            total = t[index].sum()
+            t[index] = 0
+            t[index + (change,)] = total
+        else:
+            t[index] += change
 
 
 @pytest.mark.parametrize("changes", PERTURBATIONS, ids=lambda c: str(list(c)))
@@ -445,25 +464,26 @@ PERTURBATIONS = [
 def test_certified_associativity_matches_einsum_reference(name, changes):
     t = np.array(CERTIFIED[name](), dtype=np.int64)
     assert t.shape[0] >= core._CERTIFY_MIN_RANK
-    for index, delta in changes:
-        t[index] += delta
+    _perturb(t, changes)
     violations = _associativity_violations(t)
     assert violations == einsum_associativity_violations(t)
     assert bool(violations) == bool(changes)
 
 
-# (entry, change) pairs at the end of the basis: in blocks of one or three
-# slabs they break the last blocks of i (Frobenius) and of k (associativity)
+# changes (see PERTURBATIONS) at the end of the basis: in blocks of one or
+# three slabs they break the last blocks of i (Frobenius) and of k
+# (associativity) and, by the move, of the one-hot table
 LATE = [
     (((-1, -1, -2), 1),),
     (((-2, -1, -1), 1), ((-1, -2, -1), 2)),
     (((-1, 5, -1), 2),),
     (((-3, -2, -1), 1), ((-3, -1, -2), 1)),
+    (((-1, -2), 3),),
 ]
 
 
 @pytest.mark.parametrize("late", LATE, ids=lambda c: str(list(c)))
-@pytest.mark.parametrize("name", ["C16", "R(C16,3)", "A4xA4", "R(C1,2^32)xC8"])
+@pytest.mark.parametrize("name", ["C16", "D8", "R(C16,3)", "A4xA4", "R(C1,2^32)xC8"])
 def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
     # at these ranks the default chunk holds the whole tensor, so the checks
     # run as one block, as they did before blocks; in blocks of one or three
@@ -471,8 +491,7 @@ def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
     t = np.array(CERTIFIED[name](), dtype=np.int64)
     n, dual = len(t), list(FusionRing(range(len(t)), t.copy()).dual)
     assert n >= core._CERTIFY_MIN_RANK and n * n * n * 8 <= core._CHUNK_BYTES
-    for index, delta in late:
-        t[index] += delta
+    _perturb(t, late)
     whole = validate_tensor(t, dual)
     first = [v for v in whole if v[0] in ("duality", "unit", "dual-pairing")]
     assert whole == (first + loop_frobenius(t, dual, 0) + loop_frobenius(t, dual, 1)
@@ -483,7 +502,7 @@ def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
         assert validate_tensor(t, dual) == whole
         assert _associativity_violations(t) == einsum_associativity_violations(t)
         assert FusionRing(range(n), t, dual).is_commutative() == commutes
-        assert FusionRing(range(n), CERTIFIED[name](), dual).is_commutative()
+        assert FusionRing(range(n), CERTIFIED[name](), dual).is_commutative() == (name != "D8")
 
 
 def _nucleus_gap_tensor():
@@ -516,17 +535,92 @@ def test_certificate_is_sound_on_crafted_nucleus():
     assert {i for _, (i, *_), _ in _associativity_violations(not_unit)} == {0}
 
 
-@pytest.mark.parametrize("orders", [[48], [8, 8], [2] * 6, [162]], ids=str)
-def test_group_ring_generators_at_most_log2_order(orders):
+@pytest.mark.parametrize("spec", [[48], [8, 8], [2] * 6, [162], dihedral_table(12)],
+                         ids=lambda s: str(s) if len(s) < 8 else f"table of order {len(s)}")
+def test_group_ring_generators_at_most_log2_order(spec):
     # peeling closes the known set under products, so it is a subgroup, and
-    # each new generator at least doubles it
-    gens = core._generators(group_ring(orders).tensor)
-    assert len(gens) <= math.log2(math.prod(orders))
+    # each new generator at least doubles it; on the table, the same rule
+    # picks the same generators
+    tensor = group_ring(spec).tensor
+    gens = core._generators(tensor)
+    assert len(gens) <= math.log2(len(tensor))
+    assert core._generators(tensor, core._one_hot_table(tensor)) == gens
 
 
 def test_extraspecial_ring_generators():
     # R(C162, 9): a generator of C162, then rho
     assert core._generators(fr.construct(group_ring([162]), 9).tensor) == [1, 162]
+
+
+def _loop_one_hot_table(t):
+    """The table k = table[i][j] with c_ij = e_k if every c_ij is a unit
+    vector, else None, cell by cell as lists, kept as an oracle."""
+    c = np.asarray(t).tolist()
+    if any(sorted(row) != [0] * (len(c) - 1) + [1] for slab in c for row in slab):
+        return None
+    return [[row.index(1) for row in slab] for slab in c]
+
+
+def test_one_hot_read_is_exact_on_any_tensor(capsys, monkeypatch):
+    # C16 with c_11 = e_9 + e_10 and c_34 = 0: max 1 and n^2 nonzeros, but
+    # not one-hot, and the row sums k c_11^k read 19 at (1, 1), outside
+    # range(16)
+    t = np.array(group_ring([16]).tensor)
+    t[1, 1] = t[3, 4] = 0
+    t[1, 1, [9, 10]] = 1
+    assert t.max() == 1 and np.count_nonzero(t) == 16 ** 2
+    assert (t.astype(np.float32) @ np.arange(16, dtype=np.float32))[1, 1] == 19
+    # the row sums read 5 at (1, 1) for e_2 + e_3, which c_11 does not
+    # hold; and 5 for e_0 + e_5, which it holds, with one nonzero too many
+    split, extra = np.array(t), np.array(group_ring([16]).tensor)
+    split[1, 1] = 0
+    split[1, 1, [2, 3]] = 1
+    extra[2, 3, 0] = 1
+    cases = [t, split, extra]
+    rng = np.random.default_rng(11)
+    for base in (group_ring([16]).tensor, group_ring(dihedral_table(8)).tensor):
+        for kind in (0, 1, 2, 3) * 2:
+            c = np.array(base, dtype=np.int64)
+            i, j, a, b, k = (int(x) for x in rng.integers(0, 16, 5))
+            if kind == 0:  # a move, which stays one-hot
+                _perturb(c, [((i, j), k)])
+            elif kind == 1:  # n^2 nonzeros, spread unevenly
+                c[i, j] = 0
+                c[a, b, k] += 1
+            elif kind == 2:  # a -1
+                c[i, j, k] -= 1
+            else:  # a 2 or another -1
+                c[i, j, k] += 1
+                c[a, b, k] -= 1
+            cases += [c, c.astype(object)]
+    wants = [_loop_one_hot_table(c) for c in cases]
+    assert sum(want is not None for want in wants) >= 4
+    for c in cases:
+        assert _associativity_violations(c) == einsum_associativity_violations(c)
+    for slabs in (16, 3):  # one block, then blocks of three slabs
+        monkeypatch.setattr(core, "_CHUNK_BYTES", 8 * 16 * 16 * slabs)
+        for c, want in zip(cases, wants):
+            table = core._one_hot_table(c)
+            assert (table is None) if want is None else table.tolist() == want
+    # the exit-code contract: a finding, no traceback
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ring_to_json(FusionRing(range(16), t)))))
+    code = cli.run(["verify", "-"])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err and "associativity" in out
+
+
+def test_one_hot_rings_skip_the_float_slab_products(monkeypatch):
+    # group rings of rank >= 16 are certified on their table; other rings
+    # still by the float slab products
+    calls = []
+    products = core._slab_products_hold
+    monkeypatch.setattr(core, "_slab_products_hold", lambda *a: calls.append(a) or products(*a))
+    for tensor, by_products in [(group_ring([8, 8]).tensor, False), (CERTIFIED["D8"](), False),
+                                (CERTIFIED["R(C16,3)"](), True), (CERTIFIED["A4xA4"](), True)]:
+        calls.clear()
+        ring = FusionRing(range(len(tensor)), tensor)
+        assert validate_tensor(ring.tensor, ring.dual) == []
+        assert bool(calls) == by_products
 
 
 def traced_peak(run) -> int:
@@ -546,7 +640,9 @@ def test_validate_tensor_memory_is_cubic():
     # holds the booleans of one such block. A whole float or permuted copy,
     # as before, takes 1.6 int64 tensors and more: 3.3 MB for C8xC8 and
     # 54 MB for R(C162, 9), whose tensor is 33 MB in int64 and 4.1 MB stored
-    for ring in (group_ring([8, 8]), group_ring([48]), fr.construct(group_ring([162]), 9)):
+    # D150 (order 300) is certified on its table, four n x n index arrays
+    for ring in (group_ring([8, 8]), group_ring([48]), fr.construct(group_ring([162]), 9),
+                 group_ring(dihedral_table(150))):
         peak = traced_peak(lambda: validate_tensor(ring.tensor, ring.dual))
         wide = 8 * ring.rank ** 3  # the tensor's size in int64
         chunk = min(wide, core._CHUNK_BYTES)
