@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (AxiomViolation, FusionRing, FusionRingError, MalformedInput, _derived,
-                   character_table_to_fusion_ring, table_from_json, validate_tensor)
+from .core import (FusionRing, FusionRingError, MalformedInput, _derived,
+                   character_table_to_fusion_ring, table_from_json)
 from .exact import _agrees, _snaps, parse_zeta_expr
 from .premodular import (balancing_check, gauss_sums, modular_datum_from_json,
                          verlinde_fusion)
@@ -111,14 +111,10 @@ class CatalogEntry:
     @property
     @_derived
     def ring(self) -> FusionRing:
-        """The entry's fusion ring, validated, built on first use: for ring
-        JSON the ring read unvalidated, once its axioms hold, the character
-        ring of a table, the Verlinde ring of a modular datum. MalformedInput,
-        not cached, for the other kinds."""
+        """The entry's fusion ring, built on first use: for ring JSON the ring
+        read, the character ring of a table, the Verlinde ring of a modular
+        datum. MalformedInput, not cached, for the other kinds."""
         if self.kind == "ring":
-            bad = validate_tensor(self.payload.tensor, self.payload.dual)
-            if bad:
-                raise AxiomViolation(bad)
             return self.payload
         if self.kind == "characterTable":
             return character_table_to_fusion_ring(self.payload)
@@ -188,9 +184,8 @@ def entry_ring(name: str) -> FusionRing:
 def _verify_entry(entry: CatalogEntry) -> str:
     """Check one entry; returns a short success note, raises on failure.
     A table's ring must have codegrees that formal_codegrees snapped to
-    ints dividing |G| (the table passed the CharacterTable checks on load).
-    A ring entry passes the axioms as entry.ring builds it."""
-    if entry.kind == "ring":
+    ints dividing |G| (the table passed the CharacterTable checks on load)."""
+    if entry.kind == "ring":  # its axioms were checked as it was read
         return f"rank {entry.ring.rank} fusion ring, axioms hold"
     if entry.kind == "characterTable":
         ring, order = entry.ring, entry.payload.order

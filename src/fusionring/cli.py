@@ -19,8 +19,8 @@ import re
 import sys
 
 from . import catalog, nearintegral, premodular, spectral
-from .core import (FusionRingError, MalformedInput, _json_object, ring_from_json,
-                   ring_to_json, table_from_json, table_to_json, validate_tensor)
+from .core import (AxiomViolation, FusionRingError, MalformedInput, _json_object,
+                   ring_from_json, ring_to_json, table_from_json, table_to_json)
 from .exact import _agrees
 
 OK, VIOLATION, USAGE_ERROR, INPUT_ERROR = 0, 1, 2, 3
@@ -76,10 +76,9 @@ def _fnum(x: float) -> str:
 # input plumbing
 
 
-# each JSON input kind, by the key that tells it apart: its kind name and
-# its reader (a ring is read unvalidated, so that verify can list violations)
+# each JSON input kind, by the key that tells it apart: its kind name and its reader
 _JSON_KINDS = {
-    "tensor": ("ring", lambda data: ring_from_json(data, validate=False)),
+    "tensor": ("ring", lambda data: ring_from_json(data)),  # looked up per call: traceable
     "rows": ("characterTable", table_from_json),
     "S": ("modularDatum", premodular.modular_datum_from_json),
 }
@@ -92,7 +91,7 @@ def load(spec: str, args, want=None) -> catalog.CatalogEntry:
     """The CatalogEntry an input spec names; MalformedInput if want is given
     and the kind is another. catalog:NAME is the built-in entry, or else
     NAME.json in --data-dir. A path or "-" (stdin) is JSON, whose key tells
-    its kind before it is read: an unvalidated ring, a table or a datum."""
+    its kind before it is read: a ring, a table or a datum."""
     if spec.startswith("catalog:"):
         name = spec[len("catalog:"):]
         try:
@@ -146,20 +145,22 @@ def parse_group_spec(text: str):
 
 
 def cmd_verify(args) -> tuple[int, dict, list]:
-    entry = load(args.ring, args)
-    if entry.kind == "ring":  # read unvalidated, so that every violation is listed
-        ring = entry.payload
-        violations = validate_tensor(ring.tensor, ring.dual)
+    try:  # ring JSON that fails the axioms is refused with every violation
+        entry = load(args.ring, args)
+    except AxiomViolation as exc:
+        if exc.rank is None:  # the pairing column gave no dual to check against
+            raise
+        rank, violations = exc.rank, exc.violations
     else:
-        ring, violations = entry.ring, []
+        rank, violations = entry.ring.rank, []
     payload = {
-        "rank": ring.rank,
+        "rank": rank,
         "ok": not violations,
         "violations": [{"axiom": a, "index": list(i), "detail": d}
                        for a, i, d in violations],
     }
-    lines = [f"rank {ring.rank} ring: " + ("all axioms hold" if not violations
-                                           else f"{len(violations)} violations")]
+    lines = [f"rank {rank} ring: " + ("all axioms hold" if not violations
+                                      else f"{len(violations)} violations")]
     lines += [f"  [{a}] at {i}: {d}" for a, i, d in violations[:25]]
     if len(violations) > 25:
         lines.append(f"  ... and {len(violations) - 25} more")

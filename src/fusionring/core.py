@@ -13,6 +13,7 @@ snapped one way (_snap_multiplicities).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -48,12 +49,12 @@ class FusionRingError(Exception):
 class AxiomViolation(FusionRingError):
     """Raised when a structure tensor fails one of the fusion ring axioms.
 
-    violations is a list of (axiom_name, witness_indices, detail) tuples
-    covering every failure found, not just the first.
+    violations lists every failure found as (axiom_name, witness_indices,
+    detail) tuples; rank is the tensor's, or None if no dual could be read.
     """
 
-    def __init__(self, violations):
-        self.violations = list(violations)
+    def __init__(self, violations, rank=None):
+        self.violations, self.rank = list(violations), rank
         lines = [f"{name} at {idx}: {detail}" for name, idx, detail in self.violations[:8]]
         extra = len(self.violations) - len(lines)
         if extra > 0:
@@ -337,37 +338,42 @@ def _associativity_violations(tensor: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class FusionRing:
-    """A fusion ring: basis labels, structure tensor and duality (see the
-    module docstring). The tensor is read-only and stored in the narrowest
-    dtype that holds its largest entry (_as_tensor), mostly uint8, so
-    arithmetic on it widens first (_wide), one _blocks block at a time."""
+    """A fusion ring: basis labels, structure tensor and duality (module
+    docstring). The constructor raises AxiomViolation with validate_tensor's
+    list, so every ring is one; _by_theorem skips only that check, for rings
+    a theorem gives. The tensor is read-only and stored in the narrowest dtype
+    that holds its largest entry (_as_tensor), mostly uint8, so arithmetic on
+    it widens first (_wide), one _blocks block at a time."""
 
     labels: tuple
     tensor: np.ndarray = field(repr=False)
     dual: tuple = None  # read from the pairing column when not given
 
     def __post_init__(self):
-        arr = _as_tensor(self.tensor)
-        arr.setflags(write=False)
-        object.__setattr__(self, "tensor", arr)
-        dual = _pairing_dual(arr) if self.dual is None else self.dual
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        if not all(map(_is_int, dual)):
-            raise MalformedInput("dual must list integers")
-        object.__setattr__(self, "dual", tuple(map(operator.index, dual)))
-        n = arr.shape[0]
-        if len(self.labels) != n or len(self.dual) != n:
-            raise MalformedInput("labels, tensor and dual must agree on rank")
-        if len(set(self.labels)) != n:
-            raise MalformedInput("labels must be distinct")
+        self._store(self.labels, self.tensor, self.dual)
+        if bad := validate_tensor(self.tensor, self.dual):
+            raise AxiomViolation(bad, self.rank)
 
     @classmethod
-    def validated(cls, labels, tensor, dual=None) -> "FusionRing":
-        ring = cls(labels, tensor, dual)
-        bad = validate_tensor(ring.tensor, ring.dual)
-        if bad:
-            raise AxiomViolation(bad)
-        return ring
+    def _by_theorem(cls, labels, tensor, dual=None) -> "FusionRing":
+        return object.__new__(cls)._store(labels, tensor, dual)
+
+    def _store(self, labels, tensor, dual) -> "FusionRing":
+        """Set the fields, checking shape, entries, labels and dual; self."""
+        arr = _as_tensor(tensor)
+        arr.setflags(write=False)
+        dual = _pairing_dual(arr) if dual is None else dual
+        labels = tuple(map(str, labels))
+        if not all(map(_is_int, dual)):
+            raise MalformedInput("dual must list integers")
+        dual, n = tuple(map(operator.index, dual)), len(arr)
+        if len(labels) != n or len(dual) != n:
+            raise MalformedInput("labels, tensor and dual must agree on rank")
+        if len(set(labels)) != n:
+            raise MalformedInput("labels must be distinct")
+        for name, value in (("labels", labels), ("tensor", arr), ("dual", dual)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def rank(self) -> int:
@@ -428,17 +434,16 @@ class FusionRing:
 
 def product_ring(a: FusionRing, b: FusionRing) -> FusionRing:
     """Deligne-style product: basis pairs, tensor the structure constants.
-    The factors must be validated fusion rings; the product is not checked,
-    as each axiom holds factor by factor (an associativity sum is a product
-    of two). Each entry is one product, computed in the storage dtype of
-    max(a) max(b). A factor is cast to it unchecked: in a nonzero product
-    each factor is at most the product."""
+    The product is not checked, as each axiom holds factor by factor (an
+    associativity sum is a product of two). Each entry is one product,
+    computed in the storage dtype of max(a) max(b). A factor is cast to it
+    unchecked: in a nonzero product each factor is at most the product."""
     n, m = a.rank, b.rank
     dtype = _storage_dtype(int(a.tensor.max()) * int(b.tensor.max()))
     t = np.einsum("ijk,abc->iajbkc", a.tensor, b.tensor, dtype=dtype, casting="unsafe")
     t = t.reshape(n * m, n * m, n * m)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
-    return FusionRing(labels, t)
+    return FusionRing._by_theorem(labels, t)
 
 
 def _factors(factors) -> tuple:
@@ -517,7 +522,7 @@ def group_ring(spec) -> FusionRing:
 
     spec: cyclic orders or an n x n table of element indices in range(n)
     with identity at index 0, as lists or a numpy array; a table's rows may be
-    1-D arrays. Only a table, outside input, is validated; cyclic orders give
+    1-D arrays. Only a table, outside input, is checked; cyclic orders give
     a group ring by construction. The tensor is one-hot (b_i b_j is the
     basis element table[i][j]), so from rank _CERTIFY_MIN_RANK on its
     associativity is certified on the table read back from it, n^2 lookups
@@ -531,9 +536,14 @@ def group_ring(spec) -> FusionRing:
         n = len(spec)
         if not all(isinstance(row, (list, tuple)) and len(row) == n for row in spec):
             raise FusionRingError("multiplication table must be square")
-        if not all(_is_int(x) and 0 <= x < n for row in spec for x in row):
+        entries = list(itertools.chain.from_iterable(spec))
+        table = None  # _is_int on each entry type, or on each entry if one is a 0-d array
+        if (all(issubclass(k, (int, np.integer)) and k is not bool for k in {*map(type, entries)})
+                or all(map(_is_int, entries))):
+            with contextlib.suppress(OverflowError):  # an int past int64
+                table = np.array(spec, dtype=np.int64)
+        if table is None or not (0 <= table.min() and table.max() < n):
             raise FusionRingError(f"multiplication table entries must lie in range({n})")
-        table = np.array(spec, dtype=np.int64)
         labels = [f"g{i}" for i in range(n)]
     else:
         grp = _Group(_factors(spec))
@@ -543,9 +553,8 @@ def group_ring(spec) -> FusionRing:
     n = len(labels)
     tensor = np.zeros((n, n, n), dtype=np.uint8)
     tensor[np.arange(n)[:, None], np.arange(n), table] = 1
-    if is_table:  # the dual of g is the h with g h = e, once per row
-        return FusionRing.validated(labels, tensor)
-    return FusionRing(labels, tensor)
+    # the dual of g is the h with g h = e, once per row
+    return (FusionRing if is_table else FusionRing._by_theorem)(labels, tensor)
 
 
 def _positive_ints(vals: np.ndarray, error) -> list:
@@ -650,7 +659,7 @@ def character_table_to_fusion_ring(table: CharacterTable) -> FusionRing:
     tensor, _ = _snap_multiplicities(np.einsum("x,ix,jx,kx->ijk", w, rows, rows, rows.conj()),
                                      _agrees)
     labels = [f"chi{i}[{d}]" for i, d in enumerate(table.degrees)]
-    return FusionRing.validated(labels, tensor)
+    return FusionRing(labels, tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +674,7 @@ def ring_to_json(ring: FusionRing) -> dict:
     }
 
 
-def ring_from_json(data, validate: bool = True) -> FusionRing:
+def ring_from_json(data) -> FusionRing:
     """Read a ring from its JSON object (or a string holding it).
 
     Raises MalformedInput unless data is an object whose 'tensor' is a
@@ -674,8 +683,7 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
     Negative or non-integer numbers pass here; the ring checks report them.
     """
     data = _json_object(data, "ring")
-    labels = data.get("labels")
-    dual = data.get("dual")
+    labels, dual = data.get("labels"), data.get("dual")
     for key, value in (("labels", labels), ("dual", dual)):
         if value is not None and not isinstance(value, list):
             raise MalformedInput(f"'{key}' must be a list")
@@ -687,11 +695,8 @@ def ring_from_json(data, validate: bool = True) -> FusionRing:
         raise MalformedInput("'tensor' must be a nonempty n x n x n array of numbers")
     if tensor.dtype == object or not (-2 ** 63 <= tensor.min() and tensor.max() < 2 ** 63):
         raise MalformedInput("'tensor' entries must be finite numbers inside the int64 range")
-    if labels is None:
-        labels = [f"X{i}" for i in range(tensor.shape[0])]
-    if validate:
-        return FusionRing.validated(labels, tensor, dual)
-    return FusionRing(labels, tensor, dual)
+    return FusionRing([f"X{i}" for i in range(len(tensor))] if labels is None else labels,
+                      tensor, dual)
 
 
 def _read_tensor(value) -> np.ndarray:

@@ -101,38 +101,35 @@ def roots_dpm(kappa: float, big_n: float):
 
 
 def subring_on(ring: FusionRing, indices) -> FusionRing:
-    """Restrict a validated fusion ring to a fusion-closed subset of basis
+    """Restrict a fusion ring to a fusion-closed subset of basis
     indices. The result is not checked: such a subset keeps every axiom, as
     each associativity sum over t meets only t inside it."""
     handle = SubringHandle(indices)
     handle.verify(ring)
     idx = handle.indices
-    return FusionRing([ring.labels[i] for i in idx], ring.tensor[np.ix_(idx, idx, idx)])
+    return FusionRing._by_theorem([ring.labels[i] for i in idx],
+                                  ring.tensor[np.ix_(idx, idx, idx)])
 
 
 def detect(ring: FusionRing):
     """Find the near-integral structure of a ring, or return None.
 
-    Scans self-dual non-unit rho in index order for the first with
-    x * rho = d_x rho, d_x = c_{rho rho}^x >= 1, and its complement S
-    closed: c_ij^rho = 0 for i, j in S. Then kappa = c_{rho rho}^rho and
-    N = sum d_x^2. No FPdim is computed (module docstring); the integer
-    tests, implied by the closure on a fusion ring, are kept for unvalidated
-    tensors. The one flag is the categorification screen; kappa >= N with
-    d+ integral cannot occur, as kappa^2 + 4N = m^2 forces m >= kappa + 2."""
+    Scans self-dual non-unit rho in index order for the first whose
+    complement S is closed, c_ij^rho = 0 for i, j in S, which on a fusion
+    ring gives x * rho = d_x rho, d_x = c_{rho rho}^x = FPdim(x) >= 1 (module
+    docstring), so no FPdim is computed. Then kappa = c_{rho rho}^rho and
+    N = sum d_x^2. The one flag is the categorification screen; kappa >= N
+    with d+ integral cannot occur, as kappa^2 + 4N = m^2 forces m >= kappa + 2."""
     n = ring.rank
     for rho in range(1, n):
         if ring.dual[rho] != rho:
             continue
         comp = [i for i in range(n) if i != rho]
-        sq = ring.tensor[rho, rho]
-        rows = ring.tensor[comp, rho]
-        dims = sq[comp]
-        if (rows[:, comp].any() or (rows[:, rho] != dims).any() or (dims < 1).any()
-                or ring.tensor[:, :, rho][np.ix_(comp, comp)].any()):
+        if ring.tensor[:, :, rho][np.ix_(comp, comp)].any():
             continue
+        sq = ring.tensor[rho, rho]
         kappa = int(sq[rho])
-        big_n = sum(int(d) ** 2 for d in dims)
+        big_n = sum(int(d) ** 2 for d in sq[comp])
         d_plus, d_minus = roots_dpm(kappa, big_n)
         disc = kappa * kappa + 4 * big_n
         exact = math.isqrt(disc) ** 2 == disc
@@ -144,7 +141,7 @@ def detect(ring: FusionRing):
 
 
 def construct(sub: FusionRing, kappa: int) -> FusionRing:
-    """Build R(S, kappa) from a validated integral fusion ring S and an
+    """Build R(S, kappa) from an integral fusion ring S and an
     integer (exact._is_int) kappa >= 0. The result is not checked: its
     axioms are those of S and sum_k c_ij^k d_k = d_i d_j for the FPdims d
     of S, certified in integers on the FPdims of spectral._perron_dims
@@ -172,7 +169,7 @@ def construct(sub: FusionRing, kappa: int) -> FusionRing:
     while rho_label in sub.labels:
         rho_label = f"rho{k}"
         k += 1
-    return FusionRing(list(sub.labels) + [rho_label], t)
+    return FusionRing._by_theorem(list(sub.labels) + [rho_label], t)
 
 
 def distinguished_characters(ring: FusionRing, report: NearIntegralReport):

@@ -46,7 +46,9 @@ class GroupTooLarge(MalformedInput):
 @dataclass(frozen=True)
 class ModularDatum:
     """Unnormalized S-matrix (S[0][0] = 1, row 0 = dims) and exact twists, checked
-    once, when built: entries finite, |S| < 2^63, S[0][0], row 0 real, symmetry (exact._agrees)."""
+    once, when built: entries finite, |S| < 2^63, S[0][0], row 0 real, symmetry
+    (exact._agrees). S is the conjugate of Bakalov-Kirillov's (3.1): s = S/sqrt(D)
+    has s^2 = C and (s T^-1)^3 = (tau-/sqrt(D)) s^2; balancing_check sums N_ij^k."""
 
     s: np.ndarray = field(repr=False)
     t: tuple
@@ -109,8 +111,7 @@ def verlinde_fusion(m: ModularDatum):
     if bad.any():
         i = int(np.argmax(bad))
         raise FusionRingError(f"S row {i} is not the conjugate of S row {dual[i]}")
-    labels = [f"X{i}" for i in range(n)]
-    ring = FusionRing.validated(labels, out, dual)
+    ring = FusionRing([f"X{i}" for i in range(n)], out, dual)
     diagnostics = MappingProxyType({
         "globalDim": d,
         "dims": tuple(float(x) for x in m.dims),

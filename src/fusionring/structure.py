@@ -224,7 +224,7 @@ def universal_grading(ring: FusionRing) -> GradingReport:
     b_j appears in a b_i for some a in the adjoint subring; the group law is
     induced by fusion.
 
-    On a validated ring the rest is a theorem (Gelaki-Nikshych), not
+    On a fusion ring the rest is a theorem (Gelaki-Nikshych), not
     checked here: the relation is an equivalence, so row i of it is the
     component of i, labelled by its smallest member (the unit's is 0);
     products of components are homogeneous, so one product of two

@@ -143,20 +143,19 @@ def test_verify_catalog_reports_bad_entries(fresh_catalog):
     entries["groups<=6classes"] = CatalogEntry(
         "groups<=6classes", "groupList", ({"order": 0, "numCentralInvolutive": 1},), "")
     entries["zz-ring"] = CatalogEntry("zz-ring", "ring", entry_ring("S3"), "")
-    # a ring payload is read unvalidated; entry.ring checks the axioms
+    # a ring payload passed the axioms when its ring was built: a broken
+    # tensor is refused there, so no entry can hold it
     tensor = fr.group_ring([2]).tensor.copy()
     tensor[1, 1, 0] = 2
-    entries["zz-broken-ring"] = CatalogEntry(
-        "zz-broken-ring", "ring", fr.FusionRing(["1", "x"], tensor, [0, 1]), "")
+    with pytest.raises(fr.AxiomViolation, match=r"^dual-pairing at \(1, 1, 0\)"):
+        fr.FusionRing(["1", "x"], tensor, [0, 1])
     entries["zz-other"] = CatalogEntry("zz-other", "other", None, "")
     results = {n: (ok, d) for n, ok, d in verify_catalog()}
     assert results["groups<=6classes"] == (
         False, "FusionRingError: implausible group record {'order': 0, 'numCentralInvolutive': 1}")
     assert results["zz-ring"] == (True, "rank 3 fusion ring, axioms hold")
-    ok, detail = results["zz-broken-ring"]
-    assert not ok and detail.startswith("AxiomViolation: dual-pairing at (1, 1, 0)")
     assert results["zz-other"] == (False, "FusionRingError: unknown entry kind other")
-    assert sum(not ok for ok, _ in results.values()) == 3
+    assert sum(not ok for ok, _ in results.values()) == 2
 
 
 def test_duplicate_classification_row_is_refused(monkeypatch):

@@ -8,12 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fusionring import catalog, cli, core
-from fusionring.core import (FusionRingError, group_ring, ring_from_json, ring_to_json,
-                             table_to_json, validate_tensor)
+from fusionring.core import (FusionRingError, group_ring, ring_to_json, table_to_json,
+                             validate_tensor)
 from fusionring.nearintegral import construct, gagola_analyze
 from fusionring.premodular import modular_datum_to_json
 from shared_rings import HOSTILE_SCALARS, cyclic_form_class_count, scalar_id
@@ -111,13 +112,15 @@ def test_stdin_input(capsys, monkeypatch, tmp_path):
 
 
 def test_ring_json_is_checked_once(capsys, monkeypatch):
-    """CatalogEntry.ring checks the ring that cli.load read unvalidated and
-    returns it, so the tensor is read by _as_tensor once."""
+    """cli.load reads ring JSON into a ring, checked as it is built, and
+    CatalogEntry.ring returns it, so the tensor is read by _as_tensor and
+    checked by validate_tensor once."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ring_to_json(group_ring([4])))))
-    calls, as_tensor = [], core._as_tensor
+    calls, as_tensor, validate = [], core._as_tensor, core.validate_tensor
     monkeypatch.setattr(core, "_as_tensor", lambda t: calls.append(t) or as_tensor(t))
+    monkeypatch.setattr(core, "validate_tensor", lambda *a: calls.append(a) or validate(*a))
     code, out, err = run(capsys, "fpdim", "-")
-    assert (code, err, len(calls)) == (0, "", 1)
+    assert (code, err, len(calls)) == (0, "", 2)
     assert "FPdim(ring) = 4" in out
 
 
@@ -231,8 +234,7 @@ def test_data_dir_ring_breaking_an_axiom(tmp_path, capsys):
     code, out, err = run(capsys, "--data-dir", str(tmp_path), "--format", "json",
                          "verify", "catalog:bad")
     assert (code, err) == (1, "")
-    bad = ring_from_json(data, validate=False)
-    want = validate_tensor(bad.tensor, bad.dual)
+    want = validate_tensor(np.array(data["tensor"]), data["dual"])
     assert json.loads(out)["violations"] == [
         {"axiom": a, "index": list(i), "detail": d} for a, i, d in want]
     assert len(want) > 1

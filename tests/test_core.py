@@ -33,7 +33,7 @@ FIB = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
 
 
 def fib_ring():
-    return FusionRing.validated(["1", "tau"], FIB, [0, 1])
+    return FusionRing(["1", "tau"], FIB, [0, 1])
 
 
 def ising_ring():
@@ -44,7 +44,7 @@ def ising_ring():
     t[1, 1, 0] = 1
     t[1, 2, 2] = t[2, 1, 2] = 1
     t[2, 2, 0] = t[2, 2, 1] = 1
-    return FusionRing.validated(["1", "psi", "sigma"], t, [0, 1, 2])
+    return FusionRing(["1", "psi", "sigma"], t, [0, 1, 2])
 
 
 def test_group_ring_cyclic():
@@ -85,13 +85,12 @@ def _loop_group_ring(orders) -> FusionRing:
         for f in elements:
             prod = tuple((x + y) % o for x, y, o in zip(e, f, orders))
             tensor[i, index[f], index[prod]] = 1
-    return FusionRing.validated(labels, tensor, dual)
+    return FusionRing(labels, tensor, dual)
 
 
 def test_group_ring_of_orders_is_unchecked_and_matches_loop(monkeypatch):
     specs = ordered_factor_lists(32) + [[1], [3, 1], [8, 8], [2] * 6]
     monkeypatch.setattr(core, "validate_tensor", refuse)
-    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
     rings = [group_ring(spec) for spec in specs]
     monkeypatch.undo()
     for spec, ring in zip(specs, rings):
@@ -123,6 +122,18 @@ def test_group_ring_rejects_table_entries_out_of_range(table):
         group_ring(table)
 
 
+def test_table_entries_are_read_by_the_one_integer_test():
+    # the entry types are checked as a set, in one pass; a 0-d array sends
+    # the table to exact._is_int entry by entry, and past-int64 ints and
+    # numpy bools are refused like Python bools
+    want = group_ring([[0, 1], [1, 0]])
+    for entry in (np.int64(1), np.uint64(1), np.array(1), np.array(1, dtype=np.uint8)):
+        assert group_ring([[0, entry], [entry, 0]]) == want, repr(entry)
+    for entry in (np.bool_(True), np.array(True), np.array(1.0), np.float64(1), 2 ** 70, None, "1"):
+        with pytest.raises(FusionRingError, match=r"entries must lie in range\(2\)"):
+            group_ring([[0, entry], [entry, 0]])
+
+
 def test_validated_rejects_broken_associativity():
     # x^2 = 1 + kappa x is associative for every kappa (near-group of Z1)
     t = np.zeros((2, 2, 2), dtype=int)
@@ -130,12 +141,57 @@ def test_validated_rejects_broken_associativity():
     t[:, 0] = np.eye(2)
     t[1, 1, 0] = 1
     t[1, 1, 1] = 3
-    FusionRing.validated(["1", "x"], t, [0, 1])
+    FusionRing(["1", "x"], t, [0, 1])
     # doubling one off-axis coefficient of the C3 group ring is not
     t2 = np.array(group_ring([3]).tensor)
     t2[1, 1, 2] = 2
     with pytest.raises(AxiomViolation):
-        FusionRing.validated(["1", "g", "g2"], t2, [0, 2, 1])
+        FusionRing(["1", "g", "g2"], t2, [0, 2, 1])
+
+
+def test_a_ring_breaking_an_axiom_cannot_be_built():
+    # C4 with c_22^2 = 1 added: associative nowhere near g2, and refused
+    # with validate_tensor's whole list, before any function can read it
+    t = np.array(group_ring([4]).tensor)
+    t[2, 2, 2] = 1
+    want = validate_tensor(t, [0, 3, 2, 1])
+    assert len(want) == 8 and {name for name, _, _ in want} == {"associativity"}
+    with pytest.raises(AxiomViolation) as refused:
+        FusionRing(["e", "g", "g2", "g3"], t)
+    assert refused.value.violations == want and refused.value.rank == 4
+
+
+PERTURBABLE = {"Fib": fib_ring, "Ising": ising_ring, "C4": lambda: group_ring([4]),
+               "C2xC2": lambda: group_ring([2, 2]), "S3": s3_group_ring,
+               "A4": lambda: fr.entry_ring("A4"),
+               "R(C3,2)": lambda: fr.construct(group_ring([3]), 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PERTURBABLE)), st.data())
+def test_constructor_raises_exactly_on_violations(name, data):
+    # up to three +-1 edits, kept nonnegative, each maybe mirrored to
+    # c_{i* k}^j so that the first Frobenius identity holds, and maybe two
+    # non-unit duals swapped: the constructor raises AxiomViolation iff
+    # validate_tensor lists a violation, and with that list
+    ring = PERTURBABLE[name]()
+    t, dual, n = np.array(ring.tensor, dtype=np.int64), list(ring.dual), ring.rank
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        t[i, j, k] = max(0, t[i, j, k] + data.draw(st.sampled_from([-1, 1])))
+        if data.draw(st.booleans()):
+            t[dual[i], k, j] = t[i, j, k]
+    if n > 2 and data.draw(st.booleans()):
+        a, b = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        dual[a], dual[b] = dual[b], dual[a]
+    want = validate_tensor(t, dual)
+    try:
+        built = FusionRing(range(n), t, dual)
+    except AxiomViolation as exc:
+        assert want and exc.violations == want and exc.rank == n
+    else:
+        assert want == [] and built.dual == tuple(dual)
 
 
 def test_violation_report_names_axioms():
@@ -496,12 +552,13 @@ def test_blocked_checks_list_as_one_block(name, late, monkeypatch):
     first = [v for v in whole if v[0] in ("duality", "unit", "dual-pairing")]
     assert whole == (first + loop_frobenius(t, dual, 0) + loop_frobenius(t, dual, 1)
                      + einsum_associativity_violations(t))
-    commutes = bool((t == t.transpose(1, 0, 2)).all())
     for slabs in (1, 3):
         monkeypatch.setattr(core, "_CHUNK_BYTES", 8 * n * n * slabs)
         assert validate_tensor(t, dual) == whole
         assert _associativity_violations(t) == einsum_associativity_violations(t)
-        assert FusionRing(range(n), t, dual).is_commutative() == commutes
+        with pytest.raises(AxiomViolation) as refused:
+            FusionRing(range(n), t, dual)
+        assert refused.value.violations == whole and refused.value.rank == n
         assert FusionRing(range(n), CERTIFIED[name](), dual).is_commutative() == (name != "D8")
 
 
@@ -603,7 +660,7 @@ def test_one_hot_read_is_exact_on_any_tensor(capsys, monkeypatch):
             table = core._one_hot_table(c)
             assert (table is None) if want is None else table.tolist() == want
     # the exit-code contract: a finding, no traceback
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ring_to_json(FusionRing(range(16), t)))))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"tensor": t.tolist()})))
     code = cli.run(["verify", "-"])
     out, err = capsys.readouterr()
     assert code == 1 and "Traceback" not in err and "associativity" in out
@@ -740,9 +797,9 @@ def test_float_tensor_must_be_exact(entry, error):
     tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=type(entry))
     tensor[1, 1, 1] = entry
     if error is None:
-        want = FusionRing.validated(["1", "tau"], [[[1, 0], [0, 1]], [[0, 1], [1, int(entry)]]],
+        want = FusionRing(["1", "tau"], [[[1, 0], [0, 1]], [[0, 1], [1, int(entry)]]],
                                     [0, 1])
-        assert FusionRing.validated(["1", "tau"], tensor, [0, 1]) == want
+        assert FusionRing(["1", "tau"], tensor, [0, 1]) == want
         # JSON 1.0 and 256 miss the typed read and are read by np.asarray
         back = ring_from_json(json.dumps({"labels": ["1", "tau"], "tensor": tensor.tolist()}))
         assert back == want and back.tensor.dtype == (np.uint8 if entry == 1 else np.uint16)
@@ -752,26 +809,26 @@ def test_float_tensor_must_be_exact(entry, error):
             FusionRing(["1", "tau"], tensor, [0, 1])
 
 
-def read_ring(tensor, validate=True):
+def read_ring(tensor):
     """What ring_from_json makes of a 'tensor' value: the ring's labels,
     dual, dtype, shape and bytes, or the exception class and message."""
     try:
-        ring = ring_from_json({"tensor": tensor}, validate=validate)
+        ring = ring_from_json({"tensor": tensor})
     except FusionRingError as exc:
         return type(exc), str(exc)
     return ring.labels, ring.dual, ring.tensor.dtype, ring.tensor.shape, ring.tensor.tobytes()
 
 
-def assert_reads_as_asarray(tensor, validate=True):
+def assert_reads_as_asarray(tensor):
     """A nested-list tensor reads as its np.asarray array does, which takes
     the np.asarray path; a ragged one, which np.asarray refuses, reads as
     a 0-d array, so as MalformedInput."""
     try:
-        want = read_ring(np.asarray(tensor), validate)
+        want = read_ring(np.asarray(tensor))
     except ValueError:
-        want = read_ring(np.asarray(None), validate)
+        want = read_ring(np.asarray(None))
         assert want[0] is MalformedInput
-    assert read_ring(tensor, validate) == want
+    assert read_ring(tensor) == want
     return want
 
 
@@ -808,9 +865,8 @@ def with_entry(tensor, index, value):
     ((((1,),),), True),  # a tuple is read by np.asarray
 ])
 def test_typed_read_matches_asarray_cases(tensor, ok):
-    for validate in (True, False):
-        got = assert_reads_as_asarray(tensor, validate)
-        assert ok is None or (got[0] is not MalformedInput) == ok
+    got = assert_reads_as_asarray(tensor)
+    assert ok is None or (got[0] is not MalformedInput) == ok
 
 
 @st.composite
@@ -844,9 +900,9 @@ def near_cube_tensors(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(near_cube_tensors(), st.booleans())
-def test_typed_read_matches_asarray(tensor, validate):
-    assert_reads_as_asarray(tensor, validate)
+@given(near_cube_tensors())
+def test_typed_read_matches_asarray(tensor):
+    assert_reads_as_asarray(tensor)
 
 
 def loop_character_ring(table, tol=1e-9):
@@ -875,7 +931,7 @@ def loop_character_ring(table, tol=1e-9):
             raise AxiomViolation([("dual-pairing", (i,), f"row {i} pairs with {matches}")])
         dual.append(matches[0])
     labels = [f"chi{i}[{d}]" for i, d in enumerate(table.degrees)]
-    return FusionRing.validated(labels, tensor, dual)
+    return FusionRing(labels, tensor, dual)
 
 
 def outcome(build, arg):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import fusionring as fr
-from fusionring import catalog, cli, spectral
-from fusionring.core import CharacterTable, FusionRing, NonIntegralMultiplicity, _derived
+from fusionring import catalog, cli, core, spectral
+from fusionring.core import CharacterTable, NonIntegralMultiplicity, _derived
 from fusionring.exact import RootOfUnity
 from fusionring.nearintegral import character_kernel, construct
 from fusionring.premodular import ModularDatum
@@ -113,7 +113,7 @@ def test_verlinde_ring_and_diagnostics_once_per_datum(fresh_catalog, monkeypatch
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Verlinde ring was built again")
-    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    monkeypatch.setattr(core, "validate_tensor", refuse)
     assert cli.run(["verlinde", "catalog:Z(Rep(S3))"]) == 0
     assert "dims: 1, 1, 2, 2, 2, 2, 3, 3" in capsys.readouterr().out
 
@@ -124,7 +124,7 @@ def test_gagola_reuses_the_character_ring(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("the character ring was built again")
-    monkeypatch.setattr(FusionRing, "validated", classmethod(refuse))
+    monkeypatch.setattr(core, "validate_tensor", refuse)
     assert fr.gagola_analyze(table).kappa == 3
     assert fr.character_table_to_fusion_ring(table) is ring
 

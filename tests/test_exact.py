@@ -190,11 +190,11 @@ def _public_callables():
 
 def test_no_tolerance_knobs():
     # the tolerance policy is exact.SNAP_TOL and exact.EXACT_TOL; no public
-    # function takes a threshold (the scan must see exact's and a classmethod)
+    # function takes a threshold (the scan must see exact's and a method)
     knobs = {"tol", "snap", "tolerance"}
     callables = _public_callables()
     assert "fusionring.exact.parse_scalar" in callables
-    assert "fusionring.core.FusionRing.validated" in callables
+    assert "fusionring.core.FusionRing.fuse" in callables
     offending = [name for name, f in callables.items()
                  if knobs & set(inspect.signature(f).parameters)]
     assert offending == []

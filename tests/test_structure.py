@@ -24,11 +24,11 @@ def ising_ring():
     t[1, 1, 0] = 1
     t[1, 2, 2] = t[2, 1, 2] = 1
     t[2, 2, 0] = t[2, 2, 1] = 1
-    return FusionRing.validated(["1", "psi", "sigma"], t, [0, 1, 2])
+    return FusionRing(["1", "psi", "sigma"], t, [0, 1, 2])
 
 
 def fib_ring():
-    return FusionRing.validated(["1", "tau"],
+    return FusionRing(["1", "tau"],
                                 [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [0, 1])
 
 

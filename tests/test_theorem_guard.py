@@ -1,7 +1,8 @@
 """Theorem guard over the package source, with the standard library only.
 
-The functions below build or read their results by theorem from a
-validated fusion ring (see README, "Checks run at the boundary only"), so
+The functions below build or read their results by theorem from a fusion
+ring, which every FusionRing is (see README, "Every `FusionRing` is a fusion
+ring"), so
 none of them checks a theorem at run time: property tests check those
 theorems instead. This fails when one of them contains a raise statement.
 """
